@@ -59,11 +59,10 @@ from .lemma_suite import (
     check_tanh_sum,
 )
 from .quadrature import (
+    GridKnobs,
     GridPolicy,
     MomentumGrid,
     build_grid,
-    grid_defaults,
-    integrate,
     tail_bound,
 )
 from .variational import (
@@ -97,11 +96,10 @@ __all__ = [
     "eval_L",
     "eval_L_series",
     "eval_a",
+    "GridKnobs",
     "GridPolicy",
     "MomentumGrid",
     "build_grid",
-    "grid_defaults",
-    "integrate",
     "tail_bound",
     "BoundaryCondition",
     "DiscretizedOperator",

@@ -20,11 +20,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import NoConvergence
 from .kernels import ModelParams, eval_A, eval_B, eval_a
-from .quadrature import BETA, MomentumGrid, _march_edges, _panels_to_grid
+from .quadrature import MomentumGrid, _mesh_with_centers
 
 __all__ = [
     "BoundaryCondition",
@@ -35,11 +34,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Matrices up to this order go to the dense symmetric eigensolver; the
-# O(n^3) cost stays at a few seconds there, far below what Lanczos needs
-# on the edge-clustered spectra these operators have.
-DENSE_EIGEN_CUTOFF = 2400
 
 _EIGEN_TOL_DEFAULT = 1e-10
 
@@ -78,44 +72,25 @@ def _diag_A(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     """A(p_i) for every grid node, on per-node feature-aware meshes.
 
     B(p, .) has tanh crossovers at q = |2 sqrt(mu) -/+ p|, which the
-    shared grid resolves only for p near 0, so each node gets its own
-    panel marching with those two points added as refinement centers.
-    The marching reuses the grid policy's floor and cutoff so accuracy
-    matches the grid's own certificate.  Beyond p^2 ~ 1/(pi tol) the
-    ridge contributes less than tol (its amplitude decays like 1/p^2)
-    and the shared grid is used directly.
+    shared grid resolves only for p near 0, so each node gets the grid's
+    mesh regraded with those two points as extra refinement centers, at
+    the grid's own floor and cutoff so accuracy matches the grid's own
+    certificate.  Beyond p^2 ~ 1/(pi tol) the ridge contributes less
+    than tol (its amplitude decays like 1/p^2) and the shared grid is
+    used directly.
     """
-    pol = grid.policy
     T, mu = params.T, params.mu
     smu = np.sqrt(mu) if mu > 0 else 0.0
-    base = np.sqrt(max(T, mu)) / 2.0
-    floor0 = min(T / smu, base) / 4.0 if mu > 0 else base / 4.0
-    floor = floor0 / 2.0**pol.depth
-    lam0 = min(
-        pol.cutoff_factor * (2.0 * smu + pol.tail_k * np.sqrt(max(T, mu, 1.0))),
-        grid.cutoff,
-    )
-    # octave doubling out to the certified cutoff, as in build_grid
-    oct_edges = []
-    c = lam0
-    while c < grid.cutoff * (1.0 - 1e-12):
-        c = min(2.0 * c, grid.cutoff)
-        oct_edges.append(c)
-
     # ridge of B(p, .) carries weight <~ (4(sqrt(mu)+sqrt(T))+1)/p^2
-    p_skip = np.sqrt(8.0 * mu + (4.0 * (smu + np.sqrt(T)) + 1.0) / (np.pi * pol.tol))
+    p_skip = np.sqrt(
+        8.0 * mu + (4.0 * (smu + np.sqrt(T)) + 1.0) / (np.pi * grid.policy.tol)
+    )
     k = int(np.searchsorted(grid.nodes, p_skip))
 
     qs, ws, sizes = [], [], []
     for pi in grid.nodes[:k]:
-        centers = list(grid.refinement_centers)
-        for f in (abs(2.0 * smu - pi), 2.0 * smu + pi):
-            if 0.0 < f < lam0:
-                centers.append(f)
-        edges = _march_edges(lam0, centers, floor, BETA)
-        if oct_edges:
-            edges = np.append(edges, oct_edges)
-        nodes_i, w_i = _panels_to_grid(edges, pol.points_per_panel)
+        crossovers = (abs(2.0 * smu - pi), 2.0 * smu + pi)
+        nodes_i, w_i = _mesh_with_centers(grid, crossovers)
         qs.append(nodes_i)
         ws.append(w_i)
         sizes.append(nodes_i.size)
@@ -163,35 +138,18 @@ def top_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and unit eigenvector of op.matrix.
 
-    Dense symmetric eigendecomposition up to DENSE_EIGEN_CUTOFF, Lanczos
-    (two extremal Ritz pairs) beyond.  The residual ||Mx - lambda x|| is
-    verified against tol * ||M||_inf either way; the second-largest
-    eigenvalue goes to the debug log since nothing guarantees the top
-    one is isolated.
+    Dense symmetric eigendecomposition.  The residual ||Mx - lambda x||
+    is verified against tol * ||M||_inf; the second-largest eigenvalue
+    goes to the debug log since nothing guarantees the top one is
+    isolated.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     M = op.matrix
     n = M.shape[0]
-    if n <= DENSE_EIGEN_CUTOFF:
-        vals, vecs = np.linalg.eigh(M)
-        lam, x = vals[-1], vecs[:, -1]
-        second = vals[-2] if n > 1 else np.nan
-    else:
-        # the top of the spectrum clusters at the continuum edge, so the
-        # second Ritz pair may stall; a wide subspace helps, and if only
-        # the top pair converges that is still what we need
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                M, k=2, which="LA", tol=tol, ncv=min(n, 120)
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            vals, vecs = err.eigenvalues, err.eigenvectors
-            if vals.size == 0:
-                raise NoConvergence(f"Lanczos did not converge: {err}") from err
-        order = np.argsort(vals)
-        lam, x = vals[order[-1]], vecs[:, order[-1]]
-        second = vals[order[-2]] if vals.size > 1 else np.nan
+    vals, vecs = np.linalg.eigh(M)
+    lam, x = vals[-1], vecs[:, -1]
+    second = vals[-2] if n > 1 else np.nan
     residual = np.linalg.norm(M @ x - lam * x)
     scale = np.linalg.norm(M, np.inf)
     if residual > tol * scale:

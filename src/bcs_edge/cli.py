@@ -22,7 +22,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,7 +40,7 @@ from .critical_temperature import (
 )
 from .errors import NumericsError
 from .kernels import ModelParams
-from .quadrature import build_grid, grid_defaults
+from .quadrature import GridKnobs, build_grid
 from .variational import TrialConfig, trial_gap
 
 __all__ = ["main", "run"]
@@ -50,11 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_PARTIAL = 3
-
-# Effective fallbacks recorded in manifests when the knobs are left
-# unset; must match the build_grid defaults.
-_GRID_POINTS_DEFAULT = 16
-_CUTOFF_FACTOR_DEFAULT = 3.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,10 +144,6 @@ def _resolve(parser, ns) -> dict:
             parser.error(f"BCS_EDGE_THREADS: cannot parse {env_threads!r}")
     if cfg.get("threads") is None:
         cfg["threads"] = os.cpu_count() or 1
-    if cfg.get("grid_points") is None:
-        cfg["grid_points"] = _GRID_POINTS_DEFAULT
-    if cfg.get("cutoff_factor") is None:
-        cfg["cutoff_factor"] = _CUTOFF_FACTOR_DEFAULT
     return cfg
 
 
@@ -277,10 +267,10 @@ def _positive(parser, cfg, *names) -> None:
                 parser.error(f"--{name.replace('_', '-')} must be positive")
 
 
-def cmd_tc_bulk(parser, cfg):
+def cmd_tc_bulk(parser, cfg, knobs):
     _positive(parser, cfg, "mu", "v", "tol")
     results = _pmap(
-        lambda v: tc_bulk(v, cfg["mu"], cfg["tol"]), cfg["v"], cfg["threads"]
+        lambda v: tc_bulk(v, cfg["mu"], cfg["tol"], knobs), cfg["v"], cfg["threads"]
     )
     header = ["v", "mu", "tc", "residual", "evaluations"]
     rows = [
@@ -300,11 +290,11 @@ def cmd_tc_bulk(parser, cfg):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_tc_boundary(parser, cfg):
+def cmd_tc_boundary(parser, cfg, knobs):
     _positive(parser, cfg, "mu", "v", "tol")
     bc = BoundaryCondition(cfg["bc"])
     results = _pmap(
-        lambda v: tc_boundary(v, cfg["mu"], bc, cfg["tol"]),
+        lambda v: tc_boundary(v, cfg["mu"], bc, cfg["tol"], knobs=knobs),
         cfg["v"],
         cfg["threads"],
     )
@@ -339,7 +329,7 @@ _CURVE_COLUMNS = [
 ]
 
 
-def cmd_ratio_curve(parser, cfg):
+def cmd_ratio_curve(parser, cfg, knobs):
     if cfg["v_count"] < 1:
         parser.error("--v-count must be at least 1")
     _positive(parser, cfg, "mu", "v_min", "v_max", "tol")
@@ -347,7 +337,7 @@ def cmd_ratio_curve(parser, cfg):
         parser.error("--v-max must be >= --v-min")
     bc = BoundaryCondition(cfg["bc"])
     vs = np.geomspace(cfg["v_min"], cfg["v_max"], cfg["v_count"])
-    single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"]).rows[0]
+    single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], knobs=knobs).rows[0]
     rows = _pmap(single, vs, cfg["threads"])
     curve = RatioCurve(tuple(rows), tol=cfg["tol"])
     table = [
@@ -369,13 +359,13 @@ def cmd_ratio_curve(parser, cfg):
     )
 
 
-def cmd_spectrum(parser, cfg):
+def cmd_spectrum(parser, cfg, knobs):
     _positive(parser, cfg, "T", "tol")
     if cfg["mu"] < 0:
         parser.error("--mu must be nonnegative")
     bc = BoundaryCondition(cfg["bc"])
     params = ModelParams(T=cfg["T"], mu=cfg["mu"])
-    grid = build_grid(params, cfg["tol"])
+    grid = build_grid(params, cfg["tol"], knobs)
     op = assemble(params, grid, bc)
     top, vec = top_eigenpair(op)
     gap = top - op.a_edge
@@ -404,7 +394,7 @@ def cmd_spectrum(parser, cfg):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_trial_gap(parser, cfg):
+def cmd_trial_gap(parser, cfg, knobs):
     _positive(parser, cfg, "T", "mu", "tol")
     b = cfg["b"] if cfg["b"] is not None else cfg["mu"]
     if not b > 0:
@@ -412,6 +402,7 @@ def cmd_trial_gap(parser, cfg):
     value = trial_gap(
         ModelParams(T=cfg["T"], mu=cfg["mu"]),
         TrialConfig(b=b, tol=cfg["tol"]),
+        knobs,
     )
     header = ["T", "mu", "b", "trial_gap"]
     rows = [{"T": cfg["T"], "mu": cfg["mu"], "b": b, "trial_gap": value}]
@@ -419,7 +410,7 @@ def cmd_trial_gap(parser, cfg):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_asymptotics(parser, cfg):
+def cmd_asymptotics(parser, cfg, knobs):
     _positive(parser, cfg, "mu", "v")
     header = ["v", "mu", "tc_asymptotic"]
     rows = [
@@ -429,29 +420,7 @@ def cmd_asymptotics(parser, cfg):
     return header, rows, list(rows), EXIT_OK
 
 
-@contextmanager
-def _perturbed_kernels(eps):
-    """Test-only fault injection: scale the kernel surfaces the checks
-    consume by (1+eps) so the harness itself can be mutation-tested."""
-    if not eps:
-        yield
-        return
-    names = ("_tanh_pair_ratio", "eval_B", "eval_L")
-    saved = {name: getattr(lemma_suite, name) for name in names}
-
-    def scaled(fn):
-        return lambda *args, **kwargs: (1.0 + eps) * fn(*args, **kwargs)
-
-    try:
-        for name, fn in saved.items():
-            setattr(lemma_suite, name, scaled(fn))
-        yield
-    finally:
-        for name, fn in saved.items():
-            setattr(lemma_suite, name, fn)
-
-
-def cmd_verify(parser, cfg):
+def cmd_verify(parser, cfg, knobs):
     _positive(parser, cfg, "mu", "samples")
     n, seed, mu = cfg["samples"], cfg["seed"], cfg["mu"]
     smu = float(np.sqrt(mu))
@@ -460,17 +429,16 @@ def cmd_verify(parser, cfg):
         lambda: lemma_suite.check_tanh_diff(n, seed),
         lambda: lemma_suite.check_mean_bound(n, seed),
         lambda: lemma_suite.check_concavity_bound(n, seed),
-        lambda: lemma_suite.check_K_majorant(grid_size=50, seed=seed),
+        lambda: lemma_suite.check_K_majorant(grid_size=50, seed=seed, knobs=knobs),
         lambda: lemma_suite.check_E_log_growth(
-            mu, 0.5 * smu, (1e-2 * mu, 1e-3 * mu, 1e-4 * mu)
+            mu, 0.5 * smu, (1e-2 * mu, 1e-3 * mu, 1e-4 * mu), knobs=knobs
         ),
         lambda: lemma_suite.check_B_uniform_norm(
-            mu, (1e-3 * mu, 1e-1 * mu, 1e1 * mu, 1e3 * mu)
+            mu, (1e-3 * mu, 1e-1 * mu, 1e1 * mu, 1e3 * mu), knobs=knobs
         ),
         lambda: lemma_suite.check_L_sandwich(mu, mu, n, seed),
     )
-    with _perturbed_kernels(cfg["perturb_kernel"]):
-        reports = [check() for check in battery]
+    reports = [check() for check in battery]
     header = ["name", "samples", "violations", "worst_margin", "seed"]
     rows = [asdict(report) for report in reports]
     total = sum(report.violations for report in reports)
@@ -482,8 +450,18 @@ def cmd_verify(parser, cfg):
 _TOL = _Opt("--tol", float, TOL_DEFAULT, help="target accuracy (default 1e-6)")
 _SHARED = [
     _TOL,
-    _Opt("--grid-points", int, help="Gauss-Legendre points per panel (default 16)"),
-    _Opt("--cutoff-factor", float, help="momentum cutoff multiplier (default 3.0)"),
+    _Opt(
+        "--grid-points",
+        int,
+        GridKnobs.points_per_panel,
+        help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
+    ),
+    _Opt(
+        "--cutoff-factor",
+        float,
+        GridKnobs.cutoff_factor,
+        help=f"momentum cutoff multiplier (default {GridKnobs.cutoff_factor})",
+    ),
     _Opt(
         "--threads",
         int,
@@ -552,11 +530,6 @@ _COMMANDS = {
         [
             _Opt("--mu", float, 1.0, help="chemical potential (default 1)"),
             _Opt("--samples", int, 100_000, help="samples per randomized check"),
-            _Opt(
-                "--perturb-kernel",
-                float,
-                help="test-only: scale kernels by (1+eps) to prove detection",
-            ),
             _TOL,
             *[o for o in _SHARED if o.dest not in ("tol", "format")],
             _Opt("--format", str, "json", choices=("csv", "json"), help="output format"),
@@ -594,11 +567,8 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         cfg = _resolve(ns._sub, ns)
         started = time.monotonic()
-        with grid_defaults(
-            points_per_panel=cfg["grid_points"],
-            cutoff_factor=cfg["cutoff_factor"],
-        ):
-            header, rows, provenance, code = ns._fn(ns._sub, cfg)
+        knobs = GridKnobs(cfg["grid_points"], cfg["cutoff_factor"])
+        header, rows, provenance, code = ns._fn(ns._sub, cfg, knobs)
         _emit(ns.command, cfg, ns._opts, header, rows, provenance, started)
         return code
     except SystemExit as exc:

@@ -24,7 +24,7 @@ from .bs_operator import (
 )
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, eval_a
-from .quadrature import build_grid
+from .quadrature import GridKnobs, build_grid
 
 __all__ = [
     "TcResult",
@@ -157,13 +157,15 @@ def tc_bulk_asymptotic(v: float, mu: float) -> float:
     return mu * (8.0 * np.exp(EULER_GAMMA) / np.pi) * np.exp(-np.pi * np.sqrt(mu) / v)
 
 
-def tc_bulk(v: float, mu: float, tol: float = TOL_DEFAULT) -> TcResult:
+def tc_bulk(
+    v: float, mu: float, tol: float = TOL_DEFAULT, knobs: GridKnobs = GridKnobs()
+) -> TcResult:
     """Solve a_{T,mu} = 1/v for T by bisection.
 
     a is strictly decreasing in T, so the root is unique.  The initial
     bracket is the weak-coupling closed form widened by a factor of 10
     each way, then expanded decade by decade if the coupling is strong
-    enough to escape it.
+    enough to escape it.  Every grid is built with knobs.
     """
     if not (v > 0 and mu > 0):
         raise ValueError(f"v and mu must be positive, got v={v}, mu={mu}")
@@ -173,7 +175,7 @@ def tc_bulk(v: float, mu: float, tol: float = TOL_DEFAULT) -> TcResult:
 
     def h(T):
         params = ModelParams(T=T, mu=mu)
-        grid = build_grid(params, gtol)
+        grid = build_grid(params, gtol, knobs)
         state["evals"] += 1
         state["n"] = grid.n
         return eval_a(params, grid) - target
@@ -206,14 +208,12 @@ def tc_bulk(v: float, mu: float, tol: float = TOL_DEFAULT) -> TcResult:
     )
 
 
-def _sup_boundary(T, mu, bc, gtol, eigen_tol, state):
+def _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs):
+    """(top eigenvalue, grid order) of the half-line operator at T."""
     params = ModelParams(T=T, mu=mu)
-    grid = build_grid(params, gtol)
-    op = assemble(params, grid, bc)
-    value, _ = top_eigenpair(op, eigen_tol)
-    state["n"] = grid.n
-    state["conv"] = grid.self_convergence
-    return value
+    grid = build_grid(params, gtol, knobs)
+    value, _ = top_eigenpair(assemble(params, grid, bc), eigen_tol)
+    return value, grid.n
 
 
 def tc_boundary(
@@ -222,6 +222,7 @@ def tc_boundary(
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
     eigen_tol: float = 1e-10,
+    knobs: GridKnobs = GridKnobs(),
 ) -> TcResult:
     """Solve sup spectrum of the half-line operator = 1/v for T.
 
@@ -231,14 +232,15 @@ def tc_boundary(
     at this discretization), the bulk temperature is returned with the
     measured residual: the enhancement is zero at this tolerance.
     """
-    bulk = tc_bulk(v, mu, tol)
+    bulk = tc_bulk(v, mu, tol, knobs)
     gtol = _grid_tol(tol)
     target = 1.0 / v
-    state = {"evals": 0, "n": 0, "conv": 0.0}
+    state = {"evals": 0, "n": 0}
 
     def g(T):
         state["evals"] += 1
-        return _sup_boundary(T, mu, bc, gtol, eigen_tol, state) - target
+        value, state["n"] = _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs)
+        return value - target
 
     numerics = {
         "grid_tol": gtol,
@@ -285,21 +287,22 @@ def v_of_T(
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
     eigen_tol: float = 1e-10,
+    knobs: GridKnobs = GridKnobs(),
 ) -> float:
     """Coupling at which T is the half-line critical temperature."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    state = {}
-    return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), eigen_tol, state)
+    value, _ = _sup_boundary(T, mu, bc, _grid_tol(tol), eigen_tol, knobs)
+    return 1.0 / value
 
 
-def _row(v, mu, bc, tol, eigen_tol) -> RatioRow:
-    bulk = tc_bulk(v, mu, tol)
-    bound = tc_boundary(v, mu, bc, tol, eigen_tol)
+def _row(v, mu, bc, tol, eigen_tol, knobs) -> RatioRow:
+    bulk = tc_bulk(v, mu, tol, knobs)
+    bound = tc_boundary(v, mu, bc, tol, eigen_tol, knobs)
     shift = (bound.tc - bulk.tc) / bulk.tc
 
     params = ModelParams(T=bulk.tc, mu=mu)
-    grid = build_grid(params, _grid_tol(tol))
+    grid = build_grid(params, _grid_tol(tol), knobs)
     op = assemble(params, grid, bc)
     gap = spectral_gap(op, eigen_tol)
 
@@ -308,11 +311,11 @@ def _row(v, mu, bc, tol, eigen_tol) -> RatioRow:
     dT = 0.05 * bulk.tc
     a_hi = eval_a(
         ModelParams(T=bulk.tc + dT, mu=mu),
-        build_grid(ModelParams(T=bulk.tc + dT, mu=mu), _grid_tol(tol)),
+        build_grid(ModelParams(T=bulk.tc + dT, mu=mu), _grid_tol(tol), knobs),
     )
     a_lo = eval_a(
         ModelParams(T=bulk.tc - dT, mu=mu),
-        build_grid(ModelParams(T=bulk.tc - dT, mu=mu), _grid_tol(tol)),
+        build_grid(ModelParams(T=bulk.tc - dT, mu=mu), _grid_tol(tol), knobs),
     )
     slope = abs(a_hi - a_lo) / (2.0 * dT)
     t_noise = grid.self_convergence / slope if slope > 0 else np.inf
@@ -336,6 +339,7 @@ def ratio_curve(
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
     eigen_tol: float = 1e-10,
+    knobs: GridKnobs = GridKnobs(),
 ) -> RatioCurve:
     """Independent per-v solves; failures are recorded in-row.
 
@@ -348,7 +352,7 @@ def ratio_curve(
     rows = []
     for v in vs:
         try:
-            rows.append(_row(v, mu, bc, tol, eigen_tol))
+            rows.append(_row(v, mu, bc, tol, eigen_tol, knobs))
         except NumericsError as err:
             logger.warning("ratio_curve row v=%g failed: %s", v, err)
             rows.append(

@@ -26,7 +26,7 @@ from .kernels import (
     eval_E,
     eval_L,
 )
-from .quadrature import build_grid
+from .quadrature import GridKnobs, build_grid
 
 __all__ = [
     "CheckReport",
@@ -198,7 +198,9 @@ def check_concavity_bound(n_samples: int = 100_000, seed: int = 0) -> CheckRepor
     return _tally("concavity_bound", rhs - lhs, rhs, seed)
 
 
-def check_K_majorant(grid_size: int = 50, seed: int = 0) -> CheckReport:
+def check_K_majorant(
+    grid_size: int = 50, seed: int = 0, knobs: GridKnobs = GridKnobs()
+) -> CheckReport:
     """min-kernel majorant K(p,q) = min{B_{1,0}(p,0), B_{1,0}(q,0)}.
 
     On a random node set, verifies (i) B_{1,0} <= K entrywise, (ii) K
@@ -222,7 +224,7 @@ def check_K_majorant(grid_size: int = 50, seed: int = 0) -> CheckReport:
     lam_min = float(np.linalg.eigvalsh(K)[0])
     m_gram = np.array([lam_min - _GRAM_FLOOR])
 
-    qgrid = build_grid(params, 1e-8)
+    qgrid = build_grid(params, 1e-8, knobs)
     bq0 = eval_B(qgrid.nodes, 0.0, params)
     rows = 2.0 * (np.minimum(bp0[:, None], bq0[None, :]) @ qgrid.weights)
     row0 = 2.0 * float(bq0 @ qgrid.weights)
@@ -238,7 +240,12 @@ def check_K_majorant(grid_size: int = 50, seed: int = 0) -> CheckReport:
 
 
 def check_E_log_growth(
-    mu: float, eps: float, T_list, n_p: int = 24, tol: float = 1e-7
+    mu: float,
+    eps: float,
+    T_list,
+    n_p: int = 24,
+    tol: float = 1e-7,
+    knobs: GridKnobs = GridKnobs(),
 ) -> CheckReport:
     """E(p) / ln(mu/T) stays positive away from p = 0 as T decreases.
 
@@ -259,7 +266,7 @@ def check_E_log_growth(
         params = ModelParams(T=float(T), mu=mu)
         feats = tuple(abs(2.0 * smu - x) for x in ps) + tuple(2.0 * smu + x for x in ps)
         grid = build_grid(
-            params, tol, extra_centers=tuple(f for f in feats if f > 0.0)
+            params, tol, knobs, extra_centers=tuple(f for f in feats if f > 0.0)
         )
         ms.append(float(np.min(eval_E(ps, params, grid)) / np.log(mu / T)))
     logger.info("E_log_growth(mu=%g, eps=%g): m(T) ladder %s", mu, eps, ms)
@@ -274,7 +281,7 @@ def check_E_log_growth(
 
 
 def check_B_uniform_norm(
-    mu: float, T_list, grid=None, tol: float = 1e-6
+    mu: float, T_list, grid=None, tol: float = 1e-6, knobs: GridKnobs = GridKnobs()
 ) -> CheckReport:
     """Discretized operator norm of the bare B kernel is bounded in T.
 
@@ -290,7 +297,7 @@ def check_B_uniform_norm(
     norms = []
     for T in T_list:
         params = ModelParams(T=float(T), mu=mu)
-        g = grid if grid is not None else build_grid(params, tol)
+        g = grid if grid is not None else build_grid(params, tol, knobs)
         pm = np.concatenate([-g.nodes[::-1], g.nodes])
         sw = np.sqrt(np.concatenate([g.weights[::-1], g.weights]))
         mat = eval_B(pm[:, None], pm[None, :], params) * (sw[:, None] * sw[None, :])

@@ -9,8 +9,7 @@ grid.  Grids are immutable after construction.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,11 +18,10 @@ from .errors import CutoffTooSmall, RefusedRegime, ToleranceUnreachable
 from .kernels import ModelParams, eval_B
 
 __all__ = [
+    "GridKnobs",
     "GridPolicy",
     "MomentumGrid",
     "build_grid",
-    "grid_defaults",
-    "integrate",
     "tail_bound",
 ]
 
@@ -44,38 +42,27 @@ _TOL_FLOOR = 1e-14
 
 _DEPTH_CAP = 8
 
-# Fallbacks for the two knobs a front end may want to steer globally.
-_KNOB_DEFAULTS = {"points_per_panel": 16, "cutoff_factor": 3.0}
-_knob_overrides: dict = {}
 
+@dataclass(frozen=True)
+class GridKnobs:
+    """The two discretization knobs a caller may choose for its grids.
 
-@contextmanager
-def grid_defaults(**overrides):
-    """Temporarily replace build_grid keyword defaults.
-
-    Explicit call-site keywords still win; this only moves the fallback
-    used when a caller leaves the knob unspecified, so one switch can
-    steer every grid built inside a deep call chain.  None values mean
-    "keep the current default".
+    Solvers take one record and pass it to every grid they build, so a
+    front end fixes the knobs once per run.
     """
-    unknown = set(overrides) - set(_KNOB_DEFAULTS)
-    if unknown:
-        raise ValueError(f"unknown grid knobs: {sorted(unknown)}")
-    previous = dict(_knob_overrides)
-    _knob_overrides.update(
-        {k: v for k, v in overrides.items() if v is not None}
-    )
-    try:
-        yield
-    finally:
-        _knob_overrides.clear()
-        _knob_overrides.update(previous)
 
+    points_per_panel: int = 16
+    cutoff_factor: float = 3.0
 
-def _knob(name, explicit):
-    if explicit is not None:
-        return explicit
-    return _knob_overrides.get(name, _KNOB_DEFAULTS[name])
+    def __post_init__(self):
+        if self.points_per_panel < 2:
+            raise ValueError(
+                f"points_per_panel must be at least 2, got {self.points_per_panel}"
+            )
+        if not self.cutoff_factor > 0:
+            raise ValueError(
+                f"cutoff_factor must be positive, got {self.cutoff_factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,7 +82,12 @@ class GridPolicy:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Quadrature nodes/weights on (0, Lambda] plus refinement metadata."""
+    """Quadrature nodes/weights on (0, Lambda] plus refinement metadata.
+
+    floor is the smallest panel width of the graded core [0,
+    core_cutoff]; panels beyond core_cutoff are the octaves that extend
+    the cutoff to Lambda.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -103,6 +95,8 @@ class MomentumGrid:
     panel_edges: np.ndarray
     refinement_centers: tuple
     policy: GridPolicy
+    floor: float
+    core_cutoff: float
     self_convergence: float | None = None
 
     @property
@@ -191,16 +185,15 @@ def tail_bound(params: ModelParams, cutoff: float) -> float:
 def build_grid(
     params: ModelParams,
     tol: float = 1e-8,
+    knobs: GridKnobs = GridKnobs(),
     *,
-    points_per_panel: int | None = None,
-    cutoff_factor: float | None = None,
     tail_k: float = 20.0,
     extend_tail: bool = True,
     extra_centers: tuple = (),
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
-    Lambda starts at cutoff_factor*(2*sqrt(max(mu,0)) + tail_k*
+    Lambda starts at knobs.cutoff_factor*(2*sqrt(max(mu,0)) + tail_k*
     sqrt(max(T,mu,1))) and, when extend_tail is set, grows by octaves
     until the analytic tail_bound certifies a truncation error below
     tol/2 in the units of a = (1/4pi) integral B(0,q) dq.  Panels refine
@@ -209,20 +202,12 @@ def build_grid(
     a-posteriori estimate by doubling points per panel and by halving
     panels, and deepens the grading until that estimate is below tol.
 
-    points_per_panel defaults to 16 and cutoff_factor to 3.0; leaving
-    them as None picks up any grid_defaults override in effect.
+    Every panel carries knobs.points_per_panel Gauss-Legendre nodes.
 
     Raises RefusedRegime for T/mu < 1e-8 and ToleranceUnreachable if the
     depth cap is hit first.
     """
-    points_per_panel = int(_knob("points_per_panel", points_per_panel))
-    cutoff_factor = float(_knob("cutoff_factor", cutoff_factor))
-    if points_per_panel < 2:
-        raise ValueError(
-            f"points_per_panel must be at least 2, got {points_per_panel}"
-        )
-    if not cutoff_factor > 0:
-        raise ValueError(f"cutoff_factor must be positive, got {cutoff_factor}")
+    points_per_panel = knobs.points_per_panel
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if tol < _TOL_FLOOR:
@@ -245,7 +230,7 @@ def build_grid(
     else:
         centers = (0.0,) + tuple(extra_centers)
         floor0 = base / 4.0
-    lam0 = cutoff_factor * (2.0 * smu + tail_k * np.sqrt(max(T, mu, 1.0)))
+    lam0 = knobs.cutoff_factor * (2.0 * smu + tail_k * np.sqrt(max(T, mu, 1.0)))
 
     conv = None
     edges = None
@@ -286,7 +271,7 @@ def build_grid(
         mu=mu,
         tol=tol,
         points_per_panel=points_per_panel,
-        cutoff_factor=cutoff_factor,
+        cutoff_factor=knobs.cutoff_factor,
         tail_k=tail_k,
         extend_tail=extend_tail,
         extra_centers=tuple(extra_centers),
@@ -299,16 +284,22 @@ def build_grid(
         panel_edges=edges,
         refinement_centers=centers,
         policy=policy,
+        floor=float(floor),
+        core_cutoff=float(lam0),
         self_convergence=float(conv),
     )
 
 
-def integrate(f, grid: MomentumGrid) -> float:
-    """Sum_i w_i f(node_i).  f may be vectorized or scalar-valued."""
-    try:
-        vals = np.asarray(f(grid.nodes), dtype=float)
-        if vals.shape != grid.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([f(q) for q in grid.nodes], dtype=float)
-    return float(grid.weights @ vals)
+def _mesh_with_centers(grid: MomentumGrid, centers) -> tuple:
+    """(nodes, weights) of grid's mesh regraded toward extra centers.
+
+    The core [0, core_cutoff] is marched again at the grid's own floor
+    with the extra centers added to its refinement centers; the octave
+    panels beyond the core are kept as they are.
+    """
+    core = grid.core_cutoff
+    centers = grid.refinement_centers + tuple(centers)
+    edges = _march_edges(core, centers, grid.floor, BETA)
+    edges = np.append(edges, grid.panel_edges[grid.panel_edges > core])
+    return _panels_to_grid(edges, grid.policy.points_per_panel)
+

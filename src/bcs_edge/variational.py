@@ -24,7 +24,7 @@ import numpy as np
 from .bs_operator import BoundaryCondition, _diag_A, assemble, top_eigenpair
 from .errors import DenominatorNonnegative, NoSignChange
 from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
-from .quadrature import build_grid
+from .quadrature import GridKnobs, build_grid
 
 __all__ = [
     "TrialConfig",
@@ -67,7 +67,9 @@ def _gauss_fold(p: np.ndarray, mu: float, b: float):
     return gp + gm, gp * gp + gm * gm
 
 
-def _pieces(params: ModelParams, cfg: TrialConfig):
+def _pieces(
+    params: ModelParams, cfg: TrialConfig, knobs: GridKnobs = GridKnobs()
+):
     """(B(0,0), I0, <g|A-a|g>, grid) behind trial_gap.
 
     I0 = integral_R B(0,q) ghat(q) dq and
@@ -77,7 +79,7 @@ def _pieces(params: ModelParams, cfg: TrialConfig):
     momentum separately, so they fold onto the half-line grid with
     ghat(p) + ghat(-p) (squares of ghat fold as the sum of squares).
     """
-    grid = build_grid(params, cfg.tol)
+    grid = build_grid(params, cfg.tol, knobs)
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     diag = _diag_A(params, grid)
@@ -90,14 +92,19 @@ def _pieces(params: ModelParams, cfg: TrialConfig):
     return b00, i0, denom, grid
 
 
-def trial_gap(params: ModelParams, cfg: TrialConfig | None = None) -> float:
+def trial_gap(
+    params: ModelParams,
+    cfg: TrialConfig | None = None,
+    knobs: GridKnobs = GridKnobs(),
+) -> float:
     """Lower bound -B(0,0)/4 - I0^2 / (16 pi <g|A-a|g>) on the Dirichlet gap.
 
     The denominator is negative on any resolving grid, so the second
     term is positive; a positive return value certifies that the
     half-line operator has spectrum strictly above its essential
     supremum a.  cfg defaults to TrialConfig(b=params.mu), which keeps
-    the trial width tied to the Fermi momentum.
+    the trial width tied to the Fermi momentum; the quadrature grid is
+    built with knobs.
 
     Raises DenominatorNonnegative when <g|A-a|g> >= 0 numerically,
     which signals an unresolved grid rather than physics.
@@ -106,7 +113,7 @@ def trial_gap(params: ModelParams, cfg: TrialConfig | None = None) -> float:
         raise ValueError(f"mu must be positive, got {params.mu}")
     if cfg is None:
         cfg = TrialConfig(b=params.mu)
-    b00, i0, denom, _ = _pieces(params, cfg)
+    b00, i0, denom, _ = _pieces(params, cfg, knobs)
     if denom >= 0.0:
         raise DenominatorNonnegative(
             f"<g|A-a|g> = {denom:.3e} >= 0 at T={params.T:g}, "

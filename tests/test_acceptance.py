@@ -13,6 +13,7 @@ import bcs_edge.cli as cli
 from bcs_edge import (
     CALIBRATED_SERIES_TERMS,
     BoundaryCondition,
+    GridKnobs,
     ModelParams,
     TrialConfig,
     assemble,
@@ -51,7 +52,7 @@ def test_c01_bulk_equation_residual(acceptance):
             params = ModelParams(T=result.tc, mu=1.0)
             lhs = float(eval_a(params, build_grid(params, 1e-9)))
             assert abs(lhs - 1.0 / v) <= 1e-6
-            doubled = build_grid(params, 1e-9, points_per_panel=32)
+            doubled = build_grid(params, 1e-9, GridKnobs(points_per_panel=32))
             assert abs(float(eval_a(params, doubled)) - 1.0 / v) <= 1e-5
 
 

@@ -162,7 +162,7 @@ def test_ratio_curve_manifest_replay(tmp_path, capsys):
 def test_ratio_curve_partial_failure(tmp_path, capsys, monkeypatch):
     nan = float("nan")
 
-    def fake_curve(vs, mu, bc, tol):
+    def fake_curve(vs, mu, bc, tol, knobs):
         v = float(vs[0])
         if v > 0.7:
             row = RatioRow(
@@ -196,7 +196,7 @@ def test_ratio_curve_partial_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_numeric_failure_exit_two(capsys, monkeypatch):
-    def broken(v, mu, tol):
+    def broken(v, mu, tol, knobs):
         raise NoConvergence("bracket collapsed")
 
     monkeypatch.setattr(cli, "tc_bulk", broken)
@@ -236,7 +236,7 @@ def test_spectrum_no_bound_state_at_zero_mu(capsys):
     assert rows[0]["gap"] <= 1e-6
 
 
-def test_grid_knobs_change_discretization(capsys):
+def test_grid_knobs_change_discretization(tmp_path, capsys):
     rows_default = spectrum_rows(capsys, 1.0, 0.0, "dirichlet")
     code, out = run_cli(
         capsys,
@@ -246,6 +246,36 @@ def test_grid_knobs_change_discretization(capsys):
     assert code == 0
     rows_coarse = json.loads(out)["rows"]
     assert len(rows_coarse) < len(rows_default)
+
+    # the knobs reach the grids of every other command that builds one
+    def curve_nodes(*knobs):
+        code, out = run_cli(
+            capsys,
+            ["ratio-curve", "--mu", "1", "--v-min", "2", "--v-max", "2",
+             "--v-count", "1", "--tol", "1e-3", *knobs],
+        )
+        assert code == 0
+        return int(parse_csv(out)[1][0]["grid_nodes"])
+
+    def bulk_nodes(*knobs):
+        out = tmp_path / "bulk.csv"
+        argv = ["tc-bulk", "--mu", "1", "--v", "1", "--tol", "1e-3", *knobs]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "bulk.csv.manifest.json").read_text())
+        return manifest["rows"][0]["numerics"]["grid_nodes"]
+
+    def trial_gap(*knobs):
+        code, out = run_cli(
+            capsys,
+            ["trial-gap", "--T", "1e-2", "--mu", "1", "--tol", "1e-6", *knobs],
+        )
+        assert code == 0
+        return float(parse_csv(out)[1][0]["trial_gap"])
+
+    fine = ("--grid-points", "32")
+    assert curve_nodes(*fine) > curve_nodes()
+    assert bulk_nodes(*fine) > bulk_nodes()
+    assert trial_gap(*fine) != trial_gap()
 
 
 def test_trial_gap_positive_at_small_T(capsys):
@@ -281,16 +311,23 @@ def test_verify_clean_run_is_deterministic(capsys):
     assert all(r["violations"] == 0 for r in obj["rows"])
 
 
-def test_verify_detects_injected_kernel_bug(capsys):
-    untouched = lemma_suite.eval_B
-    code, out = run_cli(
-        capsys,
-        ["verify", "--samples", "1500", "--perturb-kernel", "1e-2"],
-    )
+def test_verify_detects_injected_kernel_bug(capsys, monkeypatch):
+    # scale the kernel surfaces the checks consume by (1 + 1e-2)
+    names = ("_tanh_pair_ratio", "eval_B", "eval_L")
+    originals = {name: getattr(lemma_suite, name) for name in names}
+    for name, fn in originals.items():
+        monkeypatch.setattr(
+            lemma_suite,
+            name,
+            lambda *args, fn=fn, **kwargs: (1.0 + 1e-2) * fn(*args, **kwargs),
+        )
+    code, out = run_cli(capsys, ["verify", "--samples", "1500"])
+    monkeypatch.undo()
     assert code != 0
     obj = json.loads(out)
     assert sum(r["violations"] for r in obj["rows"]) > 0
-    assert lemma_suite.eval_B is untouched
+    for name, fn in originals.items():
+        assert getattr(lemma_suite, name) is fn
 
 
 def test_verify_csv_format_and_manifest(tmp_path, capsys):

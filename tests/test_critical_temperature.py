@@ -1,9 +1,12 @@
 """Root-finders for the bulk and half-line critical temperatures."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from bcs_edge import ModelParams, build_grid, eval_a
+from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
 from bcs_edge.bs_operator import BoundaryCondition
 from bcs_edge.critical_temperature import (
     RatioCurve,
@@ -39,7 +42,7 @@ def test_tc_bulk_solves_the_equation():
     assert lo < res.tc < hi or lo <= res.tc <= hi
     # residual re-evaluated on a twice-refined grid stays small
     params = ModelParams(T=res.tc, mu=1.0)
-    grid = build_grid(params, 1e-8, points_per_panel=32)
+    grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=32))
     assert abs(eval_a(params, grid) - 2.0) <= 1e-5
 
 
@@ -59,6 +62,24 @@ def test_tc_bulk_strong_coupling_escapes_seed_bracket():
     assert abs(res.residual) <= 1e-6
     # high-T limit: a ~ T^(-1/2) * a_{1,0}, so tc ~ (a_{1,0} v)^2
     assert res.tc == pytest.approx((0.42890235 * 50.0) ** 2, rel=0.01)
+
+
+def test_concurrent_tc_bulk_keeps_each_callers_knobs():
+    # overlapping solves with different knob records must not see each
+    # other's grids; a short switch interval makes them interleave often
+    knobs = (GridKnobs(), GridKnobs(points_per_panel=32))
+    expected = {k: tc_bulk(1.0, 1.0, 1e-3, k).numerics["grid_nodes"] for k in knobs}
+    assert expected[knobs[0]] < expected[knobs[1]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [(k, pool.submit(tc_bulk, 1.0, 1.0, 1e-3, k)) for k in knobs * 2]
+            got = [(k, f.result(timeout=300)) for k, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, result in got:
+        assert result.numerics["grid_nodes"] == expected[k]
 
 
 def test_tc_bulk_rejects_bad_inputs():

@@ -4,8 +4,6 @@ Frozen reference values come from tools/oracle_constants.py; section
 names in comments match that script's output.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +15,6 @@ from bcs_edge import (
     RefusedRegime,
     ToleranceUnreachable,
     build_grid,
-    integrate,
     tail_bound,
 )
 
@@ -107,23 +104,10 @@ def test_tail_bound_branches():
 def test_integrate_polynomial_exactness():
     # 16-point panels are exact through degree 31, affine maps included
     grid = build_grid(ModelParams(T=1.0, mu=0.5), tol=1e-7, extend_tail=False)
-    lam = grid.cutoff
-    assert integrate(lambda q: np.ones_like(q), grid) == pytest.approx(
-        lam, rel=1e-13
-    )
-    assert integrate(lambda q: q * q, grid) == pytest.approx(
-        lam**3 / 3.0, rel=1e-12
-    )
-    assert integrate(lambda q: q**31, grid) == pytest.approx(
-        lam**32 / 32.0, rel=1e-11
-    )
-
-
-def test_integrate_scalar_callable_fallback():
-    grid = build_grid(ModelParams(T=1.0, mu=0.5), tol=1e-7, extend_tail=False)
-    vec = integrate(lambda q: np.cos(q), grid)
-    scal = integrate(lambda q: math.cos(q), grid)  # rejects arrays
-    assert scal == pytest.approx(vec, rel=1e-13)
+    lam, q, w = grid.cutoff, grid.nodes, grid.weights
+    assert w @ np.ones_like(q) == pytest.approx(lam, rel=1e-13)
+    assert w @ (q * q) == pytest.approx(lam**3 / 3.0, rel=1e-12)
+    assert w @ q**31 == pytest.approx(lam**32 / 32.0, rel=1e-11)
 
 
 @given(

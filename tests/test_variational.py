@@ -106,7 +106,7 @@ def test_positive_trial_gap_implies_eigensolver_gap():
 
 def test_denominator_guard(monkeypatch):
     monkeypatch.setattr(
-        variational, "_pieces", lambda params, cfg: (1.0, 1.0, 0.5, None)
+        variational, "_pieces", lambda params, cfg, knobs: (1.0, 1.0, 0.5, None)
     )
     with pytest.raises(DenominatorNonnegative):
         trial_gap(ModelParams(T=1.0, mu=1.0), TrialConfig(b=1.0))
