@@ -349,6 +349,8 @@ def cmd_ratio_curve(parser, cfg, knobs):
             "v": row.v,
             "grid_nodes": row.grid_nodes,
             "t_noise": row.t_noise,
+            "tc_bulk_evaluations": row.tc_bulk_evaluations,
+            "tc_boundary_evaluations": row.tc_boundary_evaluations,
             "error": row.error,
         }
         for row in curve.rows

@@ -3,28 +3,31 @@
 The bulk temperature solves a_{T,mu} = 1/v (the essential-spectrum edge
 crosses the coupling threshold); the half-line temperature solves the
 same equation for the top eigenvalue of the discretized boundary
-operator.  Both use bisection in log T against strictly decreasing
-functions of T, with the monotonicity assumption monitored rather than
-trusted: a violated sign pattern raises BracketFailure instead of
-returning a plausible wrong root.
+operator.  Both functions are strictly decreasing in T, and both are
+solved by Illinois regula falsi in log T, safeguarded so that every
+trial point stays inside the bracket and a plain bisection step is
+taken whenever the bracket stops halving.  The monotonicity is
+monitored rather than trusted: a value that escapes the bracketing
+values raises BracketFailure instead of returning a plausible wrong
+root.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bs_operator import (
     BoundaryCondition,
     assemble,
-    spectral_gap,
     top_eigenpair,
 )
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, eval_a
-from .quadrature import GridKnobs, build_grid
+from .quadrature import GridKnobs, MomentumGrid, build_grid
 
 __all__ = [
     "TcResult",
@@ -48,7 +51,7 @@ TOL_DEFAULT = 1e-6
 BRACKET_STEP = 0.5
 BRACKET_CAP = 2.0**10
 
-_MAX_BISECT = 200
+_MAX_STEPS = 200
 
 
 def _grid_tol(tol: float) -> float:
@@ -78,7 +81,9 @@ class RatioRow:
 
     t_noise estimates the T-units uncertainty floor of both temperatures
     (grid self-convergence divided by the local slope of the solved
-    equation), so shift significance can be judged against it.
+    equation), so shift significance can be judged against it.  The two
+    evaluation counts are the solves each root find took, bracketing
+    included.
     """
 
     v: float
@@ -91,6 +96,8 @@ class RatioRow:
     grid_nodes: int
     t_noise: float
     error: str | None = None
+    tc_bulk_evaluations: int = 0
+    tc_boundary_evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,43 +118,68 @@ class RatioCurve:
                 )
 
 
-def _bisect_decreasing(h, lo, hi, h_lo, h_hi, tol, rel, label):
-    """Root of a strictly decreasing h via bisection in log T.
+def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
+    """Root of a strictly decreasing h by safeguarded regula falsi in log T.
 
-    Requires h(lo) > 0 > h(hi) on entry.  Every midpoint value is
-    checked against the bracketing values; an out-of-order value means
-    the monotonicity assumption failed at quadrature level, which is a
-    BracketFailure, not a root.
+    h(T) returns (value, record); at_lo and at_hi are its results at the
+    bracket ends and must satisfy value(lo) > 0 > value(hi).  Each trial
+    point is the secant root in x = log T of the bracket ends, with the
+    Illinois rule (Dowell & Jarratt 1971): the end kept twice in a row
+    enters the secant with its value halved, so neither end can stall.
+    Two safeguards bound the cost: every trial point sits at least rel/2
+    inside the bracket (near the root this steps across it, which
+    closes the bracket), and whenever the bracket has not at least
+    halved over two steps the next step is a plain bisection, so the
+    worst case stays within three times the bisection count.
+
+    Every value is checked against the bracketing values; an
+    out-of-order value means the monotonicity assumption failed at
+    quadrature level, which is a BracketFailure, not a root.  Stops when
+    hi - lo <= rel * lo and the better end has |value| <= tol, and
+    returns (tc, residual, bracket, evaluations, record) for that end.
     """
+    (h_lo, rec_lo), (h_hi, rec_hi) = at_lo, at_hi
     if not (h_lo > 0.0 > h_hi):
         raise BracketFailure(
             f"{label}: not bracketed, h({lo:.6g})={h_lo:.3e}, "
             f"h({hi:.6g})={h_hi:.3e}"
         )
-    evals = 0
     slack = max(tol, 1e-12)
-    mid, h_mid = lo, h_lo
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= rel * lo and abs(h_mid) <= tol:
-            break
-        mid = np.sqrt(lo * hi)
-        h_mid = h(mid)
-        evals += 1
-        logger.debug("%s: T=%.9e h=%+.3e", label, mid, h_mid)
-        if h_mid > h_lo + slack or h_mid < h_hi - slack:
+    s_lo, s_hi = h_lo, h_hi  # secant values, halved by the Illinois rule
+    kept = 0  # +1: the last step kept hi, -1: it kept lo
+    widths = []  # log-bracket width before each step, one per evaluation
+    while not (hi - lo <= rel * lo and min(abs(h_lo), abs(h_hi)) <= tol):
+        if len(widths) == _MAX_STEPS:
+            raise ToleranceUnreachable(
+                f"{label}: no convergence in {_MAX_STEPS} steps"
+            )
+        x_lo, x_hi = np.log(lo), np.log(hi)
+        width = x_hi - x_lo
+        if len(widths) >= 2 and width > 0.5 * widths[-2]:
+            T = np.sqrt(lo * hi)
+        else:
+            pad = min(0.5 * rel, 0.25 * width)
+            x = x_lo + width * s_lo / (s_lo - s_hi)
+            T = np.exp(min(max(x, x_lo + pad), x_hi - pad))
+        widths.append(width)
+        h_T, rec = h(T)
+        logger.debug("%s: T=%.9e h=%+.3e", label, T, h_T)
+        if h_T > h_lo + slack or h_T < h_hi - slack:
             raise BracketFailure(
-                f"{label}: h({mid:.6g})={h_mid:.3e} escapes "
+                f"{label}: h({T:.6g})={h_T:.3e} escapes "
                 f"[{h_hi:.3e}, {h_lo:.3e}]; not monotone at this tolerance"
             )
-        if h_mid > 0.0:
-            lo, h_lo = mid, h_mid
+        if h_T > 0.0:
+            if kept == 1:
+                s_hi *= 0.5
+            lo, h_lo, rec_lo, s_lo, kept = T, h_T, rec, h_T, 1
         else:
-            hi, h_hi = mid, h_mid
-    else:
-        raise ToleranceUnreachable(
-            f"{label}: no convergence in {_MAX_BISECT} bisection steps"
-        )
-    return mid, h_mid, (lo, hi), evals
+            if kept == -1:
+                s_lo *= 0.5
+            hi, h_hi, rec_hi, s_hi, kept = T, h_T, rec, h_T, -1
+    if abs(h_lo) <= abs(h_hi):
+        return lo, h_lo, (lo, hi), len(widths), rec_lo
+    return hi, h_hi, (lo, hi), len(widths), rec_hi
 
 
 def tc_bulk_asymptotic(v: float, mu: float) -> float:
@@ -160,7 +192,7 @@ def tc_bulk_asymptotic(v: float, mu: float) -> float:
 def tc_bulk(
     v: float, mu: float, tol: float = TOL_DEFAULT, knobs: GridKnobs = GridKnobs()
 ) -> TcResult:
-    """Solve a_{T,mu} = 1/v for T by bisection.
+    """Solve a_{T,mu} = 1/v for T by safeguarded regula falsi in log T.
 
     a is strictly decreasing in T, so the root is unique.  The initial
     bracket is the weak-coupling closed form widened by a factor of 10
@@ -171,49 +203,57 @@ def tc_bulk(
         raise ValueError(f"v and mu must be positive, got v={v}, mu={mu}")
     gtol = _grid_tol(tol)
     target = 1.0 / v
-    state = {"evals": 0, "n": 0}
 
     def h(T):
         params = ModelParams(T=T, mu=mu)
         grid = build_grid(params, gtol, knobs)
-        state["evals"] += 1
-        state["n"] = grid.n
-        return eval_a(params, grid) - target
+        return eval_a(params, grid) - target, grid.n
 
     seed = tc_bulk_asymptotic(v, mu)
     lo, hi = seed / 10.0, seed * 10.0
-    h_lo, h_hi = h(lo), h(hi)
+    at_lo, at_hi = h(lo), h(hi)
+    expansions = 0
     for _ in range(40):
-        if h_lo > 0.0:
+        if at_lo[0] > 0.0:
             break
-        hi, h_hi = lo, h_lo
+        hi, at_hi = lo, at_lo
         lo /= 10.0
-        h_lo = h(lo)
+        at_lo = h(lo)
+        expansions += 1
     for _ in range(40):
-        if h_hi < 0.0:
+        if at_hi[0] < 0.0:
             break
-        lo, h_lo = hi, h_hi
+        lo, at_lo = hi, at_hi
         hi *= 10.0
-        h_hi = h(hi)
+        at_hi = h(hi)
+        expansions += 1
 
-    tc, resid, bracket, evals = _bisect_decreasing(
-        h, lo, hi, h_lo, h_hi, tol, tol, "tc_bulk"
+    tc, resid, bracket, evals, n = _root_decreasing(
+        h, lo, hi, at_lo, at_hi, tol, tol, "tc_bulk"
     )
     return TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
-        evaluations=state["evals"],
-        numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": state["n"]},
+        evaluations=2 + expansions + evals,
+        numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": n},
     )
 
 
-def _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs):
-    """(top eigenvalue, grid order) of the half-line operator at T."""
+class _Solve(NamedTuple):
+    """One half-line operator solve: top eigenvalue, its gap to the
+    essential edge a_edge, and the grid it was solved on."""
+
+    value: float
+    gap: float
+    grid: MomentumGrid
+
+
+def _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs) -> _Solve:
     params = ModelParams(T=T, mu=mu)
-    grid = build_grid(params, gtol, knobs)
-    value, _ = top_eigenpair(assemble(params, grid, bc), eigen_tol)
-    return value, grid.n
+    op = assemble(params, build_grid(params, gtol, knobs), bc)
+    value, _ = top_eigenpair(op, eigen_tol)
+    return _Solve(value, value - op.a_edge, op.grid)
 
 
 def tc_boundary(
@@ -233,52 +273,57 @@ def tc_boundary(
     measured residual: the enhancement is zero at this tolerance.
     """
     bulk = tc_bulk(v, mu, tol, knobs)
+    return _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs)[0]
+
+
+def _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs):
+    """tc_boundary from a solved bulk TcResult.
+
+    Returns (TcResult, _Solve at bulk.tc); the solve at the bulk
+    temperature is the bracket's lower end, so its gap is
+    spectral_gap(assemble(...)) there at no extra cost.
+    """
     gtol = _grid_tol(tol)
     target = 1.0 / v
-    state = {"evals": 0, "n": 0}
 
     def g(T):
-        state["evals"] += 1
-        value, state["n"] = _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs)
-        return value - target
+        solve = _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs)
+        return solve.value - target, solve
 
-    numerics = {
-        "grid_tol": gtol,
-        "eigen_tol": eigen_tol,
-        "bulk_evaluations": bulk.evaluations,
-    }
     lo = bulk.tc
-    g_lo = g(lo)
+    at_lo = g(lo)
+    g_lo, at_bulk = at_lo
     if g_lo <= 0.0:
-        numerics["grid_nodes"] = state["n"]
-        return TcResult(
-            tc=bulk.tc,
-            residual=float(g_lo),
-            bracket=bulk.bracket,
-            evaluations=state["evals"],
-            numerics=numerics,
+        tc, resid, bracket, steps, solve = lo, g_lo, bulk.bracket, 0, at_bulk
+    else:
+        hi, at_hi = lo, at_lo
+        expansions = 0
+        while at_hi[0] > 0.0:
+            hi *= 1.0 + BRACKET_STEP
+            if hi > BRACKET_CAP * bulk.tc:
+                raise BracketFailure(
+                    f"tc_boundary: no sign change below {BRACKET_CAP} * tc_bulk "
+                    f"(v={v}, mu={mu}, bc={bc.value})"
+                )
+            at_hi = g(hi)
+            expansions += 1
+        tc, resid, bracket, steps, solve = _root_decreasing(
+            g, lo, hi, at_lo, at_hi, tol, tol, "tc_boundary"
         )
-    hi, g_hi = lo, g_lo
-    while g_hi > 0.0:
-        hi *= 1.0 + BRACKET_STEP
-        if hi > BRACKET_CAP * bulk.tc:
-            raise BracketFailure(
-                f"tc_boundary: no sign change below {BRACKET_CAP} * tc_bulk "
-                f"(v={v}, mu={mu}, bc={bc.value})"
-            )
-        g_hi = g(hi)
-
-    tc, resid, bracket, evals = _bisect_decreasing(
-        g, lo, hi, g_lo, g_hi, tol, tol, "tc_boundary"
-    )
-    numerics["grid_nodes"] = state["n"]
-    return TcResult(
+        steps += expansions
+    result = TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
-        evaluations=state["evals"],
-        numerics=numerics,
+        evaluations=1 + steps,
+        numerics={
+            "grid_tol": gtol,
+            "eigen_tol": eigen_tol,
+            "bulk_evaluations": bulk.evaluations,
+            "grid_nodes": solve.grid.n,
+        },
     )
+    return result, at_bulk
 
 
 def v_of_T(
@@ -292,19 +337,14 @@ def v_of_T(
     """Coupling at which T is the half-line critical temperature."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    value, _ = _sup_boundary(T, mu, bc, _grid_tol(tol), eigen_tol, knobs)
-    return 1.0 / value
+    return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), eigen_tol, knobs).value
 
 
 def _row(v, mu, bc, tol, eigen_tol, knobs) -> RatioRow:
     bulk = tc_bulk(v, mu, tol, knobs)
-    bound = tc_boundary(v, mu, bc, tol, eigen_tol, knobs)
+    bound, at_bulk = _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs)
     shift = (bound.tc - bulk.tc) / bulk.tc
-
-    params = ModelParams(T=bulk.tc, mu=mu)
-    grid = build_grid(params, _grid_tol(tol), knobs)
-    op = assemble(params, grid, bc)
-    gap = spectral_gap(op, eigen_tol)
+    grid = at_bulk.grid
 
     # slope of a_{T,mu} in T near the root converts the quadrature
     # self-convergence into a T-units noise floor
@@ -327,9 +367,11 @@ def _row(v, mu, bc, tol, eigen_tol, knobs) -> RatioRow:
         tc_bulk=bulk.tc,
         tc_boundary=bound.tc,
         relative_shift=shift,
-        gap_at_tc_bulk=gap,
+        gap_at_tc_bulk=at_bulk.gap,
         grid_nodes=grid.n,
         t_noise=t_noise,
+        tc_bulk_evaluations=bulk.evaluations,
+        tc_boundary_evaluations=bound.evaluations,
     )
 
 

@@ -151,6 +151,9 @@ def test_ratio_curve_manifest_replay(tmp_path, capsys):
         assert key in manifest
     assert manifest["command"] == "ratio-curve"
     assert manifest["config"]["tol"] == 1e-3
+    for row in manifest["rows"]:
+        assert row["tc_bulk_evaluations"] >= 3
+        assert row["tc_boundary_evaluations"] >= 1
     assert manifest["grid_policy"]["points_per_panel"] == 16
 
     replay = tmp_path / "replay.csv"

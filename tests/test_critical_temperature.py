@@ -7,19 +7,88 @@ import numpy as np
 import pytest
 
 from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
-from bcs_edge.bs_operator import BoundaryCondition
+from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
 from bcs_edge.critical_temperature import (
     RatioCurve,
     RatioRow,
+    _grid_tol,
+    _root_decreasing,
     ratio_curve,
     tc_boundary,
     tc_bulk,
     tc_bulk_asymptotic,
     v_of_T,
 )
+from bcs_edge.errors import BracketFailure, ToleranceUnreachable
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
+
+# roots of the earlier plain bisection in log T at v=0.49, mu=1, tol=1e-6
+BISECTION_TC_BOUNDARY = 0.0078014580717139315
+BISECTION_TC_BULK = 0.007450152003057238
+
+ROOT = 0.0123
+
+
+def _solve_synthetic(f, lo, hi, tol=1e-6):
+    h = lambda T: (f(T), None)
+    return _root_decreasing(h, lo, hi, h(lo), h(hi), tol, tol, "synthetic")
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        # the high-temperature form of a_{T,mu}: smooth, convex in log T
+        lambda T: T**-0.5 - ROOT**-0.5,
+        # steep crossover: slope 50 in log T at the root, flat elsewhere
+        lambda T: -np.tanh(50.0 * np.log(T / ROOT) - 0.3),
+    ],
+    ids=["smooth", "steep-tanh"],
+)
+@pytest.mark.parametrize("start", [0.55, 0.7, 0.9])
+def test_root_decreasing_converges_from_factor_two_bracket(f, start):
+    tol = 1e-6
+    lo, hi = start * ROOT, 2.0 * start * ROOT
+    tc, resid, (b_lo, b_hi), evals, _ = _solve_synthetic(f, lo, hi, tol)
+    assert evals <= 12
+    assert lo <= b_lo <= tc <= b_hi <= hi
+    assert b_hi - b_lo <= tol * b_lo
+    assert abs(resid) <= tol
+    assert resid == f(tc)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.3, 4.0), (0.2, 3.0), (0.5, 5.0), (0.7, 8.0)])
+def test_root_decreasing_never_slower_than_bisection(lo, hi):
+    # exp(-30 log(T/r)) - 1 bends so hard that the secant alone creeps in
+    # from one side; the Illinois rule and the bisection guard keep the
+    # count below what plain bisection needs to pin log T to tol / 30
+    tol = 1e-6
+    f = lambda T: np.expm1(-30.0 * np.log(T / ROOT))
+    bisection = int(np.ceil(np.log2(np.log(hi / lo) / (tol / 30.0))))
+    _, resid, _, evals, _ = _solve_synthetic(f, lo * ROOT, hi * ROOT, tol)
+    assert evals <= bisection
+    assert abs(resid) <= tol
+
+
+def test_root_decreasing_rejects_non_monotone_bump():
+    def bump(T):
+        x = np.log(T / ROOT)
+        return 0.1 - x + 2.0 * np.exp(-(((x - 0.35) / 0.2) ** 2))
+
+    with pytest.raises(BracketFailure, match="escapes"):
+        _solve_synthetic(bump, ROOT, 2.0 * ROOT)
+
+
+def test_root_decreasing_rejects_unbracketed_pair():
+    with pytest.raises(BracketFailure, match="not bracketed"):
+        _solve_synthetic(lambda T: -T, ROOT, 2.0 * ROOT)
+
+
+def test_root_decreasing_step_function_hits_the_cap():
+    # |h| = 1 everywhere, so the residual test never passes
+    with pytest.raises(ToleranceUnreachable):
+        _solve_synthetic(lambda T: 1.0 if T < ROOT else -1.0, 0.5 * ROOT, 1.5 * ROOT)
 
 
 def test_asymptotic_closed_form():
@@ -111,6 +180,16 @@ def test_tc_boundary_strong_coupling_dirichlet_clamps_to_bulk():
     assert abs(res.residual) < 1e-6
 
 
+def test_tc_solves_take_few_evaluations():
+    bulk = tc_bulk(0.49, 1.0, 1e-6)
+    assert bulk.evaluations <= 10
+    assert bulk.tc == pytest.approx(BISECTION_TC_BULK, rel=2e-6)
+    res = tc_boundary(0.49, 1.0, D, 1e-6)
+    assert res.evaluations <= 10
+    assert res.numerics["bulk_evaluations"] == bulk.evaluations
+    assert res.tc == pytest.approx(BISECTION_TC_BOUNDARY, rel=2e-6)
+
+
 def test_v_of_T_round_trip():
     T = 0.5
     v = v_of_T(T, 1.0, N)
@@ -139,6 +218,15 @@ def test_ratio_curve_rows_and_invariants():
         # enhancement regime: significant positive gap and shift agree
         assert row.gap_at_tc_bulk > 0
         assert row.tc_boundary - row.tc_bulk > 10.0 * row.t_noise
+        # the gap comes from the boundary solver's own solve at tc_bulk
+        params = ModelParams(T=row.tc_bulk, mu=1.0)
+        grid = build_grid(params, _grid_tol(curve.tol), GridKnobs())
+        assert grid.n == row.grid_nodes
+        assert row.gap_at_tc_bulk == spectral_gap(assemble(params, grid, D), 1e-10)
+        assert row.tc_bulk_evaluations == tc_bulk(row.v, 1.0, curve.tol).evaluations
+        assert row.tc_boundary_evaluations == tc_boundary(
+            row.v, 1.0, D, curve.tol
+        ).evaluations
 
 
 def test_ratio_curve_rejects_unsorted():
