@@ -11,6 +11,13 @@ Nystroem product by sqrt(weights) makes the matrix symmetric, so entry
 
 Its top eigenvalue against the essential-spectrum edge a = A(0) decides
 whether the boundary binds a state at the given (T, mu).
+
+One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
+evaluated once per node pair (on the upper triangle, then mirrored) and
+feeds the perturbation, the diagonal A(p_i) and the trial-state cross
+term.  A(p_i) integrates B(p_i, .) on a per-node mesh; all per-node
+meshes are marched in one lock-step pass, and their octave panels, which
+are the grid's own, take their B values from the kernel matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .kernels import ModelParams, eval_A, eval_B, eval_a
+from .kernels import ModelParams, _require_resolved, eval_B, eval_a
 from .quadrature import MomentumGrid, _mesh_with_centers
 
 __all__ = [
@@ -68,43 +75,69 @@ class DiscretizedOperator:
         return self.matrix.shape[0]
 
 
-def _diag_A(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
+def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
+    """B(p_i, p_j) for every pair of grid nodes.
+
+    B(p, q) and B(q, p) come out bit-identical (the kernel sees p + q and
+    the square of p - q), so B is evaluated once per node pair, on the
+    upper triangle, and mirrored.
+    """
+    p = grid.nodes
+    upper = np.triu(np.ones((p.size, p.size), dtype=bool))
+    rows = np.broadcast_to(p[:, None], upper.shape)
+    vals = eval_B(rows[upper], rows.T[upper], params)
+    K = np.empty(upper.shape)
+    K[upper] = vals
+    K.T[upper] = vals
+    return K
+
+
+def _diag_A(
+    params: ModelParams, grid: MomentumGrid, K: np.ndarray | None = None
+) -> np.ndarray:
     """A(p_i) for every grid node, on per-node feature-aware meshes.
 
     B(p, .) has tanh crossovers at q = |2 sqrt(mu) -/+ p|, which the
     shared grid resolves only for p near 0, so each node gets the grid's
     mesh regraded with those two points as extra refinement centers, at
     the grid's own floor and cutoff so accuracy matches the grid's own
-    certificate.  Beyond p^2 ~ 1/(pi tol) the ridge contributes less
-    than tol (its amplitude decays like 1/p^2) and the shared grid is
-    used directly.
+    certificate.  The per-node meshes are marched in one lock-step pass
+    and end in the grid's own octave panels, whose B values are read from
+    the kernel matrix K (built by _kernel_matrix when not given: B once
+    per node pair, upper triangle mirrored).  Beyond p^2 ~ 1/(pi tol) the
+    ridge contributes less than tol (its amplitude decays like 1/p^2) and
+    the shared grid is used directly: A(p_i) = (K[i] @ weights) / 2pi.
     """
+    if K is None:
+        K = _kernel_matrix(params, grid)
     T, mu = params.T, params.mu
     smu = np.sqrt(mu) if mu > 0 else 0.0
     # ridge of B(p, .) carries weight <~ (4(sqrt(mu)+sqrt(T))+1)/p^2
     p_skip = np.sqrt(
         8.0 * mu + (4.0 * (smu + np.sqrt(T)) + 1.0) / (np.pi * grid.policy.tol)
     )
-    k = int(np.searchsorted(grid.nodes, p_skip))
-
-    qs, ws, sizes = [], [], []
-    for pi in grid.nodes[:k]:
-        crossovers = (abs(2.0 * smu - pi), 2.0 * smu + pi)
-        nodes_i, w_i = _mesh_with_centers(grid, crossovers)
-        qs.append(nodes_i)
-        ws.append(w_i)
-        sizes.append(nodes_i.size)
+    p = grid.nodes
+    k = int(np.searchsorted(p, p_skip))
 
     diag = np.empty(grid.n)
     if k:
-        q_all = np.concatenate(qs)
-        w_all = np.concatenate(ws)
-        p_all = np.repeat(grid.nodes[:k], sizes)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        vals = w_all * eval_B(p_all, q_all, params)
-        diag[:k] = np.add.reduceat(vals, starts) / (2.0 * np.pi)
+        head = p[:k]
+        crossovers = np.column_stack([np.abs(2.0 * smu - head), 2.0 * smu + head])
+        q, w, sizes = _mesh_with_centers(grid, crossovers)
+        ends = np.cumsum(sizes)
+        # every mesh ends in the grid's own n_oct octave nodes, whose B
+        # values K already holds
+        n_oct = int(np.count_nonzero(p > grid.core_cutoff))
+        octave = (ends - n_oct)[:, None] + np.arange(n_oct)
+        vals = np.empty(q.size)
+        vals[octave] = K[:k, grid.n - n_oct :]
+        fresh = np.ones(q.size, dtype=bool)
+        fresh[octave] = False
+        vals[fresh] = eval_B(np.repeat(head, sizes - n_oct), q[fresh], params)
+        diag[:k] = np.add.reduceat(w * vals, ends - sizes) / (2.0 * np.pi)
     if k < grid.n:
-        diag[k:] = eval_A(grid.nodes[k:], params, grid)
+        _require_resolved(grid)
+        diag[k:] = (K[k:] @ grid.weights) / (2.0 * np.pi)
     return diag
 
 
@@ -113,15 +146,17 @@ def assemble(
 ) -> DiscretizedOperator:
     """Assemble the even-sector operator matrix for (params, bc) on grid.
 
-    Built symmetric by construction: the weight product sqrt(w_i w_j) is
-    formed once as an outer product and B is evaluated through the same
-    elementwise expression for (i,j) and (j,i).
+    Built symmetric by construction: B comes from _kernel_matrix, which
+    mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is
+    formed once as an outer product.
     """
-    p = grid.nodes
+    K = _kernel_matrix(params, grid)
+    diag = _diag_A(params, grid, K)
     sw = np.sqrt(grid.weights)
-    pert = eval_B(p[:, None], p[None, :], params) * (sw[:, None] * sw[None, :])
-    matrix = (bc.sign / (2.0 * np.pi)) * pert
-    matrix[np.diag_indices_from(matrix)] += _diag_A(params, grid)
+    matrix = K  # scaled in place; _diag_A was K's last reader
+    matrix *= sw[:, None] * sw[None, :]
+    matrix *= bc.sign / (2.0 * np.pi)
+    matrix[np.diag_indices_from(matrix)] += diag
     assert np.array_equal(matrix, matrix.T), "assembly must be symmetric"
     matrix.setflags(write=False)
     return DiscretizedOperator(

@@ -5,6 +5,11 @@ toward the kernel crossovers (|q| near 2*sqrt(mu) for B(0,.), sqrt(mu)
 for F, and the origin), an analytic tail bound used to certify the
 cutoff, and an a-posteriori self-convergence measurement stored on the
 grid.  Grids are immutable after construction.
+
+One marcher, _march_edges, lays out the graded panel edges of many
+meshes in one lock-step numpy pass: build_grid marches its single mesh
+with it, and _mesh_with_centers the operator's per-node meshes, which
+differ only by their extra centers and share the grid's octave panels.
 """
 
 from __future__ import annotations
@@ -110,45 +115,60 @@ def _leggauss(k: int):
 
 
 def _panels_to_grid(edges: np.ndarray, ppp: int):
-    """Map reference Gauss-Legendre nodes onto every panel."""
+    """Map reference Gauss-Legendre nodes onto every panel.
+
+    edges may carry a leading axis of independent rows of edges; the
+    nodes and weights of all rows then come out concatenated in order.
+    """
     xi, wi = _leggauss(ppp)
-    lo = edges[:-1]
-    half = (edges[1:] - lo) / 2.0
+    lo = edges[..., :-1]
+    half = (edges[..., 1:] - lo) / 2.0
     mid = lo + half
-    nodes = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    weights = (half[:, None] * wi[None, :]).ravel()
+    nodes = (mid[..., None] + half[..., None] * xi).ravel()
+    weights = (half[..., None] * wi).ravel()
     return nodes, weights
 
 
-def _march_edges(hi: float, centers, floor: float, beta: float) -> np.ndarray:
-    """Panel edges on [0, hi], graded toward each center down to `floor`.
+def _march_edges(hi: float, centers, floor: float, beta: float):
+    """Panel edges on [0, hi], graded toward each row's centers down to `floor`.
 
     Widths follow max(floor, min(beta*d_behind, d_ahead*beta/(1+beta)))
     where d_* are distances to the refinement centers, so panels approach
     and leave every center in geometric ladders and land on the centers
-    exactly.
+    exactly.  centers holds one row of centers per mesh; all meshes march
+    in lock-step, each row taking the same floating-point steps it would
+    take alone.  Returns (edges, sizes): mesh r's edges are
+    edges[r, :sizes[r]], and the rest of the row repeats hi.
     """
     alpha = beta / (1.0 + beta)
-    cs = sorted(c for c in centers if 0.0 <= c < hi)
-    edges = [0.0]
-    q = 0.0
+    cs = np.array(centers, dtype=float, ndmin=2)
+    cs = np.sort(np.where((cs >= 0.0) & (cs < hi), cs, np.inf), axis=1)
+    m, c = cs.shape
+    # with j centers of row r at or behind q, ladder[base[r] + j] is the
+    # last of them and the next entry the first one ahead (-inf and inf
+    # stand for none)
+    ladder = np.hstack([np.full((m, 1), -np.inf), cs, np.full((m, 1), np.inf)])
+    ladder = ladder.ravel()
+    base = np.arange(0, m * (c + 2), c + 2)
+    q = np.zeros(m)
+    edges = [q]
     for _ in range(200000):
-        if q >= hi:
+        if q.min() >= hi:
             break
-        ahead = [c for c in cs if c > q]
-        behind = [c for c in cs if c <= q]
-        d_ahead = (ahead[0] - q) if ahead else np.inf
-        d_behind = (q - behind[-1]) if behind else np.inf
-        h = max(floor, min(beta * d_behind, alpha * d_ahead))
-        if ahead and d_ahead <= max(h, 1.5 * floor):
-            q = ahead[0]
-        else:
-            q = min(q + h, hi)
+        at = base + np.count_nonzero(cs <= q[:, None], axis=1)
+        ahead = ladder[at + 1]
+        d_ahead = ahead - q
+        h = np.maximum(floor, np.minimum(beta * (q - ladder[at]), alpha * d_ahead))
+        snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * floor))
+        # a row that reached hi has nothing ahead and stays at hi
+        q = np.where(snap, ahead, np.minimum(q + h, hi))
         edges.append(q)
     else:
         raise ToleranceUnreachable("panel marching failed to terminate")
-    edges[-1] = hi
-    return np.asarray(edges)
+    edges = np.stack(edges, axis=1)
+    sizes = 1 + np.count_nonzero(edges[:, :-1] < hi, axis=1)
+    edges[np.arange(m), sizes - 1] = hi
+    return edges, sizes
 
 
 def _a_functional(params: ModelParams, nodes, weights) -> float:
@@ -236,7 +256,7 @@ def build_grid(
     edges = None
     for depth in range(_DEPTH_CAP):
         floor = floor0 / 2.0**depth
-        edges = _march_edges(lam0, centers, floor, BETA)
+        edges = _march_edges(lam0, [centers], floor, BETA)[0][0]
         n1, w1 = _panels_to_grid(edges, points_per_panel)
         n2, w2 = _panels_to_grid(edges, 2 * points_per_panel)
         split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
@@ -291,15 +311,27 @@ def build_grid(
 
 
 def _mesh_with_centers(grid: MomentumGrid, centers) -> tuple:
-    """(nodes, weights) of grid's mesh regraded toward extra centers.
+    """Nodes, weights and sizes of grid's mesh regraded toward extra centers.
 
-    The core [0, core_cutoff] is marched again at the grid's own floor
-    with the extra centers added to its refinement centers; the octave
-    panels beyond the core are kept as they are.
+    centers holds one row of extra centers per mesh.  Every mesh's core
+    [0, core_cutoff] is marched again at the grid's own floor with its
+    row added to the grid's refinement centers, all rows in one
+    lock-step pass; the octave panels beyond the core are the grid's own
+    and close every mesh, so a mesh's last nodes and weights are
+    bit-identical to the grid's octave nodes and weights.  Mesh r is
+    nodes[s:s + sizes[r]] with s = sizes[:r].sum(), and likewise weights.
     """
     core = grid.core_cutoff
-    centers = grid.refinement_centers + tuple(centers)
-    edges = _march_edges(core, centers, grid.floor, BETA)
-    edges = np.append(edges, grid.panel_edges[grid.panel_edges > core])
-    return _panels_to_grid(edges, grid.policy.points_per_panel)
-
+    extra = np.array(centers, dtype=float, ndmin=2)
+    m = extra.shape[0]
+    own = np.broadcast_to(grid.refinement_centers, (m, len(grid.refinement_centers)))
+    edges, sizes = _march_edges(core, np.hstack([own, extra]), grid.floor, BETA)
+    octaves = grid.panel_edges[grid.panel_edges > core]
+    edges = np.hstack([edges, np.broadcast_to(octaves, (m, octaves.size))])
+    # panels past a row's own core edges span [core, core]: drop them
+    panel = np.arange(edges.shape[1] - 1)
+    keep = (panel < sizes[:, None] - 1) | (panel >= edges.shape[1] - octaves.size - 1)
+    panels = np.stack([edges[:, :-1][keep], edges[:, 1:][keep]], axis=1)
+    ppp = grid.policy.points_per_panel
+    nodes, weights = _panels_to_grid(panels, ppp)
+    return nodes, weights, ppp * np.count_nonzero(keep, axis=1)

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_operator import BoundaryCondition, _diag_A, assemble, top_eigenpair
+from .bs_operator import (
+    BoundaryCondition,
+    _diag_A,
+    _kernel_matrix,
+    assemble,
+    top_eigenpair,
+)
 from .errors import DenominatorNonnegative, NoSignChange
 from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
 from .quadrature import GridKnobs, build_grid
@@ -82,10 +88,11 @@ def _pieces(
     grid = build_grid(params, cfg.tol, knobs)
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
-    diag = _diag_A(params, grid)
+    K = _kernel_matrix(params, grid)
+    diag = _diag_A(params, grid, K)
     a = float(eval_a(params, grid))
     wg = w * gfold
-    cross = wg @ eval_B(p[:, None], p[None, :], params) @ wg
+    cross = wg @ K @ wg
     denom = float(w @ (gsq * (diag - a)) - cross / (4.0 * np.pi))
     i0 = float(wg @ eval_B(0.0, p, params))
     b00 = float(eval_B(0.0, 0.0, params))

@@ -29,6 +29,9 @@ from bcs_edge.bs_operator import (
     top_eigenpair,
 )
 from bcs_edge.bs_operator import _diag_A
+from bcs_edge.kernels import eval_A
+from bcs_edge.quadrature import BETA, _panels_to_grid
+from test_quadrature import scalar_march
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -57,7 +60,7 @@ def test_signs():
 def test_matrix_symmetric_and_immutable():
     params = ModelParams(T=0.3, mu=1.0)
     op = assemble(params, build_grid(params, 1e-7), D)
-    assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-14
+    assert np.array_equal(op.matrix, op.matrix.T)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 0.0
 
@@ -72,6 +75,41 @@ def test_diag_only_is_multiplication_by_A():
     assert int(np.argmax(diag)) == 0
     assert diag[0] < op.a_edge
     assert op.a_edge == pytest.approx(eval_a(params, grid), rel=1e-15)
+
+
+def per_node_diag_A(params, grid):
+    """Reference _diag_A: one scalar-marched mesh per node, every B value
+    evaluated afresh, and eval_A for the nodes beyond p_skip."""
+    smu = np.sqrt(params.mu) if params.mu > 0 else 0.0
+    p_skip = np.sqrt(
+        8.0 * params.mu
+        + (4.0 * (smu + np.sqrt(params.T)) + 1.0) / (np.pi * grid.policy.tol)
+    )
+    k = int(np.searchsorted(grid.nodes, p_skip))
+    octaves = grid.panel_edges[grid.panel_edges > grid.core_cutoff]
+    qs, ws, sizes = [], [], []
+    for pi in grid.nodes[:k]:
+        centers = grid.refinement_centers + (abs(2.0 * smu - pi), 2.0 * smu + pi)
+        edges = scalar_march(grid.core_cutoff, centers, grid.floor, BETA)
+        nodes_i, w_i = _panels_to_grid(
+            np.append(edges, octaves), grid.policy.points_per_panel
+        )
+        qs.append(nodes_i)
+        ws.append(w_i)
+        sizes.append(nodes_i.size)
+    vals = np.concatenate(ws) * eval_B(
+        np.repeat(grid.nodes[:k], sizes), np.concatenate(qs), params
+    )
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    tail = eval_A(grid.nodes[k:], params, grid)
+    return np.concatenate([np.add.reduceat(vals, starts) / (2.0 * np.pi), tail])
+
+
+def test_diag_A_matches_per_node_meshes():
+    for T in (1e-4, 7.8e-3, 1.0):
+        params = ModelParams(T=T, mu=1.0)
+        grid = build_grid(params, 1e-8)
+        assert np.array_equal(_diag_A(params, grid), per_node_diag_A(params, grid))
 
 
 def test_even_sector_matches_full_line():

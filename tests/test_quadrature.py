@@ -17,12 +17,38 @@ from bcs_edge import (
     build_grid,
     tail_bound,
 )
+from bcs_edge.quadrature import BETA, _march_edges
 
 # [tail] closed form at mu=1, cutoff=50
 TAIL_BOUND_MU1_L50 = 0.16008541534707285
 # [tail] brute-force integral of sup_p B over |q| > 50 (same point);
 # the bound must dominate it
 TAIL_TRUE_MU1_L50 = 0.14408533001292031
+
+
+def scalar_march(hi, centers, floor, beta):
+    """Reference marcher: one mesh at a time, in plain Python."""
+    alpha = beta / (1.0 + beta)
+    cs = sorted(c for c in centers if 0.0 <= c < hi)
+    edges = [0.0]
+    q = 0.0
+    for _ in range(200000):
+        if q >= hi:
+            break
+        ahead = [c for c in cs if c > q]
+        behind = [c for c in cs if c <= q]
+        d_ahead = (ahead[0] - q) if ahead else np.inf
+        d_behind = (q - behind[-1]) if behind else np.inf
+        h = max(floor, min(beta * d_behind, alpha * d_ahead))
+        if ahead and d_ahead <= max(h, 1.5 * floor):
+            q = ahead[0]
+        else:
+            q = min(q + h, hi)
+        edges.append(q)
+    else:
+        raise ToleranceUnreachable("panel marching failed to terminate")
+    edges[-1] = hi
+    return np.asarray(edges)
 
 
 def check_invariants(grid):
@@ -117,3 +143,40 @@ def test_integrate_polynomial_exactness():
 def test_grid_invariants_random(T, mu):
     grid = build_grid(ModelParams(T=T, mu=mu), tol=1e-7)
     check_invariants(grid)
+
+
+def _march_battery():
+    """(hi, floor, rows of centers) cases for the batched marcher."""
+    rng = np.random.default_rng(20260418)
+    for floor in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
+        for hi in (0.7, 6.0, 66.0):
+            # mu <= 0: the only center is the origin
+            yield hi, floor, np.zeros((1, 1))
+            rows = rng.uniform(-0.2 * hi, 1.2 * hi, size=(24, 5))
+            rows[::2, 0] = 0.0  # build_grid's meshes all have this center
+            rows[:6, 2] = rows[:6, 1]  # duplicate centers
+            rows[6:12, 3] = hi  # a center at hi
+            rows[12:18, 4] = 2.0 * hi  # beyond hi
+            rows[18:, 1:3] = rows[18:, 1:3].round(1)  # shared and tied values
+            yield hi, floor, rows
+
+
+def test_batched_march_matches_scalar_loop():
+    cases = 0
+    for hi, floor, rows in _march_battery():
+        edges, sizes = _march_edges(hi, rows, floor, BETA)
+        assert edges.shape[0] == sizes.size == rows.shape[0]
+        for r, centers in enumerate(rows):
+            ref = scalar_march(hi, centers, floor, BETA)
+            assert np.array_equal(edges[r, : sizes[r]], ref)
+            assert np.all(edges[r, sizes[r] :] == hi)
+            cases += 1
+    assert cases == 5 * 3 * 25
+
+
+def test_march_without_floor_hits_step_cap():
+    # with floor 0 a mesh stalls on its first center and never reaches hi
+    with pytest.raises(ToleranceUnreachable):
+        scalar_march(2.0, (0.0, 1.0), 0.0, BETA)
+    with pytest.raises(ToleranceUnreachable):
+        _march_edges(2.0, [(0.0, 1.0), (0.5, 1.0)], 0.0, BETA)
