@@ -42,7 +42,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_EIGEN_TOL_DEFAULT = 1e-10
+# Eigenpairs must satisfy ||Mx - lambda x|| <= EIGEN_TOL * ||M||_inf.
+EIGEN_TOL = 1e-10
 
 
 class BoundaryCondition(enum.Enum):
@@ -168,18 +169,14 @@ def assemble(
     )
 
 
-def top_eigenpair(
-    op: DiscretizedOperator, tol: float = _EIGEN_TOL_DEFAULT
-) -> tuple[float, np.ndarray]:
+def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue and unit eigenvector of op.matrix.
 
     Dense symmetric eigendecomposition.  The residual ||Mx - lambda x||
-    is verified against tol * ||M||_inf; the second-largest eigenvalue
-    goes to the debug log since nothing guarantees the top one is
-    isolated.
+    is verified against EIGEN_TOL * ||M||_inf; the second-largest
+    eigenvalue goes to the debug log since nothing guarantees the top
+    one is isolated.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     M = op.matrix
     n = M.shape[0]
     vals, vecs = np.linalg.eigh(M)
@@ -187,10 +184,10 @@ def top_eigenpair(
     second = vals[-2] if n > 1 else np.nan
     residual = np.linalg.norm(M @ x - lam * x)
     scale = np.linalg.norm(M, np.inf)
-    if residual > tol * scale:
+    if residual > EIGEN_TOL * scale:
         raise NoConvergence(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||M|| = "
-            f"{tol * scale:.3e}"
+            f"eigenpair residual {residual:.3e} exceeds {EIGEN_TOL:.1e} * ||M|| = "
+            f"{EIGEN_TOL * scale:.3e}"
         )
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
@@ -205,12 +202,12 @@ def top_eigenpair(
     return float(lam), x
 
 
-def spectral_gap(op: DiscretizedOperator, tol: float = _EIGEN_TOL_DEFAULT) -> float:
+def spectral_gap(op: DiscretizedOperator) -> float:
     """Top eigenvalue minus the essential edge a_edge.
 
     Positive values certify a boundary bound state at this
     discretization once they clear the grid's self-convergence noise
     (by convention, ten times it).
     """
-    value, _ = top_eigenpair(op, tol)
+    value, _ = top_eigenpair(op)
     return value - op.a_edge

@@ -136,14 +136,9 @@ def _resolve(parser, ns) -> dict:
             parser.error(f"{opt.flag} is required")
         cfg[opt.dest] = value
 
-    env_threads = os.environ.get("BCS_EDGE_THREADS")
-    if env_threads is not None:
-        try:
-            cfg["threads"] = int(env_threads)
-        except ValueError:
-            parser.error(f"BCS_EDGE_THREADS: cannot parse {env_threads!r}")
-    if cfg.get("threads") is None:
+    if cfg["threads"] is None:
         cfg["threads"] = os.cpu_count() or 1
+    _positive(parser, cfg, "threads")
     return cfg
 
 
@@ -267,43 +262,23 @@ def _positive(parser, cfg, *names) -> None:
                 parser.error(f"--{name.replace('_', '-')} must be positive")
 
 
-def cmd_tc_bulk(parser, cfg, knobs):
+def cmd_tc(parser, cfg, knobs):
+    """One solve per coupling: tc_bulk, or tc_boundary when --bc is an option."""
     _positive(parser, cfg, "mu", "v", "tol")
-    results = _pmap(
-        lambda v: tc_bulk(v, cfg["mu"], cfg["tol"], knobs), cfg["v"], cfg["threads"]
-    )
-    header = ["v", "mu", "tc", "residual", "evaluations"]
+    mu, tol = cfg["mu"], cfg["tol"]
+    if "bc" in cfg:
+        bc = BoundaryCondition(cfg["bc"])
+        fixed = {"mu": mu, "bc": bc}
+        solve = lambda v: tc_boundary(v, mu, bc, tol, knobs)
+    else:
+        fixed = {"mu": mu}
+        solve = lambda v: tc_bulk(v, mu, tol, knobs)
+    results = _pmap(solve, cfg["v"], cfg["threads"])
+    header = ["v", *fixed, "tc", "residual", "evaluations"]
     rows = [
         {
             "v": v,
-            "mu": cfg["mu"],
-            "tc": r.tc,
-            "residual": r.residual,
-            "evaluations": r.evaluations,
-        }
-        for v, r in zip(cfg["v"], results)
-    ]
-    provenance = [
-        {"v": v, "bracket": list(r.bracket), "numerics": r.numerics}
-        for v, r in zip(cfg["v"], results)
-    ]
-    return header, rows, provenance, EXIT_OK
-
-
-def cmd_tc_boundary(parser, cfg, knobs):
-    _positive(parser, cfg, "mu", "v", "tol")
-    bc = BoundaryCondition(cfg["bc"])
-    results = _pmap(
-        lambda v: tc_boundary(v, cfg["mu"], bc, cfg["tol"], knobs=knobs),
-        cfg["v"],
-        cfg["threads"],
-    )
-    header = ["v", "mu", "bc", "tc", "residual", "evaluations"]
-    rows = [
-        {
-            "v": v,
-            "mu": cfg["mu"],
-            "bc": bc,
+            **fixed,
             "tc": r.tc,
             "residual": r.residual,
             "evaluations": r.evaluations,
@@ -431,7 +406,7 @@ def cmd_verify(parser, cfg, knobs):
         lambda: lemma_suite.check_tanh_diff(n, seed),
         lambda: lemma_suite.check_mean_bound(n, seed),
         lambda: lemma_suite.check_concavity_bound(n, seed),
-        lambda: lemma_suite.check_K_majorant(grid_size=50, seed=seed, knobs=knobs),
+        lambda: lemma_suite.check_K_majorant(seed, knobs),
         lambda: lemma_suite.check_E_log_growth(
             mu, 0.5 * smu, (1e-2 * mu, 1e-3 * mu, 1e-4 * mu), knobs=knobs
         ),
@@ -467,7 +442,7 @@ _SHARED = [
     _Opt(
         "--threads",
         int,
-        help="worker pool size (default: logical cores; BCS_EDGE_THREADS wins)",
+        help="worker pool size, at least 1 (default: logical cores)",
     ),
     _Opt("--out", str, help="output path; files get a .manifest.json sidecar"),
     _Opt("--seed", int, 0, help="seed for randomized checks (default 0)"),
@@ -486,12 +461,12 @@ _T_ARG = _Opt("--T", float, required=True, help="temperature")
 
 _COMMANDS = {
     "tc-bulk": (
-        cmd_tc_bulk,
+        cmd_tc,
         [_MU, _V, *_SHARED],
         "critical temperature of the translation-invariant problem",
     ),
     "tc-boundary": (
-        cmd_tc_boundary,
+        cmd_tc,
         [_MU, _V, _BC, *_SHARED],
         "critical temperature of the half-line problem",
     ),

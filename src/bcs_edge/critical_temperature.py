@@ -20,11 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bs_operator import (
-    BoundaryCondition,
-    assemble,
-    top_eigenpair,
-)
+from .bs_operator import EIGEN_TOL, BoundaryCondition, assemble, top_eigenpair
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, eval_a
 from .quadrature import GridKnobs, MomentumGrid, build_grid
@@ -249,10 +245,10 @@ class _Solve(NamedTuple):
     grid: MomentumGrid
 
 
-def _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs) -> _Solve:
+def _sup_boundary(T, mu, bc, gtol, knobs) -> _Solve:
     params = ModelParams(T=T, mu=mu)
     op = assemble(params, build_grid(params, gtol, knobs), bc)
-    value, _ = top_eigenpair(op, eigen_tol)
+    value, _ = top_eigenpair(op)
     return _Solve(value, value - op.a_edge, op.grid)
 
 
@@ -261,7 +257,6 @@ def tc_boundary(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    eigen_tol: float = 1e-10,
     knobs: GridKnobs = GridKnobs(),
 ) -> TcResult:
     """Solve sup spectrum of the half-line operator = 1/v for T.
@@ -273,10 +268,10 @@ def tc_boundary(
     measured residual: the enhancement is zero at this tolerance.
     """
     bulk = tc_bulk(v, mu, tol, knobs)
-    return _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs)[0]
+    return _tc_boundary_above(bulk, v, mu, bc, tol, knobs)[0]
 
 
-def _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs):
+def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
     """tc_boundary from a solved bulk TcResult.
 
     Returns (TcResult, _Solve at bulk.tc); the solve at the bulk
@@ -287,7 +282,7 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs):
     target = 1.0 / v
 
     def g(T):
-        solve = _sup_boundary(T, mu, bc, gtol, eigen_tol, knobs)
+        solve = _sup_boundary(T, mu, bc, gtol, knobs)
         return solve.value - target, solve
 
     lo = bulk.tc
@@ -318,7 +313,7 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs):
         evaluations=1 + steps,
         numerics={
             "grid_tol": gtol,
-            "eigen_tol": eigen_tol,
+            "eigen_tol": EIGEN_TOL,
             "bulk_evaluations": bulk.evaluations,
             "grid_nodes": solve.grid.n,
         },
@@ -331,18 +326,17 @@ def v_of_T(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    eigen_tol: float = 1e-10,
     knobs: GridKnobs = GridKnobs(),
 ) -> float:
     """Coupling at which T is the half-line critical temperature."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), eigen_tol, knobs).value
+    return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), knobs).value
 
 
-def _row(v, mu, bc, tol, eigen_tol, knobs) -> RatioRow:
+def _row(v, mu, bc, tol, knobs) -> RatioRow:
     bulk = tc_bulk(v, mu, tol, knobs)
-    bound, at_bulk = _tc_boundary_above(bulk, v, mu, bc, tol, eigen_tol, knobs)
+    bound, at_bulk = _tc_boundary_above(bulk, v, mu, bc, tol, knobs)
     shift = (bound.tc - bulk.tc) / bulk.tc
     grid = at_bulk.grid
 
@@ -380,7 +374,6 @@ def ratio_curve(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    eigen_tol: float = 1e-10,
     knobs: GridKnobs = GridKnobs(),
 ) -> RatioCurve:
     """Independent per-v solves; failures are recorded in-row.
@@ -394,7 +387,7 @@ def ratio_curve(
     rows = []
     for v in vs:
         try:
-            rows.append(_row(v, mu, bc, tol, eigen_tol, knobs))
+            rows.append(_row(v, mu, bc, tol, knobs))
         except NumericsError as err:
             logger.warning("ratio_curve row v=%g failed: %s", v, err)
             rows.append(

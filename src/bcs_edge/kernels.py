@@ -45,23 +45,19 @@ CALIBRATED_SERIES_TERMS = 400_000
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: temperature T, chemical potential mu, coupling v.
+    """Physical parameters: temperature T and chemical potential mu.
 
-    T and mu share energy units.  v is optional and only consulted by the
-    critical-temperature solvers; kernel evaluation accepts any real mu,
+    T and mu share energy units.  Kernel evaluation accepts any real mu,
     while the solvers additionally require mu > 0 (except the scaling
     limits, which run at mu = 0).
     """
 
     T: float
     mu: float
-    v: float | None = None
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.v is not None and not self.v > 0:
-            raise ValueError(f"v must be positive, got {self.v}")
 
 
 def _wrap(x):
@@ -181,12 +177,10 @@ def eval_B(p, q, params: ModelParams):
 
 
 def _require_resolved(grid) -> None:
-    conv = getattr(grid, "self_convergence", None)
-    policy = getattr(grid, "policy", None)
-    if conv is not None and policy is not None and conv > policy.tol:
+    if grid.self_convergence > grid.policy.tol:
         raise QuadratureUnderresolved(
-            f"grid self-convergence estimate {conv:.3e} exceeds requested "
-            f"tolerance {policy.tol:.3e}"
+            f"grid self-convergence estimate {grid.self_convergence:.3e} "
+            f"exceeds requested tolerance {grid.policy.tol:.3e}"
         )
 
 

@@ -54,6 +54,13 @@ _GRAM_FLOOR = -1e-10
 # (T = 1e-3 end of the ladder, still creeping up by <2% per decade);
 # 7.0 leaves 25% headroom and scales like 1/sqrt(mu)
 _B_NORM_CAP_MU1 = 7.0
+# random nodes of the min-kernel Gram matrix in check_K_majorant
+_K_NODES = 50
+# momenta per temperature, and grid tolerance, of check_E_log_growth
+_E_MOMENTA = 24
+_E_GRID_TOL = 1e-7
+# grid tolerance of check_B_uniform_norm
+_B_GRID_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -198,21 +205,17 @@ def check_concavity_bound(n_samples: int = 100_000, seed: int = 0) -> CheckRepor
     return _tally("concavity_bound", rhs - lhs, rhs, seed)
 
 
-def check_K_majorant(
-    grid_size: int = 50, seed: int = 0, knobs: GridKnobs = GridKnobs()
-) -> CheckReport:
+def check_K_majorant(seed: int = 0, knobs: GridKnobs = GridKnobs()) -> CheckReport:
     """min-kernel majorant K(p,q) = min{B_{1,0}(p,0), B_{1,0}(q,0)}.
 
-    On a random node set, verifies (i) B_{1,0} <= K entrywise, (ii) K
+    On 50 random nodes, verifies (i) B_{1,0} <= K entrywise, (ii) K
     symmetric, (iii) the Gram matrix [K(p_i,p_j)] has smallest
     eigenvalue >= -1e-10 (K factors as an integral of products, so it
     is positive semidefinite up to rounding), (iv) the row integral of
     K is maximal at p = 0, and (v) K(p,0) = B_{1,0}(p,0).
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     rng = np.random.default_rng(seed)
-    p = rng.uniform(-_BOX, _BOX, grid_size)
+    p = rng.uniform(-_BOX, _BOX, _K_NODES)
     params = ModelParams(T=1.0, mu=0.0)
     bp0 = eval_B(p, 0.0, params)
     K = np.minimum(bp0[:, None], bp0[None, :])
@@ -240,19 +243,14 @@ def check_K_majorant(
 
 
 def check_E_log_growth(
-    mu: float,
-    eps: float,
-    T_list,
-    n_p: int = 24,
-    tol: float = 1e-7,
-    knobs: GridKnobs = GridKnobs(),
+    mu: float, eps: float, T_list, knobs: GridKnobs = GridKnobs()
 ) -> CheckReport:
     """E(p) / ln(mu/T) stays positive away from p = 0 as T decreases.
 
     E(p) = 4 pi (a - A(p)) grows like a log in 1/T for |p| >= eps while
     A(p) itself stays bounded there; the check computes m(T) = min over
-    |p| in [eps, 5 sqrt(mu)] of that ratio for each T and counts
-    nonpositive values.  The m(T) ladder is logged; its limiting
+    24 log-spaced |p| in [eps, 5 sqrt(mu)] of that ratio for each T and
+    counts nonpositive values.  The m(T) ladder is logged; its limiting
     constant is observed, not asserted.
     """
     if not (mu > 0 and 0 < eps < 5.0 * np.sqrt(mu)):
@@ -260,20 +258,19 @@ def check_E_log_growth(
     if not all(0.0 < T < mu for T in T_list):
         raise ValueError("every T must sit in (0, mu) for ln(mu/T) > 0")
     smu = np.sqrt(mu)
-    ps = np.geomspace(eps, 5.0 * smu, n_p)
+    ps = np.geomspace(eps, 5.0 * smu, _E_MOMENTA)
     ms = []
     for T in sorted(T_list, reverse=True):
         params = ModelParams(T=float(T), mu=mu)
         feats = tuple(abs(2.0 * smu - x) for x in ps) + tuple(2.0 * smu + x for x in ps)
-        grid = build_grid(
-            params, tol, knobs, extra_centers=tuple(f for f in feats if f > 0.0)
-        )
+        centers = tuple(f for f in feats if f > 0.0)
+        grid = build_grid(params, _E_GRID_TOL, knobs, extra_centers=centers)
         ms.append(float(np.min(eval_E(ps, params, grid)) / np.log(mu / T)))
     logger.info("E_log_growth(mu=%g, eps=%g): m(T) ladder %s", mu, eps, ms)
     report = _tally("E_log_growth", np.asarray(ms), 1.0, 0)
     return CheckReport(
         name=report.name,
-        samples=len(ms) * n_p,
+        samples=len(ms) * _E_MOMENTA,
         violations=report.violations,
         worst_margin=report.worst_margin,
         seed=0,
@@ -281,15 +278,14 @@ def check_E_log_growth(
 
 
 def check_B_uniform_norm(
-    mu: float, T_list, grid=None, tol: float = 1e-6, knobs: GridKnobs = GridKnobs()
+    mu: float, T_list, knobs: GridKnobs = GridKnobs()
 ) -> CheckReport:
     """Discretized operator norm of the bare B kernel is bounded in T.
 
-    Mirrors each temperature's half-line grid to the full line, forms
-    the symmetrized matrix B(p_i, p_j) sqrt(w_i w_j), and compares its
-    spectral norm against the stored regression cap, which scales like
-    1/sqrt(mu).  Passing a grid pins the discretization for every T;
-    otherwise each T gets its own certified grid.
+    Mirrors each temperature's own certified half-line grid to the full
+    line, forms the symmetrized matrix B(p_i, p_j) sqrt(w_i w_j), and
+    compares its spectral norm against the stored regression cap, which
+    scales like 1/sqrt(mu).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -297,7 +293,7 @@ def check_B_uniform_norm(
     norms = []
     for T in T_list:
         params = ModelParams(T=float(T), mu=mu)
-        g = grid if grid is not None else build_grid(params, tol, knobs)
+        g = build_grid(params, _B_GRID_TOL, knobs)
         pm = np.concatenate([-g.nodes[::-1], g.nodes])
         sw = np.sqrt(np.concatenate([g.weights[::-1], g.weights]))
         mat = eval_B(pm[:, None], pm[None, :], params) * (sw[:, None] * sw[None, :])

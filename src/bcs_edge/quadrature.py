@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,6 +48,10 @@ _TOL_FLOOR = 1e-14
 
 _DEPTH_CAP = 8
 
+# Core cutoff, before the certified octaves: cutoff_factor * (2 sqrt(mu) +
+# TAIL_K sqrt(max(T, mu, 1))).
+TAIL_K = 20.0
+
 
 @dataclass(frozen=True)
 class GridKnobs:
@@ -72,15 +77,19 @@ class GridKnobs:
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """Construction record: the knobs that determine a grid bit-for-bit."""
+    """Construction record: the knobs that determine a grid bit-for-bit.
+
+    tail_k and extend_tail are the same for every grid; they are kept
+    on the record so that it still names everything the grid depends on.
+    """
 
     T: float
     mu: float
     tol: float
     points_per_panel: int = 16
     cutoff_factor: float = 3.0
-    tail_k: float = 20.0
-    extend_tail: bool = True
+    tail_k: ClassVar[float] = TAIL_K
+    extend_tail: ClassVar[bool] = True
     extra_centers: tuple = ()
     depth: int = 0
 
@@ -102,7 +111,7 @@ class MomentumGrid:
     policy: GridPolicy
     floor: float
     core_cutoff: float
-    self_convergence: float | None = None
+    self_convergence: float
 
     @property
     def n(self) -> int:
@@ -207,16 +216,14 @@ def build_grid(
     tol: float = 1e-8,
     knobs: GridKnobs = GridKnobs(),
     *,
-    tail_k: float = 20.0,
-    extend_tail: bool = True,
     extra_centers: tuple = (),
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
-    Lambda starts at knobs.cutoff_factor*(2*sqrt(max(mu,0)) + tail_k*
-    sqrt(max(T,mu,1))) and, when extend_tail is set, grows by octaves
-    until the analytic tail_bound certifies a truncation error below
-    tol/2 in the units of a = (1/4pi) integral B(0,q) dq.  Panels refine
+    Lambda starts at knobs.cutoff_factor*(2*sqrt(max(mu,0)) + TAIL_K*
+    sqrt(max(T,mu,1))) and grows by octaves until the analytic
+    tail_bound certifies a truncation error below tol/2 in the units
+    of a = (1/4pi) integral B(0,q) dq.  Panels refine
     geometrically toward 0, sqrt(mu), 2*sqrt(mu) (plus extra_centers)
     down to the crossover width; construction then measures an
     a-posteriori estimate by doubling points per panel and by halving
@@ -250,7 +257,7 @@ def build_grid(
     else:
         centers = (0.0,) + tuple(extra_centers)
         floor0 = base / 4.0
-    lam0 = knobs.cutoff_factor * (2.0 * smu + tail_k * np.sqrt(max(T, mu, 1.0)))
+    lam0 = knobs.cutoff_factor * (2.0 * smu + TAIL_K * np.sqrt(max(T, mu, 1.0)))
 
     conv = None
     edges = None
@@ -274,14 +281,13 @@ def build_grid(
         )
 
     cutoff = lam0
-    if extend_tail:
-        for _ in range(80):
-            if tail_bound(params, cutoff) / (4.0 * np.pi) <= tol / 2.0:
-                break
-            edges = np.append(edges, 2.0 * cutoff)
-            cutoff *= 2.0
-        else:
-            raise ToleranceUnreachable("tail extension failed to certify cutoff")
+    for _ in range(80):
+        if tail_bound(params, cutoff) / (4.0 * np.pi) <= tol / 2.0:
+            break
+        edges = np.append(edges, 2.0 * cutoff)
+        cutoff *= 2.0
+    else:
+        raise ToleranceUnreachable("tail extension failed to certify cutoff")
 
     nodes, weights = _panels_to_grid(edges, points_per_panel)
     assert abs(weights.sum() - cutoff) <= 1e-12 * cutoff, "weights must sum to Lambda"
@@ -292,8 +298,6 @@ def build_grid(
         tol=tol,
         points_per_panel=points_per_panel,
         cutoff_factor=knobs.cutoff_factor,
-        tail_k=tail_k,
-        extend_tail=extend_tail,
         extra_centers=tuple(extra_centers),
         depth=depth,
     )

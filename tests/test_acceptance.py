@@ -158,7 +158,7 @@ def test_c09_inequality_suite(acceptance):
             check_mean_bound(n, seed=0),
             check_concavity_bound(n, seed=0),
             check_L_sandwich(1.0, 1.0, n, seed=0),
-            check_K_majorant(grid_size=50, seed=0),
+            check_K_majorant(seed=0),
         ]
         for report in reports:
             assert report.violations == 0, report

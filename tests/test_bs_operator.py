@@ -160,7 +160,7 @@ def test_boundary_state_localized_at_small_p():
 
 
 def test_top_eigenpair_trivial_matrices():
-    grid = build_grid(ModelParams(T=1.0, mu=0.0), 1e-7, extend_tail=False)
+    grid = build_grid(ModelParams(T=1.0, mu=0.0), 1e-7)
     params = ModelParams(T=1.0, mu=0.0)
     base = assemble(params, grid, D)
 
@@ -176,13 +176,6 @@ def test_top_eigenpair_trivial_matrices():
     lam, x = top_eigenpair(with_matrix(np.eye(5)))
     assert lam == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_top_eigenpair_rejects_bad_tol():
-    params = ModelParams(T=1.0, mu=0.0)
-    op = assemble(params, build_grid(params, 1e-7, extend_tail=False), D)
-    with pytest.raises(ValueError):
-        top_eigenpair(op, tol=0.0)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -125,41 +125,57 @@ def test_tc_boundary_at_least_bulk(capsys):
     assert float(rows_h[0]["tc"]) >= float(rows_b[0]["tc"])
 
 
-def test_ratio_curve_manifest_replay(tmp_path, capsys):
-    out = tmp_path / "curve.csv"
-    argv = [
-        "ratio-curve", "--mu", "1", "--bc", "dirichlet", "--v-min", "0.5",
-        "--v-max", "1.0", "--v-count", "2", "--tol", "1e-3",
-        "--out", str(out),
-    ]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    text = out.read_text()
-    header, rows = parse_csv(text)
-    assert header == [
-        "v", "mu", "bc", "tc_bulk", "tc_boundary", "relative_shift",
-        "gap_at_tc_bulk", "grid_nodes",
-    ]
-    assert [float(r["v"]) for r in rows] == sorted(float(r["v"]) for r in rows)
-    assert all(r["bc"] == "dirichlet" for r in rows)
-    assert all(float(r["relative_shift"]) >= 0.0 for r in rows)
+# one cheap run of every subcommand; each must replay from its manifest
+_REPLAY_RUNS = {
+    "tc-bulk": ["--mu", "1", "--v", "0.4", "--tol", "1e-3"],
+    "tc-boundary": ["--mu", "1", "--v", "0.5", "--bc", "neumann", "--tol", "1e-3"],
+    "ratio-curve": ["--mu", "1", "--bc", "dirichlet", "--v-min", "0.5",
+                    "--v-max", "1.0", "--v-count", "2", "--tol", "1e-3"],
+    "spectrum": ["--T", "1.0", "--mu", "1", "--tol", "1e-4"],
+    "trial-gap": ["--T", "1e-2", "--mu", "1", "--tol", "1e-5"],
+    "asymptotics": ["--mu", "1", "--v", "0.4", "--v", "0.8"],
+    "verify": ["--samples", "500", "--seed", "3"],
+}
 
-    sidecar = tmp_path / "curve.csv.manifest.json"
-    manifest = json.loads(sidecar.read_text())
+
+@pytest.mark.parametrize("command", list(_REPLAY_RUNS))
+def test_manifest_replay(command, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert cli.main([command, *_REPLAY_RUNS[command], "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text())
     for key in ("command", "version", "config", "seeds", "grid_policy",
                 "argv", "rows", "wall_clock_s", "created_utc"):
         assert key in manifest
-    assert manifest["command"] == "ratio-curve"
-    assert manifest["config"]["tol"] == 1e-3
-    for row in manifest["rows"]:
-        assert row["tc_bulk_evaluations"] >= 3
-        assert row["tc_boundary_evaluations"] >= 1
+    assert manifest["command"] == command
+    assert manifest["argv"][0] == command
     assert manifest["grid_policy"]["points_per_panel"] == 16
 
-    replay = tmp_path / "replay.csv"
+    replay = tmp_path / "replay.txt"
     assert cli.main(manifest["argv"] + ["--out", str(replay)]) == 0
     capsys.readouterr()
     assert replay.read_bytes() == out.read_bytes()
+    # the replay's manifest differs only in timing and output path
+    again = json.loads((tmp_path / "replay.txt.manifest.json").read_text())
+    for m in (manifest, again):
+        for key in ("created_utc", "wall_clock_s", "output"):
+            del m[key]
+        del m["config"]["out"]
+    assert again == manifest
+
+    if command == "ratio-curve":
+        header, rows = parse_csv(out.read_text())
+        assert header == [
+            "v", "mu", "bc", "tc_bulk", "tc_boundary", "relative_shift",
+            "gap_at_tc_bulk", "grid_nodes",
+        ]
+        assert [float(r["v"]) for r in rows] == sorted(float(r["v"]) for r in rows)
+        assert all(r["bc"] == "dirichlet" for r in rows)
+        assert all(float(r["relative_shift"]) >= 0.0 for r in rows)
+        assert manifest["config"]["tol"] == 1e-3
+        for row in manifest["rows"]:
+            assert row["tc_bulk_evaluations"] >= 3
+            assert row["tc_boundary_evaluations"] >= 1
 
 
 def test_ratio_curve_partial_failure(tmp_path, capsys, monkeypatch):
@@ -386,8 +402,9 @@ def test_thread_pool_preserves_row_order(capsys):
     assert tcs == sorted(tcs)
 
 
-def test_threads_env_var_wins(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BCS_EDGE_THREADS", "3")
+@pytest.mark.parametrize("env", ["3", "soup"])
+def test_threads_env_var_ignored(env, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BCS_EDGE_THREADS", env)
     out = tmp_path / "a.csv"
     code = cli.main(
         ["asymptotics", "--mu", "1", "--v", "0.4", "--threads", "1",
@@ -396,11 +413,21 @@ def test_threads_env_var_wins(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert code == 0
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-    assert manifest["config"]["threads"] == 3
+    assert manifest["config"]["threads"] == 1
+    argv = manifest["argv"]
+    assert argv[argv.index("--threads") + 1] == "1"
 
-    monkeypatch.setenv("BCS_EDGE_THREADS", "soup")
-    assert cli.main(["asymptotics", "--mu", "1", "--v", "0.4"]) == 1
-    capsys.readouterr()
+
+def test_threads_below_one_exit_one(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    argv = ["asymptotics", "--mu", "1", "--v", "0.4", "--out", str(out)]
+    assert cli.main(argv + ["--threads", "-3"]) == 1
+    assert cli.main(argv + ["--threads", "0"]) == 1
+    config = tmp_path / "run.cfg"
+    config.write_text("threads = 0\n")
+    assert cli.main(argv + ["--config", str(config)]) == 1
+    assert "--threads must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stdout_csv_uses_plain_floats(capsys):

@@ -222,7 +222,7 @@ def test_ratio_curve_rows_and_invariants():
         params = ModelParams(T=row.tc_bulk, mu=1.0)
         grid = build_grid(params, _grid_tol(curve.tol), GridKnobs())
         assert grid.n == row.grid_nodes
-        assert row.gap_at_tc_bulk == spectral_gap(assemble(params, grid, D), 1e-10)
+        assert row.gap_at_tc_bulk == spectral_gap(assemble(params, grid, D))
         assert row.tc_bulk_evaluations == tc_bulk(row.v, 1.0, curve.tol).evaluations
         assert row.tc_boundary_evaluations == tc_boundary(
             row.v, 1.0, D, curve.tol

@@ -40,8 +40,6 @@ def test_params_validation():
         ModelParams(T=0.0, mu=1.0)
     with pytest.raises(ValueError):
         ModelParams(T=-1.0, mu=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(T=1.0, mu=1.0, v=0.0)
     p = ModelParams(T=1.0, mu=-2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.T = 2.0

@@ -100,7 +100,7 @@ def test_bad_tolerance_rejected():
         build_grid(ModelParams(T=1.0, mu=1.0), tol=0.0)
     with pytest.raises(ToleranceUnreachable):
         # double precision cannot self-certify to 1e-30
-        build_grid(ModelParams(T=1.0, mu=0.0), tol=1e-30, extend_tail=False)
+        build_grid(ModelParams(T=1.0, mu=0.0), tol=1e-30)
 
 
 def test_tail_bound_oracle():
@@ -129,7 +129,7 @@ def test_tail_bound_branches():
 
 def test_integrate_polynomial_exactness():
     # 16-point panels are exact through degree 31, affine maps included
-    grid = build_grid(ModelParams(T=1.0, mu=0.5), tol=1e-7, extend_tail=False)
+    grid = build_grid(ModelParams(T=1.0, mu=0.5), tol=1e-7)
     lam, q, w = grid.cutoff, grid.nodes, grid.weights
     assert w @ np.ones_like(q) == pytest.approx(lam, rel=1e-13)
     assert w @ (q * q) == pytest.approx(lam**3 / 3.0, rel=1e-12)

@@ -1,29 +1,47 @@
 #!/usr/bin/env python3
-"""One sha256 over the operator bytes of a fixed battery of grids.
+"""Two sha256 lines: operator bytes, then solver outputs, of fixed batteries.
 
-For every (T, mu, tol, knobs) point the digest takes the raw bytes of
-assemble(...).matrix for both boundary conditions, of the diagonal
-_diag_A, and of trial_gap; a point that raises contributes the name of
-the error type instead.  Two checkouts that print the same digest build
-bit-identical operators on the battery, so a change meant to keep the
-arithmetic can be checked with one command per checkout:
+First line: for every (T, mu, tol, knobs) point the digest takes the raw
+bytes of assemble(...).matrix for both boundary conditions, of the
+diagonal _diag_A, and of trial_gap.  Second line: the results of
+tc_bulk, tc_boundary (both boundary conditions), v_of_T (both) and one
+ratio_curve row (both), all at tol 1e-4.  A point or call that raises
+contributes the name of the error type instead.  Two checkouts that
+print the same lines build bit-identical operators and solve to
+bit-identical temperatures on the batteries, so a change meant to keep
+the arithmetic can be checked with one command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
-Pass -v to print one line per point as well.
+Pass -v to print one line per operator point as well.
 """
 
+import dataclasses
 import hashlib
 import struct
 import sys
 
-from bcs_edge import GridKnobs, ModelParams, build_grid, trial_gap
+from bcs_edge import (
+    GridKnobs,
+    ModelParams,
+    build_grid,
+    ratio_curve,
+    tc_boundary,
+    tc_bulk,
+    trial_gap,
+    v_of_T,
+)
 from bcs_edge.bs_operator import BoundaryCondition, _diag_A, assemble
 
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
 MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
 TOLS = (1e-8, 1e-5)
 KNOBS = (GridKnobs(16, 3.0), GridKnobs(8, 2.0))
+
+SOLVER_TOL = 1e-4
+SOLVER_MU = 1.0
+SOLVER_V = 0.5
+SOLVER_T = 1e-2
 
 
 def _pieces(params, tol, knobs):
@@ -49,6 +67,41 @@ def _pieces(params, tol, knobs):
     return out
 
 
+def _canon(x):
+    """x with numpy scalars as Python numbers and enums as their values,
+    so that its repr depends only on the numbers."""
+    if isinstance(x, BoundaryCondition):
+        return x.value
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_canon, x))
+    if isinstance(x, dict):
+        return tuple(sorted((k, _canon(v)) for k, v in x.items()))
+    return x.item() if hasattr(x, "item") else x
+
+
+def _result_bytes(result):
+    return repr(_canon(dataclasses.astuple(result))).encode()
+
+
+def _solver_pieces():
+    """Byte strings of the solver battery; an error becomes its type's name."""
+    v, mu, tol = SOLVER_V, SOLVER_MU, SOLVER_TOL
+    calls = [lambda: _result_bytes(tc_bulk(v, mu, tol))]
+    for bc in BoundaryCondition:
+        calls += [
+            lambda bc=bc: _result_bytes(tc_boundary(v, mu, bc, tol)),
+            lambda bc=bc: struct.pack("<d", v_of_T(SOLVER_T, mu, bc, tol)),
+            lambda bc=bc: _result_bytes(ratio_curve([v], mu, bc, tol).rows[0]),
+        ]
+    out = []
+    for call in calls:
+        try:
+            out.append(call())
+        except Exception as exc:  # the error type is part of the digest
+            out.append(type(exc).__name__.encode())
+    return out
+
+
 def main(argv) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -68,6 +121,11 @@ def main(argv) -> int:
                             f"{point.hexdigest()[:16]}"
                         )
     print(total.hexdigest())
+    solvers = hashlib.sha256()
+    for piece in _solver_pieces():
+        solvers.update(struct.pack("<q", len(piece)))
+        solvers.update(piece)
+    print(solvers.hexdigest())
     return 0
 
 
