@@ -73,7 +73,7 @@ from .variational import (
     trial_gap,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",

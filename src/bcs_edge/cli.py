@@ -136,9 +136,10 @@ def _resolve(parser, ns) -> dict:
             parser.error(f"{opt.flag} is required")
         cfg[opt.dest] = value
 
-    if cfg["threads"] is None:
-        cfg["threads"] = os.cpu_count() or 1
-    _positive(parser, cfg, "threads")
+    if "threads" in cfg:
+        if cfg["threads"] is None:
+            cfg["threads"] = os.cpu_count() or 1
+        _positive(parser, cfg, "threads")
     return cfg
 
 
@@ -424,30 +425,6 @@ def cmd_verify(parser, cfg, knobs):
 
 # --- wiring ------------------------------------------------------------
 
-_TOL = _Opt("--tol", float, TOL_DEFAULT, help="target accuracy (default 1e-6)")
-_SHARED = [
-    _TOL,
-    _Opt(
-        "--grid-points",
-        int,
-        GridKnobs.points_per_panel,
-        help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
-    ),
-    _Opt(
-        "--cutoff-factor",
-        float,
-        GridKnobs.cutoff_factor,
-        help=f"momentum cutoff multiplier (default {GridKnobs.cutoff_factor})",
-    ),
-    _Opt(
-        "--threads",
-        int,
-        help="worker pool size, at least 1 (default: logical cores)",
-    ),
-    _Opt("--out", str, help="output path; files get a .manifest.json sidecar"),
-    _Opt("--seed", int, 0, help="seed for randomized checks (default 0)"),
-    _Opt("--format", str, "csv", choices=("csv", "json"), help="output format"),
-]
 _MU = _Opt("--mu", float, required=True, help="chemical potential")
 _V = _Opt("--v", float, required=True, repeat=True, help="coupling (repeatable)")
 _BC = _Opt(
@@ -458,16 +435,37 @@ _BC = _Opt(
     help="boundary condition (default dirichlet)",
 )
 _T_ARG = _Opt("--T", float, required=True, help="temperature")
+_TOL = _Opt("--tol", float, TOL_DEFAULT, help="target accuracy (default 1e-6)")
+_GRID_POINTS = _Opt(
+    "--grid-points",
+    int,
+    GridKnobs.points_per_panel,
+    help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
+)
+_CUTOFF_FACTOR = _Opt(
+    "--cutoff-factor",
+    float,
+    GridKnobs.cutoff_factor,
+    help=f"momentum cutoff multiplier (default {GridKnobs.cutoff_factor})",
+)
+_THREADS = _Opt(
+    "--threads",
+    int,
+    help="worker pool size, at least 1 (default: logical cores)",
+)
+_OUT = _Opt("--out", str, help="output path; files get a .manifest.json sidecar")
+_FORMAT = _Opt("--format", str, "csv", choices=("csv", "json"), help="output format")
 
 _COMMANDS = {
     "tc-bulk": (
         cmd_tc,
-        [_MU, _V, *_SHARED],
+        [_MU, _V, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _THREADS, _OUT, _FORMAT],
         "critical temperature of the translation-invariant problem",
     ),
     "tc-boundary": (
         cmd_tc,
-        [_MU, _V, _BC, *_SHARED],
+        [_MU, _V, _BC, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _THREADS, _OUT,
+         _FORMAT],
         "critical temperature of the half-line problem",
     ),
     "ratio-curve": (
@@ -478,13 +476,18 @@ _COMMANDS = {
             _Opt("--v-min", float, required=True, help="sweep start"),
             _Opt("--v-max", float, required=True, help="sweep end"),
             _Opt("--v-count", int, required=True, help="points, log-spaced"),
-            *_SHARED,
+            _TOL,
+            _GRID_POINTS,
+            _CUTOFF_FACTOR,
+            _THREADS,
+            _OUT,
+            _FORMAT,
         ],
         "boundary vs bulk critical-temperature sweep over the coupling",
     ),
     "spectrum": (
         cmd_spectrum,
-        [_T_ARG, _MU, _BC, *_SHARED],
+        [_T_ARG, _MU, _BC, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _OUT, _FORMAT],
         "top eigenpair and edge of the discretized half-line operator",
     ),
     "trial-gap": (
@@ -493,13 +496,17 @@ _COMMANDS = {
             _T_ARG,
             _MU,
             _Opt("--b", float, help="trial-state width (default: mu)"),
-            *_SHARED,
+            _TOL,
+            _GRID_POINTS,
+            _CUTOFF_FACTOR,
+            _OUT,
+            _FORMAT,
         ],
         "sign-definite lower bound witness for the boundary gap",
     ),
     "asymptotics": (
         cmd_asymptotics,
-        [_MU, _V, *_SHARED],
+        [_MU, _V, _OUT, _FORMAT],
         "weak-coupling closed form for the bulk critical temperature",
     ),
     "verify": (
@@ -507,8 +514,10 @@ _COMMANDS = {
         [
             _Opt("--mu", float, 1.0, help="chemical potential (default 1)"),
             _Opt("--samples", int, 100_000, help="samples per randomized check"),
-            _TOL,
-            *[o for o in _SHARED if o.dest not in ("tol", "format")],
+            _GRID_POINTS,
+            _CUTOFF_FACTOR,
+            _OUT,
+            _Opt("--seed", int, 0, help="seed for randomized checks (default 0)"),
             _Opt("--format", str, "json", choices=("csv", "json"), help="output format"),
         ],
         "run every inequality check and report violations",
@@ -544,7 +553,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         cfg = _resolve(ns._sub, ns)
         started = time.monotonic()
-        knobs = GridKnobs(cfg["grid_points"], cfg["cutoff_factor"])
+        knobs = (
+            GridKnobs(cfg["grid_points"], cfg["cutoff_factor"])
+            if "grid_points" in cfg
+            else None
+        )
         header, rows, provenance, code = ns._fn(ns._sub, cfg, knobs)
         _emit(ns.command, cfg, ns._opts, header, rows, provenance, started)
         return code

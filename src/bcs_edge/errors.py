@@ -27,7 +27,7 @@ class RefusedRegime(NumericsError):
 
 
 class NoConvergence(NumericsError):
-    """Iterative eigensolver failed to reach the requested residual."""
+    """Dense eigenpair residual ||Mx - lambda x|| exceeds EIGEN_TOL * ||M||_inf."""
 
 
 class BracketFailure(NumericsError):

@@ -6,10 +6,12 @@ Solver-heavy paths run at loosened tolerances to keep the suite quick.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcs_edge
 import bcs_edge.cli as cli
 from bcs_edge import lemma_suite
 from bcs_edge.critical_temperature import RatioCurve, RatioRow
@@ -70,6 +72,39 @@ def test_help_and_version_exit_zero(capsys):
     assert cli.main(["--version"]) == 0
     assert cli.main(["tc-bulk", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_pyproject_version_matches_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == bcs_edge.__version__
+
+
+_FLAGS = {
+    "tc-bulk": {"mu", "v", "tol", "grid-points", "cutoff-factor", "threads",
+                "out", "format"},
+    "tc-boundary": {"mu", "v", "bc", "tol", "grid-points", "cutoff-factor",
+                    "threads", "out", "format"},
+    "ratio-curve": {"mu", "bc", "v-min", "v-max", "v-count", "tol",
+                    "grid-points", "cutoff-factor", "threads", "out", "format"},
+    "spectrum": {"T", "mu", "bc", "tol", "grid-points", "cutoff-factor", "out",
+                 "format"},
+    "trial-gap": {"T", "mu", "b", "tol", "grid-points", "cutoff-factor", "out",
+                  "format"},
+    "asymptotics": {"mu", "v", "out", "format"},
+    "verify": {"mu", "samples", "grid-points", "cutoff-factor", "seed", "out",
+               "format"},
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    taken = {
+        name: {opt.flag[2:] for opt in opts}
+        for name, (_, opts, _) in cli._COMMANDS.items()
+    }
+    assert taken == _FLAGS
 
 
 def test_tc_bulk_single_row(capsys):
@@ -149,7 +184,16 @@ def test_manifest_replay(command, tmp_path, capsys):
         assert key in manifest
     assert manifest["command"] == command
     assert manifest["argv"][0] == command
-    assert manifest["grid_policy"]["points_per_panel"] == 16
+    # only what the command read: tol where it takes --tol, grid knobs
+    # where it builds grids, a seed for verify alone
+    args = _REPLAY_RUNS[command]
+    builds_grids = command != "asymptotics"
+    assert manifest["grid_policy"] == {
+        "tol": float(args[args.index("--tol") + 1]) if "--tol" in args else None,
+        "points_per_panel": 16 if builds_grids else None,
+        "cutoff_factor": 3.0 if builds_grids else None,
+    }
+    assert manifest["seeds"] == {"seed": 3 if command == "verify" else None}
 
     replay = tmp_path / "replay.txt"
     assert cli.main(manifest["argv"] + ["--out", str(replay)]) == 0
@@ -176,6 +220,26 @@ def test_manifest_replay(command, tmp_path, capsys):
         for row in manifest["rows"]:
             assert row["tc_bulk_evaluations"] >= 3
             assert row["tc_boundary_evaluations"] >= 1
+
+
+# every (command, flag) pair that 0.1.0 accepted and then ignored
+_DROPPED = [
+    *[(command, "--seed") for command in
+      ("tc-bulk", "tc-boundary", "ratio-curve", "spectrum", "trial-gap",
+       "asymptotics")],
+    *[(command, "--threads") for command in
+      ("spectrum", "trial-gap", "asymptotics", "verify")],
+    ("asymptotics", "--tol"),
+    ("verify", "--tol"),
+    ("asymptotics", "--grid-points"),
+    ("asymptotics", "--cutoff-factor"),
+]
+
+
+@pytest.mark.parametrize(("command", "flag"), _DROPPED)
+def test_dropped_flags_rejected(command, flag, capsys):
+    assert cli.main([command, *_REPLAY_RUNS[command], flag, "3"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ratio_curve_partial_failure(tmp_path, capsys, monkeypatch):
@@ -386,7 +450,11 @@ def test_config_file_precedence(tmp_path, capsys):
     assert cli.main(["asymptotics", "--config", str(config), "--v", "0.4"]) == 1
     assert cli.main(["asymptotics", "--mu", "1", "--v", "0.4",
                      "--config", str(tmp_path / "missing.cfg")]) == 1
-    capsys.readouterr()
+    # a config file may hold only keys its command takes
+    config.write_text("seed = 0\n")
+    assert cli.main(["asymptotics", "--config", str(config), "--mu", "1",
+                     "--v", "0.4"]) == 1
+    assert "unknown config key: seed" in capsys.readouterr().err
 
 
 def test_thread_pool_preserves_row_order(capsys):
@@ -407,7 +475,7 @@ def test_threads_env_var_ignored(env, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BCS_EDGE_THREADS", env)
     out = tmp_path / "a.csv"
     code = cli.main(
-        ["asymptotics", "--mu", "1", "--v", "0.4", "--threads", "1",
+        ["tc-bulk", "--mu", "1", "--v", "0.4", "--tol", "1e-3", "--threads", "1",
          "--out", str(out)]
     )
     capsys.readouterr()
@@ -420,7 +488,8 @@ def test_threads_env_var_ignored(env, tmp_path, capsys, monkeypatch):
 
 def test_threads_below_one_exit_one(tmp_path, capsys):
     out = tmp_path / "a.csv"
-    argv = ["asymptotics", "--mu", "1", "--v", "0.4", "--out", str(out)]
+    argv = ["tc-bulk", "--mu", "1", "--v", "0.4", "--tol", "1e-3",
+            "--out", str(out)]
     assert cli.main(argv + ["--threads", "-3"]) == 1
     assert cli.main(argv + ["--threads", "0"]) == 1
     config = tmp_path / "run.cfg"
