@@ -10,7 +10,11 @@ Nystroem product by sqrt(weights) makes the matrix symmetric, so entry
     delta_ij A(p_i) -/+ (1/4pi) * 2 * B(p_i, p_j) * sqrt(w_i w_j).
 
 Its top eigenvalue against the essential-spectrum edge a = A(0) decides
-whether the boundary binds a state at the given (T, mu).
+whether the boundary binds a state at the given (T, mu).  The octave
+panels far beyond the core certify the integrals A(p_i) and a; the
+eigensolve sees only the leading principal block whose dropped
+off-diagonal block is certified to move the top eigenvalue by at most
+tol/2 (_matrix_cut).
 
 One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
 evaluated once per node pair (on the upper triangle, then mirrored) and
@@ -61,8 +65,12 @@ class BoundaryCondition(enum.Enum):
 class DiscretizedOperator:
     """Symmetric Nystroem matrix plus the data that produced it.
 
-    a_edge is the essential-spectrum edge a = A(0) evaluated on the same
-    grid; spectral_gap measures the top eigenvalue against it.
+    matrix is the leading n x n principal block of the Nystroem matrix
+    on all grid.n nodes: the core nodes and the first octave panels.
+    cut_bound bounds how far the top eigenvalue of the uncut matrix lies
+    above that of matrix (0 when nothing is cut).  a_edge is the
+    essential-spectrum edge a = A(0) evaluated on the whole grid;
+    spectral_gap measures the top eigenvalue against it.
     """
 
     matrix: np.ndarray
@@ -70,6 +78,7 @@ class DiscretizedOperator:
     params: ModelParams
     bc: BoundaryCondition
     a_edge: float
+    cut_bound: float
 
     @property
     def n(self) -> int:
@@ -142,10 +151,50 @@ def _diag_A(
     return diag
 
 
+def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
+    """Order m of the certified principal block of full, and its bound.
+
+    For full = [[C, X], [X^T, D]] with C the leading m x m block, the
+    quadratic residual bound (C.-K. Li and R.-C. Li, Linear Algebra Appl.
+    395 (2005) 183-190) gives
+
+        0 <= lambda_max(full) - lambda_max(C)
+           <= 2 ||X||^2 / (eta + sqrt(eta^2 + 4 ||X||^2))
+
+    whenever eta <= lambda_max(C) - lambda_max(D) is positive.  Here
+    ||X||_2 <= ||X||_F, max diag(C) bounds lambda_max(C) from below and
+    D's Gershgorin discs bound lambda_max(D) from above.  The block keeps
+    the core nodes plus the fewest leading octave panels whose bound is
+    at most tol/2; if none qualifies, m is the grid's n and the bound 0.
+    """
+    ppp = grid.policy.points_per_panel
+    budget = grid.policy.tol / 2.0
+    d = np.diagonal(full)
+    n_core = int(np.count_nonzero(grid.nodes <= grid.core_cutoff))
+    for m in range(n_core, grid.n, ppp):
+        D = full[m:, m:]
+        top_D = np.max(d[m:] - np.abs(d[m:]) + np.abs(D).sum(axis=1))
+        eta = np.max(d[:m]) - top_D
+        x2 = float(np.square(full[:m, m:]).sum())
+        if eta > 0.0:
+            bound = 2.0 * x2 / (eta + np.sqrt(eta * eta + 4.0 * x2))
+            if bound <= budget:
+                return m, float(bound)
+    return grid.n, 0.0
+
+
 def assemble(
     params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition
 ) -> DiscretizedOperator:
     """Assemble the even-sector operator matrix for (params, bc) on grid.
+
+    Two cutoffs serve two jobs.  The integrals A(p_i) and a_edge run to
+    the grid's cutoff, which tail_bound certifies.  The matrix stops at
+    an earlier panel edge, the matrix cutoff: _matrix_cut keeps the
+    leading principal block whose top eigenvalue lies within tol/2 of
+    the uncut matrix's, the same budget the tail certificate takes, and
+    stores that a priori bound as cut_bound.  The far octaves stay only
+    in the integrals.
 
     Built symmetric by construction: B comes from _kernel_matrix, which
     mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is
@@ -154,11 +203,13 @@ def assemble(
     K = _kernel_matrix(params, grid)
     diag = _diag_A(params, grid, K)
     sw = np.sqrt(grid.weights)
-    matrix = K  # scaled in place; _diag_A was K's last reader
-    matrix *= sw[:, None] * sw[None, :]
-    matrix *= bc.sign / (2.0 * np.pi)
-    matrix[np.diag_indices_from(matrix)] += diag
-    assert np.array_equal(matrix, matrix.T), "assembly must be symmetric"
+    full = K  # scaled in place; _diag_A was K's last reader
+    full *= sw[:, None] * sw[None, :]
+    full *= bc.sign / (2.0 * np.pi)
+    full[np.diag_indices_from(full)] += diag
+    assert np.array_equal(full, full.T), "assembly must be symmetric"
+    m, cut_bound = _matrix_cut(full, grid)
+    matrix = full[:m, :m].copy()
     matrix.setflags(write=False)
     return DiscretizedOperator(
         matrix=matrix,
@@ -166,16 +217,20 @@ def assemble(
         params=params,
         bc=bc,
         a_edge=float(eval_a(params, grid)),
+        cut_bound=cut_bound,
     )
 
 
 def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
-    """Algebraically largest eigenvalue and unit eigenvector of op.matrix.
+    """Algebraically largest eigenvalue of op.matrix and its unit vector.
 
-    Dense symmetric eigendecomposition.  The residual ||Mx - lambda x||
-    is verified against EIGEN_TOL * ||M||_inf; the second-largest
-    eigenvalue goes to the debug log since nothing guarantees the top
-    one is isolated.
+    Dense symmetric eigendecomposition of the m x m matrix.  The residual
+    ||Mx - lambda x|| is verified against EIGEN_TOL * ||M||_inf; the
+    second-largest eigenvalue goes to the debug log since nothing
+    guarantees the top one is isolated.  The vector comes back on the
+    grid's nodes, zero past the matrix cut: [x; 0] is the Rayleigh vector
+    whose quotient in the uncut matrix is lambda, within op.cut_bound of
+    the uncut top eigenvalue.
     """
     M = op.matrix
     n = M.shape[0]
@@ -192,14 +247,19 @@ def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     logger.debug(
-        "top eigenvalue %.12e (second %.12e, residual %.2e, n=%d, bc=%s)",
+        "top eigenvalue %.12e (second %.12e, residual %.2e, n=%d of %d, "
+        "cut bound %.2e, bc=%s)",
         lam,
         second,
         residual,
         n,
+        op.grid.n,
+        op.cut_bound,
         op.bc.value,
     )
-    return float(lam), x
+    on_grid = np.zeros(op.grid.n)
+    on_grid[:n] = x
+    return float(lam), on_grid
 
 
 def spectral_gap(op: DiscretizedOperator) -> float:
@@ -207,7 +267,9 @@ def spectral_gap(op: DiscretizedOperator) -> float:
 
     Positive values certify a boundary bound state at this
     discretization once they clear the grid's self-convergence noise
-    (by convention, ten times it).
+    (by convention, ten times it).  The eigenvalue is that of the cut
+    matrix, so the gap of the uncut matrix lies in [gap, gap +
+    op.cut_bound].
     """
     value, _ = top_eigenpair(op)
     return value - op.a_edge

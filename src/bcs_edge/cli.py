@@ -324,6 +324,7 @@ def cmd_ratio_curve(parser, cfg, knobs):
         {
             "v": row.v,
             "grid_nodes": row.grid_nodes,
+            "matrix_nodes": row.matrix_nodes,
             "t_noise": row.t_noise,
             "tc_bulk_evaluations": row.tc_bulk_evaluations,
             "tc_boundary_evaluations": row.tc_boundary_evaluations,
@@ -363,6 +364,8 @@ def cmd_spectrum(parser, cfg, knobs):
     provenance = [
         {
             "n_nodes": grid.n,
+            "matrix_nodes": op.n,
+            "cut_bound": op.cut_bound,
             "cutoff": grid.cutoff,
             "self_convergence": grid.self_convergence,
             "top_eigenvalue": top,

@@ -81,7 +81,9 @@ class RatioRow:
     1.7e-17 at v=0.6, mu=1, tol 1e-4), while the top eigenvalue moves
     when the grid is refined, so t_noise bounds no error of either
     temperature.  The two evaluation counts are the solves each root
-    find took, bracketing included.
+    find took, bracketing included.  grid_nodes counts the nodes of the
+    grid built at tc_bulk and matrix_nodes the order of the cut operator
+    matrix solved on it (both 0 in a failed row).
     """
 
     v: float
@@ -96,6 +98,7 @@ class RatioRow:
     error: str | None = None
     tc_bulk_evaluations: int = 0
     tc_boundary_evaluations: int = 0
+    matrix_nodes: int = 0
 
 
 @dataclass(frozen=True)
@@ -240,18 +243,21 @@ def tc_bulk(
 
 class _Solve(NamedTuple):
     """One half-line operator solve: top eigenvalue, its gap to the
-    essential edge a_edge, and the grid it was solved on."""
+    essential edge a_edge, the grid it was solved on, the order of the
+    cut matrix and the cut's eigenvalue bound."""
 
     value: float
     gap: float
     grid: MomentumGrid
+    matrix_nodes: int
+    cut_bound: float
 
 
 def _sup_boundary(T, mu, bc, gtol, knobs) -> _Solve:
     params = ModelParams(T=T, mu=mu)
     op = assemble(params, build_grid(params, gtol, knobs), bc)
     value, _ = top_eigenpair(op)
-    return _Solve(value, value - op.a_edge, op.grid)
+    return _Solve(value, value - op.a_edge, op.grid, op.n, op.cut_bound)
 
 
 def tc_boundary(
@@ -318,6 +324,8 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
             "eigen_tol": EIGEN_TOL,
             "bulk_evaluations": bulk.evaluations,
             "grid_nodes": solve.grid.n,
+            "matrix_nodes": solve.matrix_nodes,
+            "cut_bound": solve.cut_bound,
         },
     )
     return result, at_bulk
@@ -368,6 +376,7 @@ def _row(v, mu, bc, tol, knobs) -> RatioRow:
         t_noise=t_noise,
         tc_bulk_evaluations=bulk.evaluations,
         tc_boundary_evaluations=bound.evaluations,
+        matrix_nodes=at_bulk.matrix_nodes,
     )
 
 

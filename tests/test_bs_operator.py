@@ -28,7 +28,7 @@ from bcs_edge.bs_operator import (
     spectral_gap,
     top_eigenpair,
 )
-from bcs_edge.bs_operator import _diag_A
+from bcs_edge.bs_operator import _diag_A, _kernel_matrix
 from bcs_edge.kernels import eval_A
 from bcs_edge.quadrature import BETA, _panels_to_grid
 from test_quadrature import scalar_march
@@ -159,6 +159,50 @@ def test_boundary_state_localized_at_small_p():
     assert mass_below > 0.5
 
 
+def uncut_matrix(params, grid, bc):
+    """Reference: the Nystroem matrix on every grid node, as assemble
+    builds it before the cut."""
+    sw = np.sqrt(grid.weights)
+    M = _kernel_matrix(params, grid) * (sw[:, None] * sw[None, :])
+    M *= bc.sign / (2.0 * np.pi)
+    M[np.diag_indices_from(M)] += _diag_A(params, grid)
+    return M
+
+
+@pytest.mark.parametrize(
+    "mu, T, bc, tol",
+    [
+        (mu, T, bc, 1e-8)
+        for mu in (0.0, 1.0, 4.0)
+        for T in (1e-5, 1e-2, 1.0, 1e3)
+        for bc in (D, N)
+    ]
+    # dropping every octave here moves the top eigenvalue by 4e-6
+    + [(1.0, 1.0, N, 1e-6)],
+)
+def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
+    params = ModelParams(T=T, mu=mu)
+    grid = build_grid(params, tol)
+    op = assemble(params, grid, bc)
+    full = uncut_matrix(params, grid, bc)
+    assert np.array_equal(op.matrix, full[: op.n, : op.n])
+    lam_cut = np.linalg.eigvalsh(op.matrix)[-1]
+    lam_full = np.linalg.eigvalsh(full)[-1]
+    assert abs(lam_cut - lam_full) <= op.cut_bound <= tol / 2.0
+
+
+def test_matrix_cut_drops_octaves_on_fixed_t_lattice():
+    # the fixed-T solves of the benchmark: 36 log-spaced T/mu in [1e-5, 1]
+    Ts = [float(f"{1e-5 * 1e5 ** (k / 35):.6g}") for k in range(36)]
+    for T in Ts:
+        params = ModelParams(T=T, mu=1.0)
+        grid = build_grid(params, 1e-8)
+        for bc in (D, N):
+            op = assemble(params, grid, bc)
+            assert op.n < grid.n
+            assert op.n % grid.policy.points_per_panel == 0
+
+
 def test_top_eigenpair_trivial_matrices():
     grid = build_grid(ModelParams(T=1.0, mu=0.0), 1e-7)
     params = ModelParams(T=1.0, mu=0.0)
@@ -166,12 +210,19 @@ def test_top_eigenpair_trivial_matrices():
 
     def with_matrix(M):
         return bso.DiscretizedOperator(
-            matrix=M, grid=base.grid, params=params, bc=D, a_edge=base.a_edge
+            matrix=M,
+            grid=base.grid,
+            params=params,
+            bc=D,
+            a_edge=base.a_edge,
+            cut_bound=0.0,
         )
 
     lam, x = top_eigenpair(with_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
     assert lam == pytest.approx(3.0, abs=1e-14)
-    assert np.allclose(np.abs(x), 1.0 / np.sqrt(2.0), atol=1e-14)
+    # the vector lives on the grid's nodes, zero past the matrix
+    assert x.shape == (grid.n,) and not x[2:].any()
+    assert np.allclose(np.abs(x[:2]), 1.0 / np.sqrt(2.0), atol=1e-14)
 
     lam, x = top_eigenpair(with_matrix(np.eye(5)))
     assert lam == pytest.approx(1.0, abs=1e-15)

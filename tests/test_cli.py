@@ -220,6 +220,7 @@ def test_manifest_replay(command, tmp_path, capsys):
         for row in manifest["rows"]:
             assert row["tc_bulk_evaluations"] >= 3
             assert row["tc_boundary_evaluations"] >= 1
+            assert 0 < row["matrix_nodes"] < row["grid_nodes"]
 
 
 # every (command, flag) pair that 0.1.0 accepted and then ignored
@@ -307,6 +308,25 @@ def test_spectrum_bound_state_localizes_at_low_p(capsys):
     mass_total = sum(r["weight"] * r["psi2"] for r in rows)
     assert mass_total == pytest.approx(1.0, rel=1e-9)
     assert mass_low > 0.9
+
+
+def test_spectrum_zero_past_the_matrix_cut(tmp_path, capsys):
+    # one row per grid node; the eigenvector is the cut matrix's, padded
+    # with zeros, so psi2 vanishes past the cut and stays normalised
+    out = tmp_path / "spectrum.json"
+    argv = ["spectrum", "--T", "1.0", "--mu", "1", "--bc", "neumann",
+            "--tol", "1e-8", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    (record,) = json.loads((tmp_path / "spectrum.json.manifest.json").read_text())["rows"]
+    m = record["matrix_nodes"]
+    assert len(rows) == record["n_nodes"] > m
+    assert 0.0 <= record["cut_bound"] <= 0.5e-8
+    assert all(r["psi2"] == 0.0 for r in rows[m:])
+    assert any(r["psi2"] > 0.0 for r in rows[m - 16 : m])
+    mass = sum(r["weight"] * r["psi2"] for r in rows)
+    assert mass == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectrum_neumann_gap_positive_at_high_T(capsys):

@@ -222,11 +222,15 @@ def test_ratio_curve_rows_and_invariants():
         params = ModelParams(T=row.tc_bulk, mu=1.0)
         grid = build_grid(params, _grid_tol(curve.tol), GridKnobs())
         assert grid.n == row.grid_nodes
-        assert row.gap_at_tc_bulk == spectral_gap(assemble(params, grid, D))
+        op = assemble(params, grid, D)
+        assert row.gap_at_tc_bulk == spectral_gap(op)
+        assert row.matrix_nodes == op.n < grid.n
         assert row.tc_bulk_evaluations == tc_bulk(row.v, 1.0, curve.tol).evaluations
-        assert row.tc_boundary_evaluations == tc_boundary(
-            row.v, 1.0, D, curve.tol
-        ).evaluations
+        bound = tc_boundary(row.v, 1.0, D, curve.tol)
+        assert row.tc_boundary_evaluations == bound.evaluations
+        numerics = bound.numerics
+        assert 0 < numerics["matrix_nodes"] < numerics["grid_nodes"]
+        assert 0.0 <= numerics["cut_bound"] <= numerics["grid_tol"] / 2.0
 
 
 def test_ratio_curve_rejects_unsorted():

@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Two sha256 lines: operator bytes, then solver outputs, of fixed batteries.
+"""Three sha256 lines: operator matrices, integrals, then solver outputs.
 
-First line: for every (T, mu, tol, knobs) point the digest takes the raw
-bytes of assemble(...).matrix for both boundary conditions, of the
-diagonal _diag_A, and of trial_gap.  Second line: the results of
+First line: for every (T, mu, tol, knobs) point of a fixed battery, the
+raw bytes of assemble(...).matrix for both boundary conditions.  Second
+line: for the same points, the grid size, the essential edge a_edge =
+eval_a, the diagonal _diag_A and trial_gap.  Third line: the results of
 tc_bulk, tc_boundary (both boundary conditions), v_of_T (both) and one
 ratio_curve row (both), all at tol 1e-4.  A point or call that raises
 contributes the name of the error type instead.  Two checkouts that
 print the same lines build bit-identical operators and solve to
-bit-identical temperatures on the batteries, so a change meant to keep
-the arithmetic can be checked with one command per checkout:
+bit-identical temperatures on the batteries; a change meant to alter
+the matrix alone shows as a change of the first and third lines with
+the second kept.  One command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
-Pass -v to print one line per operator point as well.
+Pass -v to print one line per operator point as well (matrix and
+integral hashes).
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ from bcs_edge import (
     GridKnobs,
     ModelParams,
     build_grid,
+    eval_a,
     ratio_curve,
     tc_boundary,
     tc_bulk,
@@ -44,27 +48,33 @@ SOLVER_V = 0.5
 SOLVER_T = 1e-2
 
 
+def _attempt(call) -> bytes:
+    """call()'s bytes, or the name of the error type it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the error type is part of the digest
+        return type(exc).__name__.encode()
+
+
 def _pieces(params, tol, knobs):
-    """Byte strings of one point; an error becomes its type's name."""
+    """(matrix pieces, integral pieces) of one point; a failed grid
+    build makes both its error type's name."""
     try:
         grid = build_grid(params, tol, knobs)
-    except Exception as exc:  # the error type is part of the digest
-        return [type(exc).__name__.encode()]
-    out = []
-    for bc in BoundaryCondition:
-        try:
-            out.append(assemble(params, grid, bc).matrix.tobytes())
-        except Exception as exc:
-            out.append(type(exc).__name__.encode())
-    try:
-        out.append(_diag_A(params, grid).tobytes())
     except Exception as exc:
-        out.append(type(exc).__name__.encode())
-    try:
-        out.append(struct.pack("<d", trial_gap(params, knobs=knobs)))
-    except Exception as exc:
-        out.append(type(exc).__name__.encode())
-    return out
+        failed = [type(exc).__name__.encode()]
+        return failed, failed
+    matrices = [
+        _attempt(lambda bc=bc: assemble(params, grid, bc).matrix.tobytes())
+        for bc in BoundaryCondition
+    ]
+    integrals = [
+        struct.pack("<q", grid.n),
+        _attempt(lambda: struct.pack("<d", eval_a(params, grid))),
+        _attempt(lambda: _diag_A(params, grid).tobytes()),
+        _attempt(lambda: struct.pack("<d", trial_gap(params, knobs=knobs))),
+    ]
+    return matrices, integrals
 
 
 def _canon(x):
@@ -93,39 +103,37 @@ def _solver_pieces():
             lambda bc=bc: struct.pack("<d", v_of_T(SOLVER_T, mu, bc, tol)),
             lambda bc=bc: _result_bytes(ratio_curve([v], mu, bc, tol).rows[0]),
         ]
-    out = []
-    for call in calls:
-        try:
-            out.append(call())
-        except Exception as exc:  # the error type is part of the digest
-            out.append(type(exc).__name__.encode())
-    return out
+    return [_attempt(call) for call in calls]
+
+
+def _digest(pieces):
+    h = hashlib.sha256()
+    for piece in pieces:
+        h.update(struct.pack("<q", len(piece)))
+        h.update(piece)
+    return h
 
 
 def main(argv) -> int:
     verbose = "-v" in argv
-    total = hashlib.sha256()
+    matrix_total, integral_total = hashlib.sha256(), hashlib.sha256()
     for knobs in KNOBS:
         for tol in TOLS:
             for mu in MUS:
                 for T in TS:
-                    point = hashlib.sha256()
-                    for piece in _pieces(ModelParams(T=T, mu=mu), tol, knobs):
-                        point.update(struct.pack("<q", len(piece)))
-                        point.update(piece)
-                    total.update(point.digest())
+                    matrices, integrals = _pieces(ModelParams(T=T, mu=mu), tol, knobs)
+                    m, i = _digest(matrices), _digest(integrals)
+                    matrix_total.update(m.digest())
+                    integral_total.update(i.digest())
                     if verbose:
                         print(
                             f"T={T:g} mu={mu:g} tol={tol:g} "
                             f"knobs={knobs.points_per_panel}/{knobs.cutoff_factor:g} "
-                            f"{point.hexdigest()[:16]}"
+                            f"{m.hexdigest()[:16]} {i.hexdigest()[:16]}"
                         )
-    print(total.hexdigest())
-    solvers = hashlib.sha256()
-    for piece in _solver_pieces():
-        solvers.update(struct.pack("<q", len(piece)))
-        solvers.update(piece)
-    print(solvers.hexdigest())
+    print(matrix_total.hexdigest())
+    print(integral_total.hexdigest())
+    print(_digest(_solver_pieces()).hexdigest())
     return 0
 
 
