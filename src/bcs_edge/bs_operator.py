@@ -17,9 +17,9 @@ off-diagonal block is certified to move the top eigenvalue by at most
 tol/2 (_matrix_cut).
 
 One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
-evaluated once per node pair (on the upper triangle, then mirrored) and
-feeds the perturbation, the diagonal A(p_i) and the trial-state cross
-term.  A(p_i) integrates B(p_i, .) on a per-node mesh; all per-node
+evaluated on the upper triangle, one block of rows at a time, then
+mirrored, and feeds the perturbation, the diagonal A(p_i) and the
+trial-state cross term.  A(p_i) integrates B(p_i, .) on a per-node mesh; all per-node
 meshes are marched in one lock-step pass, and their octave panels, which
 are the grid's own, take their B values from the kernel matrix.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .kernels import ModelParams, _require_resolved, eval_B, eval_a
+from .kernels import _BLOCK, ModelParams, _require_resolved, eval_B, eval_a
 from .quadrature import MomentumGrid, _mesh_with_centers
 
 __all__ = [
@@ -89,16 +89,19 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     """B(p_i, p_j) for every pair of grid nodes.
 
     B(p, q) and B(q, p) come out bit-identical (the kernel sees p + q and
-    the square of p - q), so B is evaluated once per node pair, on the
-    upper triangle, and mirrored.
+    the square of p - q), so B is evaluated on the upper triangle only,
+    one kernel block of rows at a time, and mirrored: rows i0:i1 take
+    columns i0: (their diagonal block whole) and hand the part right of
+    that block to the rows below, transposed.
     """
     p = grid.nodes
-    upper = np.triu(np.ones((p.size, p.size), dtype=bool))
-    rows = np.broadcast_to(p[:, None], upper.shape)
-    vals = eval_B(rows[upper], rows.T[upper], params)
-    K = np.empty(upper.shape)
-    K[upper] = vals
-    K.T[upper] = vals
+    n = p.size
+    K = np.empty((n, n))
+    rows = max(1, _BLOCK // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        K[i0:i1, i0:] = eval_B(p[i0:i1, None], p[None, i0:], params)
+        K[i1:, i0:i1] = K[i0:i1, i1:].T
     return K
 
 
@@ -113,8 +116,8 @@ def _diag_A(
     the grid's own floor and cutoff so accuracy matches the grid's own
     certificate.  The per-node meshes are marched in one lock-step pass
     and end in the grid's own octave panels, whose B values are read from
-    the kernel matrix K (built by _kernel_matrix when not given: B once
-    per node pair, upper triangle mirrored).  Beyond p^2 ~ 1/(pi tol) the
+    the kernel matrix K (built by _kernel_matrix when not given: B on the
+    upper triangle, mirrored).  Beyond p^2 ~ 1/(pi tol) the
     ridge contributes less than tol (its amplitude decays like 1/p^2) and
     the shared grid is used directly: A(p_i) = (K[i] @ weights) / 2pi.
     """

@@ -6,6 +6,15 @@ else in the package.  All evaluators are pure functions, accept floats
 or numpy arrays elementwise, and are arranged to be cancellation-free at
 the removable singularities p^2 = mu (for F) and p^2 + q^2 = 2*mu (for
 L), so results stay finite for any finite input.
+
+eval_L and eval_B run one pipeline, p, q -> (p +/- q)/2 -> u, v -> L,
+over the broadcast of their arguments in blocks of _BLOCK elements, so a
+block's temporaries stay in cache and no broadcast input is copied at
+full size.  Inside it, exponentials whose argument is at or below
+_EXP_ZERO_CUT are written as the 0.0 that np.exp rounds them to, without
+calling exp.  Both change no output bit: every element sees the same
+operations whatever block it falls in.  The block size is a constant,
+not a setting.
 """
 
 from __future__ import annotations
@@ -36,6 +45,14 @@ EULER_GAMMA = 0.57721566490153286061
 # Below this |x| the 3-term even Taylor series of tanh(x)/x is accurate
 # to better than 1e-16 relative, so the branch switch costs nothing.
 TANH_RATIO_SWITCH = 1e-4
+
+# Elements per kernel block: the twenty-odd float64 temporaries of one
+# block (128 kB each) stay in L2.
+_BLOCK = 2**14
+
+# np.exp rounds to exactly 0.0 below ln(2**-1075) = -745.1332...; its
+# slow path there costs about ten times an ordinary call.
+_EXP_ZERO_CUT = -745.2
 
 # Truncation order at which the frequency series matches the closed form
 # to < 1e-6 relative (max 5.22e-7 measured over the sample box of
@@ -70,6 +87,17 @@ def _unwrap(out, scalar):
     return float(out[0]) if scalar else out
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, calling exp only where it can be nonzero.
+
+    The mask is ~(x <= cut) rather than x > cut so that NaN still goes
+    through exp and comes out NaN.
+    """
+    out = np.zeros_like(x)
+    np.exp(x, out=out, where=~(x <= _EXP_ZERO_CUT))
+    return out
+
+
 def _tanh_over_x(x: np.ndarray) -> np.ndarray:
     """tanh(x)/x elementwise with a guarded series branch near x = 0."""
     out = np.empty_like(x)
@@ -96,17 +124,83 @@ def _tanh_pair_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Uses the identity tanh(u) + tanh(v) = sinh(u+v) / (cosh(u) cosh(v))
     with the exponentials grouped so nothing overflows: |u + v| never
     exceeds |u| + |v|, hence every exponent below is <= 0.  The u+v -> 0
-    limit sech^2(u) comes out of the sinh(w)/w branch automatically.
+    limit sech^2(u) comes out of the sinh(w)/w branch, taken for
+    |u + v| < 1; the direct difference of exponentials takes the rest.
+    Exponentials go through _exp, which skips those that round to zero.
+    A lane with an infinite argument and no NaN returns 0.0, the limit
+    when the other argument is finite: |tanh| <= 1 over an infinite sum.
     """
     w = u + v
     m = np.abs(u) + np.abs(v)
-    core = np.empty_like(w)
+    core = np.zeros_like(w)
     small = np.abs(w) < 1.0
-    core[small] = _sinhc(w[small]) * np.exp(-m[small])
-    wl, ml = w[~small], m[~small]
-    core[~small] = (np.exp(wl - ml) - np.exp(-wl - ml)) / (2.0 * wl)
-    core *= 4.0 / ((1.0 + np.exp(-2.0 * np.abs(u))) * (1.0 + np.exp(-2.0 * np.abs(v))))
+    core[small] = _sinhc(w[small]) * _exp(-m[small])
+    large = ~small & ~(m == np.inf)
+    wl, ml = w[large], m[large]
+    core[large] = (_exp(wl - ml) - _exp(-wl - ml)) / (2.0 * wl)
+    core *= 4.0 / ((1.0 + _exp(-2.0 * np.abs(u))) * (1.0 + _exp(-2.0 * np.abs(v))))
     return core
+
+
+def _saturated_L(x, y, u, v):
+    """L = (tanh(u) + tanh(v)) / (x + y) on lanes where u = x/2T or
+    v = y/2T overflowed to infinity.
+
+    With a the infinite one and b the other, tanh(a) is s = sign(a), and
+    s + tanh(b) = 2s / (1 + exp(-2 s b)) holds without cancellation.  A
+    zero numerator (opposite signs, both saturated) gives 0.0.
+    """
+    a_inf = np.isinf(u)
+    s = np.sign(np.where(a_inf, u, v))
+    b = np.where(a_inf, v, u)
+    with np.errstate(over="ignore"):
+        num = 2.0 * s / (1.0 + np.exp(-2.0 * s * b))
+    out = np.zeros_like(num)
+    np.divide(num, x + y, out=out, where=num != 0.0)
+    return out
+
+
+def _L_block(p, q, mu, twoT):
+    """L(p, q) on one block of equally shaped arrays."""
+    x = p * p - mu
+    y = q * q - mu
+    with np.errstate(over="ignore"):  # overflowed lanes go to _saturated_L
+        u = x / twoT
+        v = y / twoT
+    out = _tanh_pair_ratio(u, v) / twoT
+    hit = np.isinf(u) | np.isinf(v)
+    if hit.any():
+        out[hit] = _saturated_L(x[hit], y[hit], u[hit], v[hit])
+    return out
+
+
+def _B_block(p, q, mu, twoT):
+    """B(p, q) = L((p+q)/2, (p-q)/2) on one block."""
+    return _L_block((p + q) / 2.0, (p - q) / 2.0, mu, twoT)
+
+
+def _blocked(block, p, q, params: ModelParams):
+    """block(p, q, mu, 2T) over the broadcast of p and q, _BLOCK elements
+    at a time; a float when both are scalars.
+
+    np.nditer hands out aligned 1-d pieces of at most _BLOCK elements,
+    copying a broadcast operand one piece at a time, and allocates the
+    C-ordered output.
+    """
+    it = np.nditer(
+        (np.asarray(p, dtype=float), np.asarray(q, dtype=float), None),
+        flags=("external_loop", "buffered", "zerosize_ok"),
+        op_flags=(("readonly",), ("readonly",), ("writeonly", "allocate")),
+        op_dtypes=(float, float, float),
+        order="C",
+        buffersize=_BLOCK,
+    )
+    twoT = 2.0 * params.T
+    with it:
+        for pb, qb, out in it:
+            out[...] = block(pb, qb, params.mu, twoT)
+        result = it.operands[2]
+    return float(result) if result.ndim == 0 else result
 
 
 def eval_F(p, params: ModelParams):
@@ -125,16 +219,13 @@ def eval_L(p, q, params: ModelParams):
 
     Evaluated through the sinh/cosh identity in _tanh_pair_ratio, which
     is exact and regular across the removable singularity x + y = 0, so
-    no series fallback or branch threshold is needed.  Symmetric in
-    (p, q) and even in each argument by construction.
+    no series fallback is needed; its one branch switch, at |x + y| = 2T,
+    joins two exact forms of the same quantity.  Lanes where x/2T or
+    y/2T overflows to infinity take the saturated form in _saturated_L
+    instead.  Symmetric in (p, q) and even in each argument by
+    construction.  Evaluated in blocks (_blocked).
     """
-    p, sp = _wrap(p)
-    q, sq = _wrap(q)
-    p, q = np.broadcast_arrays(p, q)
-    twoT = 2.0 * params.T
-    u = (p * p - params.mu) / twoT
-    v = (q * q - params.mu) / twoT
-    return _unwrap(_tanh_pair_ratio(u, v) / twoT, sp and sq)
+    return _blocked(_L_block, p, q, params)
 
 
 def eval_L_series(p, q, params: ModelParams, n_terms: int):
@@ -169,11 +260,10 @@ def eval_B(p, q, params: ModelParams):
     """Boundary kernel B(p,q) = L((p+q)/2, (p-q)/2).
 
     Even in each argument separately and symmetric, so B(p,q) =
-    B(|p|,|q|) = B(q,p); B(0,q) collapses to F(q/2).
+    B(|p|,|q|) = B(q,p); B(0,q) collapses to F(q/2).  The half sum and
+    half difference are formed block by block, inside the same pass as L.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return eval_L((p + q) / 2.0, (p - q) / 2.0, params)
+    return _blocked(_B_block, p, q, params)
 
 
 def _require_resolved(grid) -> None:

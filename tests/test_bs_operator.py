@@ -29,7 +29,7 @@ from bcs_edge.bs_operator import (
     top_eigenpair,
 )
 from bcs_edge.bs_operator import _diag_A, _kernel_matrix
-from bcs_edge.kernels import eval_A
+from bcs_edge.kernels import _BLOCK, eval_A
 from bcs_edge.quadrature import BETA, _panels_to_grid
 from test_quadrature import scalar_march
 
@@ -63,6 +63,17 @@ def test_matrix_symmetric_and_immutable():
     assert np.array_equal(op.matrix, op.matrix.T)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 0.0
+
+
+def test_kernel_matrix_is_B_on_every_pair_bitwise():
+    # row blocks of _BLOCK // n rows, the last one short; the mirrored
+    # lower triangle must hold the very bits a full evaluation gives
+    params = ModelParams(T=1e-3, mu=1.0)
+    grid = build_grid(params, 1e-6)
+    p = grid.nodes
+    assert p.size % max(1, _BLOCK // p.size)
+    K = _kernel_matrix(params, grid)
+    assert np.array_equal(K, eval_B(p[:, None], p[None, :], params))
 
 
 def test_diag_only_is_multiplication_by_A():

@@ -6,6 +6,7 @@ section names in comments match that script's output.
 """
 
 import dataclasses
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,7 @@ from bcs_edge import (
     eval_L_series,
     eval_a,
 )
-from bcs_edge.kernels import TANH_RATIO_SWITCH
+from bcs_edge.kernels import _BLOCK, TANH_RATIO_SWITCH, _exp
 
 # [a10] a_{T,mu} at T=1, mu=0
 A_ORACLE_T1_MU0 = 0.42890235186151114
@@ -141,6 +142,11 @@ def test_L_extreme_arguments_no_overflow():
     assert val == pytest.approx(2.0 / 4998.0, rel=1e-14)
     val = eval_L(3.0, 4.0, ModelParams(T=1e-300, mu=1.0))
     assert np.isfinite(val) and val == pytest.approx(2.0 / 23.0, rel=1e-12)
+    # x/2T overflows to inf: opposite signs give the limit 0, equal signs
+    # the saturated 2/(x+y)
+    assert eval_L(1e5, 0.0, ModelParams(T=1e-300, mu=1.0)) == 0.0
+    val = eval_L(1e5, 2.0, ModelParams(T=1e-300, mu=1.0))
+    assert val == pytest.approx(2.0 / (1e10 + 2.0), rel=1e-14)
 
 
 def test_L_series_first_term_closed_form():
@@ -256,3 +262,74 @@ def test_underresolved_grid_is_rejected():
     bad = dataclasses.replace(grid, self_convergence=10.0 * grid.policy.tol)
     with pytest.raises(QuadratureUnderresolved):
         eval_a(params, bad)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_exp_skip_matches_np_exp_bitwise():
+    # the subnormal band and the cut at -745.2 lie in [-760, -700]; NaN
+    # must reach exp and stay NaN
+    cut_ulps = np.nextafter(-745.2, [-np.inf, np.inf])
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -745.2, -745.1332191019411],
+        cut_ulps,
+        np.linspace(-760.0, -700.0, 60_001),
+        [709.78, 709.79, 710.0, 1e300],
+    ])
+    with np.errstate(over="ignore"):
+        expected = np.exp(x)
+        got = _exp(x)
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.fixture(scope="module")
+def kernel_battery():
+    """145 x 113 = _BLOCK + 1 momentum pairs at T = 1e-3, mu = 1: the
+    underflow band, the |u + v| < 1 branch and ordinary lanes, with the
+    elementwise (scalar call) value of L and B at each."""
+    assert 145 * 113 == _BLOCK + 1
+    params = ModelParams(T=1e-3, mu=1.0)
+    p = np.linspace(-3.0, 3.0, 145)
+    q = np.linspace(0.0, 2.5, 113)
+    P, Q = (a.ravel() for a in np.broadcast_arrays(p[:, None], q[None, :]))
+    single = {
+        f: np.array([f(a, b, params) for a, b in zip(P.tolist(), Q.tolist())])
+        for f in (eval_L, eval_B)
+    }
+    return params, p, q, P, Q, single
+
+
+@pytest.mark.parametrize("f", [eval_L, eval_B])
+@pytest.mark.parametrize("n", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_blocked_kernel_matches_elementwise(kernel_battery, f, n):
+    params, _, _, P, Q, single = kernel_battery
+    got = f(P[:n], Q[:n], params)
+    assert got.shape == (n,)
+    assert np.array_equal(got, single[f][:n])
+
+
+@pytest.mark.parametrize("f", [eval_L, eval_B])
+def test_blocked_kernel_broadcast_and_scalars(kernel_battery, f):
+    params, p, q, P, Q, single = kernel_battery
+    got = f(p[:, None], q[None, :], params)
+    assert got.shape == (p.size, q.size)
+    assert np.array_equal(got.ravel(), single[f])
+    val = f(float(P[7]), float(Q[7]), params)
+    assert type(val) is float and val == single[f][7]
+    val = f(np.float64(P[9]), np.array(Q[9]), params)
+    assert type(val) is float and val == single[f][9]
+
+
+def test_eval_B_memory_is_output_plus_blocks():
+    # 2,000 nodes: a 32 MB output; the pipeline may add at most 8 MB
+    p = np.linspace(0.0, 40.0, 2_000)
+    params = ModelParams(T=1e-3, mu=1.0)
+    tracemalloc.start()
+    try:
+        out = eval_B(p[:, None], p[None, :], params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8_000_000

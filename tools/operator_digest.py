@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Three sha256 lines: operator matrices, integrals, then solver outputs.
+"""Four sha256 lines: operator matrices, integrals, solver outputs, then
+raw kernel values.
 
 First line: for every (T, mu, tol, knobs) point of a fixed battery, the
 raw bytes of assemble(...).matrix for both boundary conditions.  Second
 line: for the same points, the grid size, the essential edge a_edge =
 eval_a, the diagonal _diag_A and trial_gap.  Third line: the results of
 tc_bulk, tc_boundary (both boundary conditions), v_of_T (both) and one
-ratio_curve row (both), all at tol 1e-4.  A point or call that raises
-contributes the name of the error type instead.  Two checkouts that
-print the same lines build bit-identical operators and solve to
-bit-identical temperatures on the batteries; a change meant to alter
-the matrix alone shows as a change of the first and third lines with
-the second kept.  One command per checkout:
+ratio_curve row (both), all at tol 1e-4.  Fourth line: the raw outputs
+of eval_F, eval_L, eval_B and eval_a on a kernel battery (T/mu from
+1e-8 to 1e3, momenta whose exponentials straddle the underflow band,
+array lengths around the 2**14-element kernel block, scalar inputs).
+A point or call that raises contributes the name of the error type
+instead.  Two checkouts that print the same lines build bit-identical
+operators and solve to bit-identical temperatures on the batteries; a
+change meant to alter the matrix alone shows as a change of the first
+and third lines with the second kept.  One command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
@@ -24,10 +28,15 @@ import hashlib
 import struct
 import sys
 
+import numpy as np
+
 from bcs_edge import (
     GridKnobs,
     ModelParams,
     build_grid,
+    eval_B,
+    eval_F,
+    eval_L,
     eval_a,
     ratio_curve,
     tc_boundary,
@@ -46,6 +55,15 @@ SOLVER_TOL = 1e-4
 SOLVER_MU = 1.0
 SOLVER_V = 0.5
 SOLVER_T = 1e-2
+
+KERNEL_MU = 1.0
+KERNEL_TS = tuple(10.0**k for k in range(-8, 4))  # T/mu from 1e-8 to 1e3
+KERNEL_PARAMS = tuple(ModelParams(T=T, mu=KERNEL_MU) for T in KERNEL_TS) + (
+    ModelParams(T=1e-3, mu=-0.5),
+    ModelParams(T=1e-3, mu=0.0),
+)
+KERNEL_LENGTHS = (2**14 - 1, 2**14, 2**14 + 1)  # around the kernel block
+KERNEL_SCALARS = ((0.0, 0.0), (1.0, 1.0), (0.3, 2.0), (np.sqrt(2.0), 0.0), (50.0, 3.0))
 
 
 def _attempt(call) -> bytes:
@@ -106,6 +124,39 @@ def _solver_pieces():
     return [_attempt(call) for call in calls]
 
 
+def _kernel_pieces():
+    """Byte strings of the kernel battery; an error becomes its type's name.
+
+    For each parameter point: scalar calls; a 2-d broadcast of momenta
+    with u = (p^2 - mu)/2T in [340, 390], so that exp(-2u) crosses
+    [-760, -700], where exp underflows through the subnormals, plus a
+    NaN; arrays of KERNEL_LENGTHS drawn from a momentum box; and eval_a
+    on the grid at each of TOLS.
+    """
+    rng = np.random.default_rng(20260501)
+    pieces = []
+    for params in KERNEL_PARAMS:
+        T, mu = params.T, params.mu
+        for p, q in KERNEL_SCALARS:
+            for f in (eval_L, eval_B):
+                pieces.append(_attempt(lambda f=f: struct.pack("<d", f(p, q, params))))
+            pieces.append(_attempt(lambda: struct.pack("<d", eval_F(p, params))))
+        edge = np.sqrt(mu + 2.0 * T * np.linspace(340.0, 390.0, 101))
+        band = np.concatenate([edge, -edge, [np.nan]])
+        arrays = [(band[:, None], band[None, :])]
+        box = 4.0 * (np.sqrt(abs(mu)) + np.sqrt(T))
+        for n in KERNEL_LENGTHS:
+            arrays.append(tuple(rng.uniform(-box, box, (2, n))))
+        for p, q in arrays:
+            for f in (eval_L, eval_B):
+                pieces.append(_attempt(lambda f=f: np.asarray(f(p, q, params)).tobytes()))
+            pieces.append(_attempt(lambda: eval_F(p, params).tobytes()))
+        for tol in TOLS:
+            pieces.append(_attempt(
+                lambda: struct.pack("<d", eval_a(params, build_grid(params, tol)))))
+    return pieces
+
+
 def _digest(pieces):
     h = hashlib.sha256()
     for piece in pieces:
@@ -134,6 +185,7 @@ def main(argv) -> int:
     print(matrix_total.hexdigest())
     print(integral_total.hexdigest())
     print(_digest(_solver_pieces()).hexdigest())
+    print(_digest(_kernel_pieces()).hexdigest())
     return 0
 
 
