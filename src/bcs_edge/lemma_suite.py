@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bs_operator import _kernel_matrix
 from .kernels import (
     ModelParams,
     _tanh_over_x,
@@ -282,10 +283,10 @@ def check_B_uniform_norm(
 ) -> CheckReport:
     """Discretized operator norm of the bare B kernel is bounded in T.
 
-    Mirrors each temperature's own certified half-line grid to the full
-    line, forms the symmetrized matrix B(p_i, p_j) sqrt(w_i w_j), and
-    compares its spectral norm against the stored regression cap, which
-    scales like 1/sqrt(mu).
+    B(+-p, +-q) = B(p, q), so the full-line matrix B(p_i, p_j) sqrt(w_i w_j)
+    on a mirrored grid is U S U^T, S its half-line block, U = [R; I] and
+    R the node reversal; U^T U = 2I makes its norm 2 ||S||, held on each
+    T's certified grid against the stored cap, which scales as 1/sqrt(mu).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -294,10 +295,9 @@ def check_B_uniform_norm(
     for T in T_list:
         params = ModelParams(T=float(T), mu=mu)
         g = build_grid(params, _B_GRID_TOL, knobs)
-        pm = np.concatenate([-g.nodes[::-1], g.nodes])
-        sw = np.sqrt(np.concatenate([g.weights[::-1], g.weights]))
-        mat = eval_B(pm[:, None], pm[None, :], params) * (sw[:, None] * sw[None, :])
-        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(mat)))))
+        sw = np.sqrt(g.weights)
+        mat = _kernel_matrix(params, g) * (sw[:, None] * sw[None, :])
+        norms.append(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(mat)))))
     logger.info("B_uniform_norm(mu=%g): norms %s vs cap %.3f", mu, norms, cap)
     return _tally("B_uniform_norm", cap - np.asarray(norms), cap, 0)
 

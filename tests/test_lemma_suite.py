@@ -1,5 +1,7 @@
 """Seeded inequality checks: zero violations and reproducible reports."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -142,13 +144,32 @@ def test_row_integral_of_B_stays_bounded_off_zero():
     assert 8.0 < sup < SUP_INT_B_CAP
 
 
-def test_B_uniform_norm_bounded():
-    r = check_B_uniform_norm(1.0, [1e-3, 1e-1, 1e1, 1e3])
-    assert r.violations == 0
-    assert r.worst_margin > 0.0
-    # cap scales like 1/sqrt(mu); the measured norms do too
-    r4 = check_B_uniform_norm(4.0, [4e-3])
-    assert r4.violations == 0
+def full_line_B_norm(params, grid):
+    """Oracle: spectral norm of B(p_i, p_j) sqrt(w_i w_j) on the mirrored
+    grid, no even-sector folding."""
+    p = np.concatenate([-grid.nodes[::-1], grid.nodes])
+    sw = np.sqrt(np.concatenate([grid.weights[::-1], grid.weights]))
+    mat = eval_B(p[:, None], p[None, :], params) * (sw[:, None] * sw[None, :])
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+
+
+def test_B_uniform_norm_bounded(caplog):
+    caplog.set_level(logging.INFO, logger=lemma_suite.__name__)
+    ladders = {1.0: [1e-3, 1e-1, 1e1, 1e3], 4.0: [4e-3], 0.3: [3e-4]}
+    for mu, Ts in ladders.items():
+        caplog.clear()
+        r = check_B_uniform_norm(mu, Ts)
+        # cap scales like 1/sqrt(mu); the measured norms do too
+        assert r.violations == 0, mu
+        assert r.worst_margin > 0.0, mu
+        # the half-line norm, doubled, is the full-line norm
+        (record,) = caplog.records
+        norms = record.args[1]
+        for T, norm in zip(Ts, norms, strict=True):
+            params = ModelParams(T=T, mu=mu)
+            grid = build_grid(params, lemma_suite._B_GRID_TOL)
+            full = full_line_B_norm(params, grid)
+            assert abs(norm - full) <= 1e-12 * full, (mu, T, norm, full)
     with pytest.raises(ValueError):
         check_B_uniform_norm(0.0, [1.0])
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Four sha256 lines: operator matrices, integrals, solver outputs, then
-raw kernel values.
+"""Five sha256 lines: operator matrices, integrals, solver outputs, raw
+kernel values, then the inequality checks.
 
 First line: for every (T, mu, tol, knobs) point of a fixed battery, the
 raw bytes of assemble(...).matrix for both boundary conditions.  Second
@@ -12,15 +12,18 @@ of eval_F, eval_L, eval_B and eval_a on a kernel battery (T/mu from
 1e-8 to 1e3, momenta whose exponentials straddle the underflow band,
 array lengths around the 2**14-element kernel block, scalar inputs).
 A point or call that raises contributes the name of the error type
-instead.  Two checkouts that print the same lines build bit-identical
-operators and solve to bit-identical temperatures on the batteries; a
-change meant to alter the matrix alone shows as a change of the first
-and third lines with the second kept.  One command per checkout:
+instead.  Fifth line: name, samples, violations and worst_margin of each
+of the eight CheckReports of the verify battery at mu = 1, seed 0 and
+10,000 samples.  Two checkouts that print the same lines build
+bit-identical operators and solve to bit-identical temperatures on the
+batteries; a change meant to alter the matrix alone shows as a change of
+the first and third lines with the second kept.  One command per
+checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
 Pass -v to print one line per operator point as well (matrix and
-integral hashes).
+integral hashes), and one line per inequality check.
 """
 
 import dataclasses
@@ -45,6 +48,7 @@ from bcs_edge import (
     v_of_T,
 )
 from bcs_edge.bs_operator import BoundaryCondition, _diag_A, assemble
+from bcs_edge.cli import cmd_verify
 
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
 MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
@@ -64,6 +68,8 @@ KERNEL_PARAMS = tuple(ModelParams(T=T, mu=KERNEL_MU) for T in KERNEL_TS) + (
 )
 KERNEL_LENGTHS = (2**14 - 1, 2**14, 2**14 + 1)  # around the kernel block
 KERNEL_SCALARS = ((0.0, 0.0), (1.0, 1.0), (0.3, 2.0), (np.sqrt(2.0), 0.0), (50.0, 3.0))
+
+CHECK_CONFIG = {"mu": 1.0, "seed": 0, "samples": 10_000}
 
 
 def _attempt(call) -> bytes:
@@ -157,6 +163,20 @@ def _kernel_pieces():
     return pieces
 
 
+def _check_pieces():
+    """(name, byte strings) of each report of the verify battery."""
+    _, rows, _, _ = cmd_verify(None, CHECK_CONFIG, GridKnobs())
+    return [
+        (row["name"], [
+            row["name"].encode(),
+            struct.pack("<q", row["samples"]),
+            struct.pack("<q", row["violations"]),
+            struct.pack("<d", row["worst_margin"]),
+        ])
+        for row in rows
+    ]
+
+
 def _digest(pieces):
     h = hashlib.sha256()
     for piece in pieces:
@@ -186,6 +206,13 @@ def main(argv) -> int:
     print(integral_total.hexdigest())
     print(_digest(_solver_pieces()).hexdigest())
     print(_digest(_kernel_pieces()).hexdigest())
+    check_total = hashlib.sha256()
+    for name, pieces in _check_pieces():
+        h = _digest(pieces)
+        check_total.update(h.digest())
+        if verbose:
+            print(f"check {name} {h.hexdigest()[:16]}")
+    print(check_total.hexdigest())
     return 0
 
 
