@@ -22,6 +22,8 @@ from .bs_operator import (
     BoundaryCondition,
     DiscretizedOperator,
     assemble,
+    eval_A,
+    eval_E,
     spectral_gap,
     top_eigenpair,
 )
@@ -39,9 +41,7 @@ from .kernels import (
     CALIBRATED_SERIES_TERMS,
     EULER_GAMMA,
     ModelParams,
-    eval_A,
     eval_B,
-    eval_E,
     eval_F,
     eval_L,
     eval_L_series,

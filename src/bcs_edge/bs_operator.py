@@ -19,9 +19,11 @@ tol/2 (_matrix_cut).
 One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
 evaluated on the upper triangle, one block of rows at a time, then
 mirrored, and feeds the perturbation, the diagonal A(p_i) and the
-trial-state cross term.  A(p_i) integrates B(p_i, .) on a per-node mesh; all per-node
-meshes are marched in one lock-step pass, and their octave panels, which
-are the grid's own, take their B values from the kernel matrix.
+trial-state cross term.  _A_rows, the one integrator of A(p) (the
+diagonal, the trial state, eval_A and eval_E), integrates B(p, .) on a
+per-momentum mesh; all meshes are marched in one lock-step pass, and
+their octave panels, which are the grid's own, take their B values from
+the kernel rows.
 """
 
 from __future__ import annotations
@@ -33,13 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .kernels import _BLOCK, ModelParams, _require_resolved, eval_B, eval_a
+from .kernels import (
+    _BLOCK, ModelParams, _require_resolved, _unwrap, _wrap, eval_B, eval_a
+)
 from .quadrature import MomentumGrid, _mesh_with_centers
 
 __all__ = [
     "BoundaryCondition",
     "DiscretizedOperator",
     "assemble",
+    "eval_A",
+    "eval_E",
     "top_eigenpair",
     "spectral_gap",
 ]
@@ -105,53 +111,68 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     return K
 
 
-def _diag_A(
-    params: ModelParams, grid: MomentumGrid, K: np.ndarray | None = None
+def _A_rows(
+    params: ModelParams, grid: MomentumGrid, p: np.ndarray, Kp: np.ndarray
 ) -> np.ndarray:
-    """A(p_i) for every grid node, on per-node feature-aware meshes.
+    """A(p_i) for ascending momenta p_i >= 0, on per-momentum meshes.
 
-    B(p, .) has tanh crossovers at q = |2 sqrt(mu) -/+ p|, which the
-    shared grid resolves only for p near 0, so each node gets the grid's
-    mesh regraded with those two points as extra refinement centers, at
-    the grid's own floor and cutoff so accuracy matches the grid's own
-    certificate.  The per-node meshes are marched in one lock-step pass
-    and end in the grid's own octave panels, whose B values are read from
-    the kernel matrix K (built by _kernel_matrix when not given: B on the
-    upper triangle, mirrored).  Beyond p^2 ~ 1/(pi tol) the
-    ridge contributes less than tol (its amplitude decays like 1/p^2) and
-    the shared grid is used directly: A(p_i) = (K[i] @ weights) / 2pi.
+    Kp holds the kernel rows B(p_i, grid.nodes).  B(p, .) has tanh
+    crossovers at q = |2 sqrt(mu) -/+ p|, which the shared grid resolves
+    only for p near 0, so each momentum gets the grid's mesh regraded
+    with those two points as extra refinement centers, at the grid's own
+    floor and cutoff so accuracy matches the grid's own certificate.  The
+    meshes are marched in one lock-step pass and end in the grid's own
+    octave panels, whose B values are read from Kp.  Beyond p^2 ~ 1/(pi
+    tol) the ridge contributes less than tol (its amplitude decays like
+    1/p^2) and the shared grid is used directly: A(p_i) = (Kp[i] @
+    weights) / 2pi.
     """
-    if K is None:
-        K = _kernel_matrix(params, grid)
+    _require_resolved(grid)
     T, mu = params.T, params.mu
     smu = np.sqrt(mu) if mu > 0 else 0.0
     # ridge of B(p, .) carries weight <~ (4(sqrt(mu)+sqrt(T))+1)/p^2
     p_skip = np.sqrt(
         8.0 * mu + (4.0 * (smu + np.sqrt(T)) + 1.0) / (np.pi * grid.policy.tol)
     )
-    p = grid.nodes
     k = int(np.searchsorted(p, p_skip))
 
-    diag = np.empty(grid.n)
+    out = np.empty(p.size)
     if k:
         head = p[:k]
         crossovers = np.column_stack([np.abs(2.0 * smu - head), 2.0 * smu + head])
         q, w, sizes = _mesh_with_centers(grid, crossovers)
         ends = np.cumsum(sizes)
         # every mesh ends in the grid's own n_oct octave nodes, whose B
-        # values K already holds
-        n_oct = int(np.count_nonzero(p > grid.core_cutoff))
+        # values Kp already holds
+        n_oct = int(np.count_nonzero(grid.nodes > grid.core_cutoff))
         octave = (ends - n_oct)[:, None] + np.arange(n_oct)
         vals = np.empty(q.size)
-        vals[octave] = K[:k, grid.n - n_oct :]
+        vals[octave] = Kp[:k, grid.n - n_oct :]
         fresh = np.ones(q.size, dtype=bool)
         fresh[octave] = False
         vals[fresh] = eval_B(np.repeat(head, sizes - n_oct), q[fresh], params)
-        diag[:k] = np.add.reduceat(w * vals, ends - sizes) / (2.0 * np.pi)
-    if k < grid.n:
-        _require_resolved(grid)
-        diag[k:] = (K[k:] @ grid.weights) / (2.0 * np.pi)
-    return diag
+        out[:k] = np.add.reduceat(w * vals, ends - sizes) / (2.0 * np.pi)
+    out[k:] = (Kp[k:] @ grid.weights) / (2.0 * np.pi)
+    return out
+
+
+def eval_A(p, params: ModelParams, grid: MomentumGrid):
+    """A(p) = A(|p|) = (1/4pi) * integral_R B(p,q) dq, by _A_rows on grid;
+    on the grid's nodes it is the operator's diagonal, bit for bit.  Raises
+    QuadratureUnderresolved if the grid's self-convergence exceeds its tol."""
+    p, scalar = _wrap(p)
+    order = np.argsort(np.abs(p))
+    s = np.abs(p)[order]
+    out = np.empty(p.size)
+    out[order] = _A_rows(params, grid, s, eval_B(s[:, None], grid.nodes, params))
+    return _unwrap(out, scalar)
+
+
+def eval_E(p, params: ModelParams, grid: MomentumGrid):
+    """E(p) = 4*pi*(A(0) - A(p)), both from one call, so E(0) is exactly 0."""
+    p, scalar = _wrap(p)
+    A = eval_A(np.concatenate([[0.0], p]), params, grid)
+    return _unwrap(4.0 * np.pi * (A[0] - A[1:]), scalar)
 
 
 def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
@@ -204,9 +225,9 @@ def assemble(
     formed once as an outer product.
     """
     K = _kernel_matrix(params, grid)
-    diag = _diag_A(params, grid, K)
+    diag = _A_rows(params, grid, grid.nodes, K)
     sw = np.sqrt(grid.weights)
-    full = K  # scaled in place; _diag_A was K's last reader
+    full = K  # scaled in place; _A_rows was K's last reader
     full *= sw[:, None] * sw[None, :]
     full *= bc.sign / (2.0 * np.pi)
     full[np.diag_indices_from(full)] += diag

@@ -1,9 +1,9 @@
 """Closed-form kernels of the BCS spectral problem in momentum space.
 
-The kernel family (F, L, B), the Matsubara series for L, and the derived
-quantities A(p), a = A(0) and E(p) = 4*pi*(a - A(p)) drive everything
-else in the package.  All evaluators are pure functions, accept floats
-or numpy arrays elementwise, and are arranged to be cancellation-free at
+The kernel family (F, L, B), the Matsubara series for L and the edge
+a = A(0) drive everything else in the package (A(p) and E(p) live in
+bs_operator).  All evaluators are pure functions, accept floats or
+numpy arrays elementwise, and are arranged to be cancellation-free at
 the removable singularities p^2 = mu (for F) and p^2 + q^2 = 2*mu (for
 L), so results stay finite for any finite input.
 
@@ -34,9 +34,7 @@ __all__ = [
     "eval_L",
     "eval_L_series",
     "eval_B",
-    "eval_A",
     "eval_a",
-    "eval_E",
 ]
 
 # Euler-Mascheroni constant to 20 significant digits.
@@ -267,6 +265,11 @@ def eval_B(p, q, params: ModelParams):
 
 
 def _require_resolved(grid) -> None:
+    """Refuse a grid whose B(0, .) self-convergence probe exceeds its tol.
+
+    The probe certifies A(0) and the rows past p_skip that _A_rows sums on
+    the plain grid, not other momenta there; _A_rows regrades those.
+    """
     if grid.self_convergence > grid.policy.tol:
         raise QuadratureUnderresolved(
             f"grid self-convergence estimate {grid.self_convergence:.3e} "
@@ -274,28 +277,8 @@ def _require_resolved(grid) -> None:
         )
 
 
-def eval_A(p, params: ModelParams, grid):
-    """A(p) = (1/4pi) * integral_R B(p,q) dq, by quadrature on the grid.
-
-    B is even in q, so the integral runs over [0, Lambda] and is doubled.
-    Raises QuadratureUnderresolved when the grid's stored a-posteriori
-    estimate is worse than its requested tolerance.
-    """
-    _require_resolved(grid)
-    p, scalar = _wrap(p)
-    vals = eval_B(p[:, None], grid.nodes[None, :], params)
-    out = (vals @ grid.weights) / (2.0 * np.pi)
-    return _unwrap(out, scalar)
-
-
 def eval_a(params: ModelParams, grid):
-    """Essential-spectrum edge a_{T,mu} = A(0), strictly decreasing in T."""
-    return eval_A(0.0, params, grid)
-
-
-def eval_E(p, params: ModelParams, grid):
-    """E(p) = 4*pi*(a - A(p)); nonnegative up to quadrature tolerance."""
-    a = eval_a(params, grid)
-    p, scalar = _wrap(p)
-    out = 4.0 * np.pi * (a - eval_A(p, params, grid))
-    return _unwrap(out, scalar)
+    """Essential-spectrum edge a_{T,mu} = A(0), strictly decreasing in T,
+    summed on the grid's nodes, which are graded to B(0, .)'s crossover."""
+    _require_resolved(grid)
+    return float(grid.weights @ eval_B(0.0, grid.nodes, params)) / (2.0 * np.pi)

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_operator import _kernel_matrix
+from .bs_operator import _kernel_matrix, eval_E
 from .kernels import (
     ModelParams,
     _tanh_over_x,
     _tanh_pair_ratio,
     eval_B,
-    eval_E,
     eval_L,
 )
 from .quadrature import GridKnobs, build_grid
@@ -263,9 +262,7 @@ def check_E_log_growth(
     ms = []
     for T in sorted(T_list, reverse=True):
         params = ModelParams(T=float(T), mu=mu)
-        feats = tuple(abs(2.0 * smu - x) for x in ps) + tuple(2.0 * smu + x for x in ps)
-        centers = tuple(f for f in feats if f > 0.0)
-        grid = build_grid(params, _E_GRID_TOL, knobs, extra_centers=centers)
+        grid = build_grid(params, _E_GRID_TOL, knobs)
         ms.append(float(np.min(eval_E(ps, params, grid)) / np.log(mu / T)))
     logger.info("E_log_growth(mu=%g, eps=%g): m(T) ladder %s", mu, eps, ms)
     report = _tally("E_log_growth", np.asarray(ms), 1.0, 0)

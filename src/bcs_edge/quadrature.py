@@ -8,8 +8,9 @@ grid.  Grids are immutable after construction.
 
 One marcher, _march_edges, lays out the graded panel edges of many
 meshes in one lock-step numpy pass: build_grid marches its single mesh
-with it, and _mesh_with_centers the operator's per-node meshes, which
-differ only by their extra centers and share the grid's octave panels.
+with it, and _mesh_with_centers the per-momentum meshes of the A(p)
+integrator in bs_operator, which add each momentum's two crossovers to
+the grid's own centers and share the grid's octave panels.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class GridKnobs:
 class GridPolicy:
     """Construction record: the knobs that determine a grid bit-for-bit.
 
-    tail_k and extend_tail are the same for every grid; they are kept
-    on the record so that it still names everything the grid depends on.
+    The class constants are the same for every grid; they are kept on
+    the record so that it still names everything the grid depends on.
     """
 
     T: float
@@ -90,7 +91,7 @@ class GridPolicy:
     cutoff_factor: float = 3.0
     tail_k: ClassVar[float] = TAIL_K
     extend_tail: ClassVar[bool] = True
-    extra_centers: tuple = ()
+    extra_centers: ClassVar[tuple] = ()
     depth: int = 0
 
 
@@ -215,8 +216,6 @@ def build_grid(
     params: ModelParams,
     tol: float = 1e-8,
     knobs: GridKnobs = GridKnobs(),
-    *,
-    extra_centers: tuple = (),
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
@@ -224,10 +223,10 @@ def build_grid(
     sqrt(max(T,mu,1))) and grows by octaves until the analytic
     tail_bound certifies a truncation error below tol/2 in the units
     of a = (1/4pi) integral B(0,q) dq.  Panels refine
-    geometrically toward 0, sqrt(mu), 2*sqrt(mu) (plus extra_centers)
-    down to the crossover width; construction then measures an
-    a-posteriori estimate by doubling points per panel and by halving
-    panels, and deepens the grading until that estimate is below tol.
+    geometrically toward 0, sqrt(mu), 2*sqrt(mu) down to the crossover
+    width; construction then measures an a-posteriori estimate by
+    doubling points per panel and by halving panels, and deepens the
+    grading until that estimate is below tol.
 
     Every panel carries knobs.points_per_panel Gauss-Legendre nodes.
 
@@ -252,10 +251,10 @@ def build_grid(
     scale = np.sqrt(max(T, mu))
     base = scale / 2.0
     if mu > 0:
-        centers = (0.0, smu, 2.0 * smu) + tuple(extra_centers)
+        centers = (0.0, smu, 2.0 * smu)
         floor0 = min(T / smu, base) / 4.0
     else:
-        centers = (0.0,) + tuple(extra_centers)
+        centers = (0.0,)
         floor0 = base / 4.0
     lam0 = knobs.cutoff_factor * (2.0 * smu + TAIL_K * np.sqrt(max(T, mu, 1.0)))
 
@@ -298,7 +297,6 @@ def build_grid(
         tol=tol,
         points_per_panel=points_per_panel,
         cutoff_factor=knobs.cutoff_factor,
-        extra_centers=tuple(extra_centers),
         depth=depth,
     )
     return MomentumGrid(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bs_operator import (
     BoundaryCondition,
-    _diag_A,
+    _A_rows,
     _kernel_matrix,
     assemble,
     top_eigenpair,
@@ -89,7 +89,7 @@ def _pieces(
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     K = _kernel_matrix(params, grid)
-    diag = _diag_A(params, grid, K)
+    diag = _A_rows(params, grid, p, K)
     a = float(eval_a(params, grid))
     wg = w * gfold
     cross = wg @ K @ wg

@@ -37,7 +37,7 @@ from bcs_edge import (
     top_eigenpair,
     trial_gap,
 )
-from bcs_edge.bs_operator import _diag_A
+from bcs_edge.bs_operator import eval_A
 
 DIRICHLET = BoundaryCondition.DIRICHLET
 NEUMANN = BoundaryCondition.NEUMANN
@@ -184,7 +184,7 @@ def full_line_top(params, grid, bc):
         * (sw[:, None] * sw[None, :])
         / (4.0 * np.pi)
     )
-    d = _diag_A(params, grid)
+    d = eval_A(grid.nodes, params, grid)
     M[np.diag_indices_from(M)] += np.concatenate([d[::-1], d])
     return float(np.linalg.eigh(M)[0][-1])
 

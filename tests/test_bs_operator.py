@@ -28,8 +28,8 @@ from bcs_edge.bs_operator import (
     spectral_gap,
     top_eigenpair,
 )
-from bcs_edge.bs_operator import _diag_A, _kernel_matrix
-from bcs_edge.kernels import _BLOCK, eval_A
+from bcs_edge.bs_operator import _kernel_matrix, eval_A
+from bcs_edge.kernels import _BLOCK
 from bcs_edge.quadrature import BETA, _panels_to_grid
 from test_quadrature import scalar_march
 
@@ -48,7 +48,7 @@ def full_line_top(params, grid, bc):
         * (sw[:, None] * sw[None, :])
         / (4.0 * np.pi)
     )
-    d = _diag_A(params, grid)
+    d = eval_A(grid.nodes, params, grid)
     M[np.diag_indices_from(M)] += np.concatenate([d[::-1], d])
     return float(np.linalg.eigh(M)[0][-1])
 
@@ -82,15 +82,15 @@ def test_diag_only_is_multiplication_by_A():
     params = ModelParams(T=0.5, mu=1.0)
     grid = build_grid(params, 1e-8)
     op = assemble(params, grid, D)
-    diag = _diag_A(params, grid)
+    diag = eval_A(grid.nodes, params, grid)
     assert int(np.argmax(diag)) == 0
     assert diag[0] < op.a_edge
     assert op.a_edge == pytest.approx(eval_a(params, grid), rel=1e-15)
 
 
 def per_node_diag_A(params, grid):
-    """Reference _diag_A: one scalar-marched mesh per node, every B value
-    evaluated afresh, and eval_A for the nodes beyond p_skip."""
+    """Reference diagonal: one scalar-marched mesh per node, every B value
+    evaluated afresh, and the plain grid sum for the nodes beyond p_skip."""
     smu = np.sqrt(params.mu) if params.mu > 0 else 0.0
     p_skip = np.sqrt(
         8.0 * params.mu
@@ -112,15 +112,34 @@ def per_node_diag_A(params, grid):
         np.repeat(grid.nodes[:k], sizes), np.concatenate(qs), params
     )
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    tail = eval_A(grid.nodes[k:], params, grid)
-    return np.concatenate([np.add.reduceat(vals, starts) / (2.0 * np.pi), tail])
+    tail = eval_B(grid.nodes[k:, None], grid.nodes, params) @ grid.weights
+    return np.concatenate([np.add.reduceat(vals, starts), tail]) / (2.0 * np.pi)
 
 
 def test_diag_A_matches_per_node_meshes():
     for T in (1e-4, 7.8e-3, 1.0):
         params = ModelParams(T=T, mu=1.0)
         grid = build_grid(params, 1e-8)
-        assert np.array_equal(_diag_A(params, grid), per_node_diag_A(params, grid))
+        diag = eval_A(grid.nodes, params, grid)
+        assert np.array_equal(diag, per_node_diag_A(params, grid))
+
+
+def test_eval_A_is_the_operator_diagonal():
+    # assemble adds A(p_i) to the scaled kernel diagonal; eval_A must
+    # give those A(p_i) bit for bit, in any order and sign of the momenta
+    rng = np.random.default_rng(20261018)
+    for T in (1e-4, 7.8e-3, 1.0):
+        params = ModelParams(T=T, mu=1.0)
+        grid = build_grid(params, 1e-8)
+        op = assemble(params, grid, N)
+        sw = np.sqrt(grid.weights)
+        K = _kernel_matrix(params, grid) * (sw[:, None] * sw[None, :])
+        K *= N.sign / (2.0 * np.pi)
+        diag = eval_A(grid.nodes, params, grid)
+        assert np.array_equal(np.diagonal(op.matrix), (np.diagonal(K) + diag)[: op.n])
+        perm = rng.permutation(grid.n)
+        flipped = rng.choice([-1.0, 1.0], grid.n) * grid.nodes[perm]
+        assert np.array_equal(eval_A(flipped, params, grid), diag[perm])
 
 
 def test_even_sector_matches_full_line():
@@ -176,7 +195,7 @@ def uncut_matrix(params, grid, bc):
     sw = np.sqrt(grid.weights)
     M = _kernel_matrix(params, grid) * (sw[:, None] * sw[None, :])
     M *= bc.sign / (2.0 * np.pi)
-    M[np.diag_indices_from(M)] += _diag_A(params, grid)
+    M[np.diag_indices_from(M)] += eval_A(grid.nodes, params, grid)
     return M
 
 

@@ -34,6 +34,9 @@ from bcs_edge.kernels import _BLOCK, TANH_RATIO_SWITCH, _exp
 A_ORACLE_T1_MU0 = 0.42890235186151114
 # [a_at_Tem3] a_{T,mu} at T=1e-3, mu=1
 A_ORACLE_T1EM3_MU1 = 2.6800680136681097
+# [A_off_node] A(p) at mu=1 for (p, T) = (0.77, 1e-2) and (1.9, 1e-3)
+A_ORACLE_P0P77_T1EM2 = 0.55480306178325759
+A_ORACLE_P1P9_T1EM3 = 0.32930591021352367
 
 
 def test_params_validation():
@@ -254,6 +257,20 @@ def test_A_vectorized_matches_scalar():
     for pi, vi in zip(ps, vec):
         assert eval_A(float(pi), params, grid) == pytest.approx(vi, rel=1e-14)
     assert vec[0] == pytest.approx(eval_a(params, grid), rel=1e-14)
+
+
+def test_A_off_node_matches_oracle():
+    # momenta away from the nodes, whose B(p, .) crossovers |2 -/+ p|
+    # the grid is not graded toward; A must still meet the grid's tol
+    for p, T, ref in (
+        (0.77, 1e-2, A_ORACLE_P0P77_T1EM2),
+        (1.9, 1e-3, A_ORACLE_P1P9_T1EM3),
+    ):
+        params = ModelParams(T=T, mu=1.0)
+        grid = build_grid(params, tol=1e-8)
+        vals = eval_A(np.array([p, -p]), params, grid)
+        assert np.all(np.abs(vals - ref) <= grid.policy.tol)
+        assert eval_A(p, params, grid) == vals[0] == vals[1]
 
 
 def test_underresolved_grid_is_rejected():

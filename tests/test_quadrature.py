@@ -82,14 +82,6 @@ def test_grid_invariants_small_T():
     assert local.min() <= params.T
 
 
-def test_extra_centers_are_honored():
-    grid = build_grid(
-        ModelParams(T=0.5, mu=1.0), tol=1e-8, extra_centers=(0.37,)
-    )
-    assert 0.37 in grid.refinement_centers
-    assert np.any(grid.panel_edges == 0.37)
-
-
 def test_refused_regime():
     with pytest.raises(RefusedRegime):
         build_grid(ModelParams(T=1e-9, mu=1.0), tol=1e-8)

@@ -13,7 +13,7 @@ from bcs_edge import variational
 from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
 from bcs_edge.errors import DenominatorNonnegative, NoSignChange
 from bcs_edge.kernels import ModelParams, eval_F
-from bcs_edge.quadrature import build_grid
+from bcs_edge.quadrature import _panels_to_grid, build_grid
 from bcs_edge.variational import (
     TrialConfig,
     _pieces,
@@ -170,9 +170,11 @@ def test_int_F_window_bounded():
     smu2 = np.sqrt(2.0)
     for T, slack in ((1.0, -0.05), (1e-4, 1e-8)):
         params = ModelParams(T=T, mu=1.0)
-        grid = build_grid(params, 1e-9, extra_centers=(smu2,))
-        m = grid.nodes > smu2
-        w = 2.0 * float(grid.weights[m] @ eval_F(grid.nodes[m], params))
+        grid = build_grid(params, 1e-9)
+        edges = np.union1d(grid.panel_edges, [smu2])
+        nodes, weights = _panels_to_grid(edges, grid.policy.points_per_panel)
+        m = nodes > smu2
+        w = 2.0 * float(weights[m] @ eval_F(nodes[m], params))
         assert 1.0 < w <= bound + slack
 
 

@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
-"""Five sha256 lines: operator matrices, integrals, solver outputs, raw
-kernel values, then the inequality checks.
+"""Six sha256 lines: operator matrices, integrals, solver outputs, raw
+kernel values, the inequality checks, then A(p) and E(p) off the nodes.
 
 First line: for every (T, mu, tol, knobs) point of a fixed battery, the
 raw bytes of assemble(...).matrix for both boundary conditions.  Second
 line: for the same points, the grid size, the essential edge a_edge =
-eval_a, the diagonal _diag_A and trial_gap.  Third line: the results of
-tc_bulk, tc_boundary (both boundary conditions), v_of_T (both) and one
-ratio_curve row (both), all at tol 1e-4.  Fourth line: the raw outputs
-of eval_F, eval_L, eval_B and eval_a on a kernel battery (T/mu from
-1e-8 to 1e3, momenta whose exponentials straddle the underflow band,
-array lengths around the 2**14-element kernel block, scalar inputs).
-A point or call that raises contributes the name of the error type
-instead.  Fifth line: name, samples, violations and worst_margin of each
-of the eight CheckReports of the verify battery at mu = 1, seed 0 and
-10,000 samples.  Two checkouts that print the same lines build
-bit-identical operators and solve to bit-identical temperatures on the
-batteries; a change meant to alter the matrix alone shows as a change of
-the first and third lines with the second kept.  One command per
-checkout:
+eval_a, the diagonal eval_A(grid.nodes) and trial_gap.  Third line: the
+results of tc_bulk, tc_boundary (both boundary conditions), v_of_T
+(both) and one ratio_curve row (both), all at tol 1e-4.  Fourth line:
+the raw outputs of eval_F, eval_L, eval_B and eval_a on a kernel battery
+(T/mu from 1e-8 to 1e3, momenta whose exponentials straddle the
+underflow band, array lengths around the 2**14-element kernel block,
+scalar inputs).  A point or call that raises contributes the name of the
+error type instead.  Fifth line: name, samples, violations and
+worst_margin of each of the eight CheckReports of the verify battery at
+mu = 1, seed 0 and 10,000 samples.  Sixth line: on the battery's mu > 0
+points, eval_A and eval_E at the OFF_NODE momenta (zero, negative, and
+past the plain-grid switch p_skip at tol 1e-5 and 1e-8), as one vector
+call and one scalar call per momentum.  Two checkouts that print the
+same lines build bit-identical operators and solve to bit-identical
+temperatures on the batteries; a change meant to alter the matrix alone
+shows as a change of the first and third lines with the second kept.
+One command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
@@ -37,7 +40,9 @@ from bcs_edge import (
     GridKnobs,
     ModelParams,
     build_grid,
+    eval_A,
     eval_B,
+    eval_E,
     eval_F,
     eval_L,
     eval_a,
@@ -47,7 +52,7 @@ from bcs_edge import (
     trial_gap,
     v_of_T,
 )
-from bcs_edge.bs_operator import BoundaryCondition, _diag_A, assemble
+from bcs_edge.bs_operator import BoundaryCondition, assemble
 from bcs_edge.cli import cmd_verify
 
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
@@ -71,6 +76,8 @@ KERNEL_SCALARS = ((0.0, 0.0), (1.0, 1.0), (0.3, 2.0), (np.sqrt(2.0), 0.0), (50.0
 
 CHECK_CONFIG = {"mu": 1.0, "seed": 0, "samples": 10_000}
 
+OFF_NODE = np.array([0.0, -0.77, 0.77, 1.9, -1.9, 3.3, -12.5, 1e3, 3e4])
+
 
 def _attempt(call) -> bytes:
     """call()'s bytes, or the name of the error type it raises."""
@@ -81,13 +88,13 @@ def _attempt(call) -> bytes:
 
 
 def _pieces(params, tol, knobs):
-    """(matrix pieces, integral pieces) of one point; a failed grid
-    build makes both its error type's name."""
+    """(matrix pieces, integral pieces, off-node pieces) of one point; a
+    failed grid build makes all three its error type's name."""
     try:
         grid = build_grid(params, tol, knobs)
     except Exception as exc:
         failed = [type(exc).__name__.encode()]
-        return failed, failed
+        return failed, failed, failed
     matrices = [
         _attempt(lambda bc=bc: assemble(params, grid, bc).matrix.tobytes())
         for bc in BoundaryCondition
@@ -95,10 +102,17 @@ def _pieces(params, tol, knobs):
     integrals = [
         struct.pack("<q", grid.n),
         _attempt(lambda: struct.pack("<d", eval_a(params, grid))),
-        _attempt(lambda: _diag_A(params, grid).tobytes()),
+        _attempt(lambda: eval_A(grid.nodes, params, grid).tobytes()),
         _attempt(lambda: struct.pack("<d", trial_gap(params, knobs=knobs))),
     ]
-    return matrices, integrals
+    off_node = []
+    for f in (eval_A, eval_E):
+        off_node.append(_attempt(lambda f=f: f(OFF_NODE, params, grid).tobytes()))
+        off_node += [
+            _attempt(lambda f=f, p=p: struct.pack("<d", f(p, params, grid)))
+            for p in OFF_NODE
+        ]
+    return matrices, integrals, off_node
 
 
 def _canon(x):
@@ -188,14 +202,18 @@ def _digest(pieces):
 def main(argv) -> int:
     verbose = "-v" in argv
     matrix_total, integral_total = hashlib.sha256(), hashlib.sha256()
+    off_node_total = hashlib.sha256()
     for knobs in KNOBS:
         for tol in TOLS:
             for mu in MUS:
                 for T in TS:
-                    matrices, integrals = _pieces(ModelParams(T=T, mu=mu), tol, knobs)
+                    params = ModelParams(T=T, mu=mu)
+                    matrices, integrals, off_node = _pieces(params, tol, knobs)
                     m, i = _digest(matrices), _digest(integrals)
                     matrix_total.update(m.digest())
                     integral_total.update(i.digest())
+                    if mu > 0:
+                        off_node_total.update(_digest(off_node).digest())
                     if verbose:
                         print(
                             f"T={T:g} mu={mu:g} tol={tol:g} "
@@ -213,6 +231,7 @@ def main(argv) -> int:
         if verbose:
             print(f"check {name} {h.hexdigest()[:16]}")
     print(check_total.hexdigest())
+    print(off_node_total.hexdigest())
     return 0
 
 

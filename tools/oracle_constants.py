@@ -123,3 +123,39 @@ lnr = mp.log(mu / T)
 print_const("sandwich_ratio", I_g / lnr)
 print_const("sandwich_lo", 4 / mp.sqrt(mu) * mp.exp(-4 * mu / b))
 print_const("sandwich_hi", 4 / mp.sqrt(mu))
+
+print()
+print("## section A_off_node: A(p) = (1/2pi) integral_0^inf B(p,q) dq, mu=1")
+mu = mp.mpf(1)
+
+
+def boundary_kernel(p, q, T, mu):
+    """B(p,q) = (tanh(x/2T) + tanh(y/2T)) / (x + y), x = ((p+q)/2)^2 - mu,
+    y = ((p-q)/2)^2 - mu, with the x + y = 0 limit sech^2(x/2T) / (2T)."""
+    x = ((p + q) / 2) ** 2 - mu
+    y = ((p - q) / 2) ** 2 - mu
+    if abs(x + y) < mp.mpf("1e-25"):
+        return (1 - mp.tanh(x / (2 * T)) ** 2) / (2 * T)
+    return (mp.tanh(x / (2 * T)) + mp.tanh(y / (2 * T))) / (x + y)
+
+
+def A_value(p, T, mu):
+    """A(p), split at B(p,.)'s crossovers q = |2 sqrt(mu) -/+ p| and at the
+    removable circle p^2 + q^2 = 4 mu, each crossover (width ~2T/sqrt(mu))
+    surrounded by a geometric ladder of break points down to ~T/10."""
+    s2 = 2 * mp.sqrt(mu)
+    pts = {mp.mpf(0), abs(s2 - p), s2 + p}
+    if p < s2:
+        pts.add(mp.sqrt(s2 * s2 - p * p))
+    for c in (abs(s2 - p), s2 + p):
+        k = mp.mpf("0.25")
+        while k > T / 10:
+            pts.update(x for x in (c - k, c + k) if x > 0)
+            k = k / 4
+    top = s2 + p
+    pts = sorted(pts) + [4 * top, 10 * top, 100 * top, 1000 * top, mp.inf]
+    return mp.quad(lambda q: boundary_kernel(p, q, T, mu), pts) / (2 * mp.pi)
+
+
+print_const("A_p0p77_T1em2_mu1", A_value(mp.mpf("0.77"), mp.mpf("1e-2"), mu))
+print_const("A_p1p9_T1em3_mu1", A_value(mp.mpf("1.9"), mp.mpf("1e-3"), mu))
