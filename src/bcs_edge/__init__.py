@@ -38,13 +38,11 @@ from .critical_temperature import (
     v_of_T,
 )
 from .kernels import (
-    CALIBRATED_SERIES_TERMS,
     EULER_GAMMA,
     ModelParams,
     eval_B,
     eval_F,
     eval_L,
-    eval_L_series,
     eval_a,
 )
 from .lemma_suite import (
@@ -86,7 +84,6 @@ __all__ = [
     "QuadratureUnderresolved",
     "RefusedRegime",
     "ToleranceUnreachable",
-    "CALIBRATED_SERIES_TERMS",
     "EULER_GAMMA",
     "ModelParams",
     "eval_A",
@@ -94,7 +91,6 @@ __all__ = [
     "eval_E",
     "eval_F",
     "eval_L",
-    "eval_L_series",
     "eval_a",
     "GridKnobs",
     "GridPolicy",

@@ -118,14 +118,16 @@ def _A_rows(
 
     Kp holds the kernel rows B(p_i, grid.nodes).  B(p, .) has tanh
     crossovers at q = |2 sqrt(mu) -/+ p|, which the shared grid resolves
-    only for p near 0, so each momentum gets the grid's mesh regraded
-    with those two points as extra refinement centers, at the grid's own
-    floor and cutoff so accuracy matches the grid's own certificate.  The
-    meshes are marched in one lock-step pass and end in the grid's own
-    octave panels, whose B values are read from Kp.  Beyond p^2 ~ 1/(pi
-    tol) the ridge contributes less than tol (its amplitude decays like
-    1/p^2) and the shared grid is used directly: A(p_i) = (Kp[i] @
-    weights) / 2pi.
+    only for p near 0, so each momentum gets the grid's mesh regraded with
+    those two points as extra refinement centers, at the grid's own floor
+    and cutoff so accuracy matches the grid's own certificate.  The meshes
+    are marched in one lock-step pass and end in the grid's own octave
+    panels, whose B values are read from Kp.  _march_edges drops centers at
+    or past the core cutoff, so for p > core_cutoff - 2 sqrt(mu) a crossover
+    falls in an octave panel that does not resolve it and A(p) can miss the
+    grid's tol.  Beyond p^2 ~ 1/(pi tol) the ridge contributes less than tol
+    (its amplitude decays like 1/p^2) and the shared grid is used directly:
+    A(p_i) = (Kp[i] @ weights) / 2pi.
     """
     _require_resolved(grid)
     T, mu = params.T, params.mu

@@ -259,8 +259,8 @@ def _positive(parser, cfg, *names) -> None:
         value = cfg[name]
         values = value if isinstance(value, list) else [value]
         for item in values:
-            if not item > 0:
-                parser.error(f"--{name.replace('_', '-')} must be positive")
+            if not (item > 0 and np.isfinite(item)):
+                parser.error(f"--{name.replace('_', '-')} must be positive and finite")
 
 
 def cmd_tc(parser, cfg, knobs):
@@ -340,8 +340,8 @@ def cmd_ratio_curve(parser, cfg, knobs):
 
 def cmd_spectrum(parser, cfg, knobs):
     _positive(parser, cfg, "T", "tol")
-    if cfg["mu"] < 0:
-        parser.error("--mu must be nonnegative")
+    if not (cfg["mu"] >= 0 and np.isfinite(cfg["mu"])):
+        parser.error("--mu must be nonnegative and finite")
     bc = BoundaryCondition(cfg["bc"])
     params = ModelParams(T=cfg["T"], mu=cfg["mu"])
     grid = build_grid(params, cfg["tol"], knobs)
@@ -378,8 +378,8 @@ def cmd_spectrum(parser, cfg, knobs):
 def cmd_trial_gap(parser, cfg, knobs):
     _positive(parser, cfg, "T", "mu", "tol")
     b = cfg["b"] if cfg["b"] is not None else cfg["mu"]
-    if not b > 0:
-        parser.error("--b must be positive")
+    if not (b > 0 and np.isfinite(b)):
+        parser.error("--b must be positive and finite")
     value = trial_gap(
         ModelParams(T=cfg["T"], mu=cfg["mu"]),
         TrialConfig(b=b, tol=cfg["tol"]),

@@ -119,7 +119,7 @@ class RatioCurve:
                 )
 
 
-def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
+def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     """Root of a strictly decreasing h by safeguarded regula falsi in log T.
 
     h(T) returns (value, record); at_lo and at_hi are its results at the
@@ -127,7 +127,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
     point is the secant root in x = log T of the bracket ends, with the
     Illinois rule (Dowell & Jarratt 1971): the end kept twice in a row
     enters the secant with its value halved, so neither end can stall.
-    Two safeguards bound the cost: every trial point sits at least rel/2
+    Two safeguards bound the cost: every trial point sits at least tol/2
     inside the bracket (near the root this steps across it, which
     closes the bracket), and whenever the bracket has not at least
     halved over two steps the next step is a plain bisection, so the
@@ -136,7 +136,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
     Every value is checked against the bracketing values; an
     out-of-order value means the monotonicity assumption failed at
     quadrature level, which is a BracketFailure, not a root.  Stops when
-    hi - lo <= rel * lo and the better end has |value| <= tol, and
+    hi - lo <= tol * lo and the better end has |value| <= tol, and
     returns (tc, residual, bracket, evaluations, record) for that end.
     """
     (h_lo, rec_lo), (h_hi, rec_hi) = at_lo, at_hi
@@ -149,7 +149,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
     s_lo, s_hi = h_lo, h_hi  # secant values, halved by the Illinois rule
     kept = 0  # +1: the last step kept hi, -1: it kept lo
     widths = []  # log-bracket width before each step, one per evaluation
-    while not (hi - lo <= rel * lo and min(abs(h_lo), abs(h_hi)) <= tol):
+    while not (hi - lo <= tol * lo and min(abs(h_lo), abs(h_hi)) <= tol):
         if len(widths) == _MAX_STEPS:
             raise ToleranceUnreachable(
                 f"{label}: no convergence in {_MAX_STEPS} steps"
@@ -159,7 +159,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, rel, label):
         if len(widths) >= 2 and width > 0.5 * widths[-2]:
             T = np.sqrt(lo * hi)
         else:
-            pad = min(0.5 * rel, 0.25 * width)
+            pad = min(0.5 * tol, 0.25 * width)
             x = x_lo + width * s_lo / (s_lo - s_hi)
             T = np.exp(min(max(x, x_lo + pad), x_hi - pad))
         widths.append(width)
@@ -230,7 +230,7 @@ def tc_bulk(
         expansions += 1
 
     tc, resid, bracket, evals, n = _root_decreasing(
-        h, lo, hi, at_lo, at_hi, tol, tol, "tc_bulk"
+        h, lo, hi, at_lo, at_hi, tol, "tc_bulk"
     )
     return TcResult(
         tc=float(tc),
@@ -311,7 +311,7 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
             at_hi = g(hi)
             expansions += 1
         tc, resid, bracket, steps, solve = _root_decreasing(
-            g, lo, hi, at_lo, at_hi, tol, tol, "tc_boundary"
+            g, lo, hi, at_lo, at_hi, tol, "tc_boundary"
         )
         steps += expansions
     result = TcResult(

@@ -1,11 +1,11 @@
 """Closed-form kernels of the BCS spectral problem in momentum space.
 
-The kernel family (F, L, B), the Matsubara series for L and the edge
-a = A(0) drive everything else in the package (A(p) and E(p) live in
-bs_operator).  All evaluators are pure functions, accept floats or
-numpy arrays elementwise, and are arranged to be cancellation-free at
-the removable singularities p^2 = mu (for F) and p^2 + q^2 = 2*mu (for
-L), so results stay finite for any finite input.
+The kernel family (F, L, B) and the edge a = A(0) drive everything else
+in the package (A(p) and E(p) live in bs_operator).  All evaluators are
+pure functions, accept floats or numpy arrays elementwise, and are
+arranged to be cancellation-free at the removable singularities
+p^2 = mu (for F) and p^2 + q^2 = 2*mu (for L), so results stay finite
+for any finite input.
 
 eval_L and eval_B run one pipeline, p, q -> (p +/- q)/2 -> u, v -> L,
 over the broadcast of their arguments in blocks of _BLOCK elements, so a
@@ -26,13 +26,11 @@ import numpy as np
 from .errors import QuadratureUnderresolved
 
 __all__ = [
-    "CALIBRATED_SERIES_TERMS",
     "EULER_GAMMA",
     "TANH_RATIO_SWITCH",
     "ModelParams",
     "eval_F",
     "eval_L",
-    "eval_L_series",
     "eval_B",
     "eval_a",
 ]
@@ -52,27 +50,24 @@ _BLOCK = 2**14
 # slow path there costs about ten times an ordinary call.
 _EXP_ZERO_CUT = -745.2
 
-# Truncation order at which the frequency series matches the closed form
-# to < 1e-6 relative (max 5.22e-7 measured over the sample box of
-# tools/calibrate_series.py; the error scales like 0.21/N there).
-CALIBRATED_SERIES_TERMS = 400_000
-
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: temperature T and chemical potential mu.
 
-    T and mu share energy units.  Kernel evaluation accepts any real mu,
-    while the solvers additionally require mu > 0 (except the scaling
-    limits, which run at mu = 0).
+    T and mu share energy units and must be finite.  Kernel evaluation
+    accepts any real mu, while the solvers additionally require mu > 0
+    (except the scaling limits, which run at mu = 0).
     """
 
     T: float
     mu: float
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (self.T > 0 and np.isfinite(self.T)):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if not np.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
 
 def _wrap(x):
@@ -226,34 +221,6 @@ def eval_L(p, q, params: ModelParams):
     return _blocked(_L_block, p, q, params)
 
 
-def eval_L_series(p, q, params: ModelParams, n_terms: int):
-    """Truncated Matsubara series for L with frequencies w_n = pi*(2n+1)*T.
-
-    Returns 2T * sum_{n=-N}^{N-1} 1 / ((x - i w_n)(y + i w_n)); the n and
-    -n-1 terms are conjugates and are summed pairwise, giving the real
-    form 4T * sum_{n=0}^{N-1} (xy + w_n^2) / ((x^2+w_n^2)(y^2+w_n^2)).
-    Converges to eval_L from below once w_N dominates |x|,|y|.
-    """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    p, sp = _wrap(p)
-    q, sq = _wrap(q)
-    p, q = np.broadcast_arrays(p, q)
-    T = params.T
-    x = p * p - params.mu
-    y = q * q - params.mu
-    x2, y2, xy = x * x, y * y, x * y
-    total = np.zeros_like(x)
-    # block the frequency sum to bound temporary sizes at ~32 MB
-    chunk = max(1, int(4e6) // max(x.size, 1))
-    for n0 in range(0, n_terms, chunk):
-        n = np.arange(n0, min(n_terms, n0 + chunk), dtype=float)
-        w2 = (np.pi * (2.0 * n + 1.0) * T) ** 2
-        denom = (x2[..., None] + w2) * (y2[..., None] + w2)
-        total += ((xy[..., None] + w2) / denom).sum(axis=-1)
-    return _unwrap(4.0 * T * total, sp and sq)
-
-
 def eval_B(p, q, params: ModelParams):
     """Boundary kernel B(p,q) = L((p+q)/2, (p-q)/2).
 
@@ -277,8 +244,13 @@ def _require_resolved(grid) -> None:
         )
 
 
+def _edge_sum(params: ModelParams, nodes, weights) -> float:
+    """(1/2pi) * sum_j w_j B(0, q_j): A(0) on one quadrature rule."""
+    return float(weights @ eval_B(0.0, nodes, params)) / (2.0 * np.pi)
+
+
 def eval_a(params: ModelParams, grid):
     """Essential-spectrum edge a_{T,mu} = A(0), strictly decreasing in T,
     summed on the grid's nodes, which are graded to B(0, .)'s crossover."""
     _require_resolved(grid)
-    return float(grid.weights @ eval_B(0.0, grid.nodes, params)) / (2.0 * np.pi)
+    return _edge_sum(params, grid.nodes, grid.weights)

@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CutoffTooSmall, RefusedRegime, ToleranceUnreachable
-from .kernels import ModelParams, eval_B
+from .kernels import ModelParams, _edge_sum
 
 __all__ = [
     "GridKnobs",
@@ -181,11 +181,6 @@ def _march_edges(hi: float, centers, floor: float, beta: float):
     return edges, sizes
 
 
-def _a_functional(params: ModelParams, nodes, weights) -> float:
-    """(1/2pi) * integral_0^Lambda B(0,q) dq, the self-convergence probe."""
-    return float(weights @ eval_B(0.0, nodes, params)) / (2.0 * np.pi)
-
-
 def tail_bound(params: ModelParams, cutoff: float) -> float:
     """Analytic upper bound on sup_p integral_{|q|>cutoff} B(p,q) dq.
 
@@ -267,10 +262,10 @@ def build_grid(
         n2, w2 = _panels_to_grid(edges, 2 * points_per_panel)
         split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
         n3, w3 = _panels_to_grid(split, points_per_panel)
-        j1 = _a_functional(params, n1, w1)
+        j1 = _edge_sum(params, n1, w1)
         conv = max(
-            abs(j1 - _a_functional(params, n2, w2)),
-            abs(j1 - _a_functional(params, n3, w3)),
+            abs(j1 - _edge_sum(params, n2, w2)),
+            abs(j1 - _edge_sum(params, n3, w3)),
         )
         if conv <= tol:
             break

@@ -11,7 +11,6 @@ import numpy as np
 
 import bcs_edge.cli as cli
 from bcs_edge import (
-    CALIBRATED_SERIES_TERMS,
     BoundaryCondition,
     GridKnobs,
     ModelParams,
@@ -26,7 +25,6 @@ from bcs_edge import (
     check_tanh_sum,
     eval_B,
     eval_L,
-    eval_L_series,
     eval_a,
     int_F_residual,
     ratio_curve,
@@ -38,6 +36,7 @@ from bcs_edge import (
     trial_gap,
 )
 from bcs_edge.bs_operator import eval_A
+from test_kernels import matsubara_L
 
 DIRICHLET = BoundaryCondition.DIRICHLET
 NEUMANN = BoundaryCondition.NEUMANN
@@ -210,7 +209,8 @@ def test_c10_discretization_validity(acceptance):
             p = rng.uniform(-0.8, 0.8, 500)
             q = rng.uniform(-0.8, 0.8, 500)
             exact = eval_L(p, q, params)
-            series = eval_L_series(p, q, params, CALIBRATED_SERIES_TERMS)
+            # 30 conjugate pairs plus the closed two-order tail
+            series = matsubara_L(p, q, params, 30)
             worst = max(worst, float(np.max(np.abs(series / exact - 1.0))))
         assert worst <= 1e-6
 

@@ -56,6 +56,25 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["asymptotics", "--mu", "inf", "--v", "1"], "--mu"),
+        (["spectrum", "--T", "inf", "--mu", "1"], "--T"),
+        (["spectrum", "--T", "1e-3", "--mu", "nan"], "--mu"),
+        (["tc-bulk", "--mu", "1", "--v", "inf"], "--v"),
+        (["ratio-curve", "--mu", "1", "--bc", "dirichlet", "--v-min", "1",
+          "--v-max", "inf", "--v-count", "2"], "--v-max"),
+        (["trial-gap", "--T", "0.1", "--mu", "1", "--b", "inf"], "--b"),
+    ],
+)
+def test_non_finite_values_exit_one(capsys, argv, flag):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"{flag} must be" in captured.err and "finite" in captured.err
+
+
 def test_unwritable_out_path_exit_one(capsys):
     code = cli.main(
         ["asymptotics", "--mu", "1", "--v", "1",

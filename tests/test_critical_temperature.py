@@ -33,7 +33,7 @@ ROOT = 0.0123
 
 def _solve_synthetic(f, lo, hi, tol=1e-6):
     h = lambda T: (f(T), None)
-    return _root_decreasing(h, lo, hi, h(lo), h(hi), tol, tol, "synthetic")
+    return _root_decreasing(h, lo, hi, h(lo), h(hi), tol, "synthetic")
 
 
 @pytest.mark.parametrize(

@@ -159,3 +159,9 @@ def A_value(p, T, mu):
 
 print_const("A_p0p77_T1em2_mu1", A_value(mp.mpf("0.77"), mp.mpf("1e-2"), mu))
 print_const("A_p1p9_T1em3_mu1", A_value(mp.mpf("1.9"), mp.mpf("1e-3"), mu))
+
+print()
+print("## section A_octave: A(p) past the grid's core at T=1e-3, mu=1")
+for ps in ["167.771", "1000"]:
+    name = f"A_p{ps.replace('.', 'p')}_T1em3_mu1"
+    print_const(name, A_value(mp.mpf(ps), mp.mpf("1e-3"), mu))
