@@ -5,11 +5,13 @@ crosses the coupling threshold); the half-line temperature solves the
 same equation for the top eigenvalue of the discretized boundary
 operator.  Both functions are strictly decreasing in T, and both are
 solved by Illinois regula falsi in log T, safeguarded so that every
-trial point stays inside the bracket and a plain bisection step is
-taken whenever the bracket stops halving.  The monotonicity is
-monitored rather than trusted: a value that escapes the bracketing
-values raises BracketFailure instead of returning a plausible wrong
-root.
+trial point stays inside the bracket and a plain bisection step is taken
+whenever the bracket stops halving.  The half-line bracket is closed by
+steps up from tc_bulk, predicted from the closed-form slope of the
+essential edge and then from secants.  The monotonicity is monitored
+rather than trusted: a value that escapes the bracketing values, or
+rises while a bracket is closed, raises BracketFailure instead of
+returning a plausible wrong root.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .bs_operator import EIGEN_TOL, BoundaryCondition, assemble, top_eigenpair
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
-from .kernels import EULER_GAMMA, ModelParams, eval_a
+from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
 from .quadrature import GridKnobs, MomentumGrid, build_grid
 
 __all__ = [
@@ -42,8 +44,8 @@ logger = logging.getLogger(__name__)
 # residual; well above double-precision noise amplified by the eigensolve.
 TOL_DEFAULT = 1e-6
 
-# Bracket expansion step and cap for tc_boundary (shifts are O(10%) at
-# most, so one or two expansions suffice; the cap catches divergence).
+# Largest relative step and cap of tc_boundary's bracketing (shifts are
+# O(10%) at most, so one or two steps suffice; the cap catches divergence).
 BRACKET_STEP = 0.5
 BRACKET_CAP = 2.0**10
 
@@ -76,14 +78,14 @@ class RatioRow:
     """One sweep point; `error` holds the failure text when a solver died.
 
     t_noise is the grid's self-convergence (the B(0,.) probe that
-    decides refinement depth) divided by the local slope of a_{T,mu} in
-    T at tc_bulk.  The probe reads near 0 on converged grids (t_noise
-    1.7e-17 at v=0.6, mu=1, tol 1e-4), while the top eigenvalue moves
-    when the grid is refined, so t_noise bounds no error of either
-    temperature.  The two evaluation counts are the solves each root
-    find took, bracketing included.  grid_nodes counts the nodes of the
-    grid built at tc_bulk and matrix_nodes the order of the cut operator
-    matrix solved on it (both 0 in a failed row).
+    decides refinement depth) divided by the closed-form slope of
+    a_{T,mu} in T at tc_bulk on the row's grid.  The probe reads near 0
+    on converged grids (t_noise 1.7e-17 at v=0.6, mu=1, tol 1e-4), while
+    the top eigenvalue moves when the grid is refined, so t_noise bounds
+    no error of either temperature.  The two evaluation counts are the
+    solves each root find took, bracketing included.  grid_nodes counts
+    the nodes of the grid built at tc_bulk and matrix_nodes the order of
+    the cut operator matrix solved on it (both 0 in a failed row).
     """
 
     v: float
@@ -129,9 +131,10 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     enters the secant with its value halved, so neither end can stall.
     Two safeguards bound the cost: every trial point sits at least tol/2
     inside the bracket (near the root this steps across it, which
-    closes the bracket), and whenever the bracket has not at least
-    halved over two steps the next step is a plain bisection, so the
-    worst case stays within three times the bisection count.
+    closes the bracket), and the next step is a plain bisection when the
+    secant would be held there a second step in a row or when the
+    bracket has not at least halved over three steps, so the worst case
+    stays within four times the bisection count.
 
     Every value is checked against the bracketing values; an
     out-of-order value means the monotonicity assumption failed at
@@ -148,6 +151,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     slack = max(tol, 1e-12)
     s_lo, s_hi = h_lo, h_hi  # secant values, halved by the Illinois rule
     kept = 0  # +1: the last step kept hi, -1: it kept lo
+    pinned = False  # the last step was a secant held pad inside an end
     widths = []  # log-bracket width before each step, one per evaluation
     while not (hi - lo <= tol * lo and min(abs(h_lo), abs(h_hi)) <= tol):
         if len(widths) == _MAX_STEPS:
@@ -156,12 +160,13 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
             )
         x_lo, x_hi = np.log(lo), np.log(hi)
         width = x_hi - x_lo
-        if len(widths) >= 2 and width > 0.5 * widths[-2]:
-            T = np.sqrt(lo * hi)
+        pad = min(0.5 * tol, 0.25 * width)
+        x = x_lo + width * s_lo / (s_lo - s_hi)
+        x_in = min(max(x, x_lo + pad), x_hi - pad)
+        if (len(widths) >= 3 and width > 0.5 * widths[-3]) or (pinned and x_in != x):
+            T, pinned = np.sqrt(lo * hi), False
         else:
-            pad = min(0.5 * tol, 0.25 * width)
-            x = x_lo + width * s_lo / (s_lo - s_hi)
-            T = np.exp(min(max(x, x_lo + pad), x_hi - pad))
+            T, pinned = np.exp(x_in), x_in != x
         widths.append(width)
         h_T, rec = h(T)
         logger.debug("%s: T=%.9e h=%+.3e", label, T, h_T)
@@ -183,10 +188,40 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     return hi, h_hi, (lo, hi), len(widths), rec_hi
 
 
+def _bracket_above(h, lo, at_lo, slope, tol, label):
+    """Step x = log T up from lo, where h(lo) = at_lo is positive, until
+    the decreasing h changes sign; returns (lo, hi, at_lo, at_hi, steps).
+
+    Each step is h(lo) / -slope + tol/2, so an accurate slope lands just
+    past the root, and at most log(1 + BRACKET_STEP), the step taken
+    where slope >= 0.  slope is dh/dx at the start, then the secant of
+    the last two values.  A value that rises by more than the slack, or
+    a step past BRACKET_CAP times the start, raises BracketFailure.
+    """
+    slack, cap, steps = max(tol, 1e-12), BRACKET_CAP * lo, 0
+    while True:
+        dx = np.log1p(BRACKET_STEP)
+        if slope < 0.0:
+            dx = min(at_lo[0] / -slope + 0.5 * tol, dx)
+        T = lo * np.exp(dx)
+        if T > cap:
+            raise BracketFailure(f"{label}: no sign change below T={cap:.6g}")
+        at_T, steps = h(T), steps + 1
+        logger.debug("%s: T=%.9e h=%+.3e", label, T, at_T[0])
+        if at_T[0] > at_lo[0] + slack:
+            raise BracketFailure(
+                f"{label}: h({T:.6g})={at_T[0]:.3e} rises above {at_lo[0]:.3e}"
+            )
+        if at_T[0] <= 0.0:
+            return lo, T, at_lo, at_T, steps
+        slope = (at_T[0] - at_lo[0]) / dx
+        lo, at_lo = T, at_T
+
+
 def tc_bulk_asymptotic(v: float, mu: float) -> float:
     """Weak-coupling closed form mu * (8 e^gamma / pi) * exp(-pi sqrt(mu)/v)."""
-    if not (v > 0 and mu > 0):
-        raise ValueError(f"v and mu must be positive, got v={v}, mu={mu}")
+    if not (v > 0 and mu > 0 and np.isfinite(v) and np.isfinite(mu)):
+        raise ValueError(f"v and mu must be positive and finite, got v={v}, mu={mu}")
     return mu * (8.0 * np.exp(EULER_GAMMA) / np.pi) * np.exp(-np.pi * np.sqrt(mu) / v)
 
 
@@ -200,8 +235,7 @@ def tc_bulk(
     each way, then expanded decade by decade if the coupling is strong
     enough to escape it.  Every grid is built with knobs.
     """
-    if not (v > 0 and mu > 0):
-        raise ValueError(f"v and mu must be positive, got v={v}, mu={mu}")
+    seed = tc_bulk_asymptotic(v, mu)
     gtol = _grid_tol(tol)
     target = 1.0 / v
 
@@ -210,7 +244,6 @@ def tc_bulk(
         grid = build_grid(params, gtol, knobs)
         return eval_a(params, grid) - target, grid.n
 
-    seed = tc_bulk_asymptotic(v, mu)
     lo, hi = seed / 10.0, seed * 10.0
     at_lo, at_hi = h(lo), h(hi)
     expansions = 0
@@ -287,29 +320,20 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
     spectral_gap(assemble(...)) there at no extra cost.
     """
     gtol = _grid_tol(tol)
-    target = 1.0 / v
 
     def g(T):
         solve = _sup_boundary(T, mu, bc, gtol, knobs)
-        return solve.value - target, solve
+        return solve.value - 1.0 / v, solve
 
-    lo = bulk.tc
-    at_lo = g(lo)
+    at_lo = g(bulk.tc)
     g_lo, at_bulk = at_lo
     if g_lo <= 0.0:
-        tc, resid, bracket, steps, solve = lo, g_lo, bulk.bracket, 0, at_bulk
+        tc, resid, bracket, steps, solve = bulk.tc, g_lo, bulk.bracket, 0, at_bulk
     else:
-        hi, at_hi = lo, at_lo
-        expansions = 0
-        while at_hi[0] > 0.0:
-            hi *= 1.0 + BRACKET_STEP
-            if hi > BRACKET_CAP * bulk.tc:
-                raise BracketFailure(
-                    f"tc_boundary: no sign change below {BRACKET_CAP} * tc_bulk "
-                    f"(v={v}, mu={mu}, bc={bc.value})"
-                )
-            at_hi = g(hi)
-            expansions += 1
+        slope = _edge_log_slope(ModelParams(T=bulk.tc, mu=mu), at_bulk.grid)
+        lo, hi, at_lo, at_hi, expansions = _bracket_above(
+            g, bulk.tc, at_lo, slope, tol, "tc_boundary"
+        )
         tc, resid, bracket, steps, solve = _root_decreasing(
             g, lo, hi, at_lo, at_hi, tol, "tc_boundary"
         )
@@ -339,38 +363,23 @@ def v_of_T(
     knobs: GridKnobs = GridKnobs(),
 ) -> float:
     """Coupling at which T is the half-line critical temperature."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
     return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), knobs).value
 
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:
     bulk = tc_bulk(v, mu, tol, knobs)
     bound, at_bulk = _tc_boundary_above(bulk, v, mu, bc, tol, knobs)
-    shift = (bound.tc - bulk.tc) / bulk.tc
     grid = at_bulk.grid
-
-    # slope of a_{T,mu} in T near the root converts the quadrature
-    # self-convergence into a T-units noise floor
-    dT = 0.05 * bulk.tc
-    a_hi = eval_a(
-        ModelParams(T=bulk.tc + dT, mu=mu),
-        build_grid(ModelParams(T=bulk.tc + dT, mu=mu), _grid_tol(tol), knobs),
-    )
-    a_lo = eval_a(
-        ModelParams(T=bulk.tc - dT, mu=mu),
-        build_grid(ModelParams(T=bulk.tc - dT, mu=mu), _grid_tol(tol), knobs),
-    )
-    slope = abs(a_hi - a_lo) / (2.0 * dT)
+    # the slope of a_{T,mu} in T turns the probe into a T-units noise floor
+    slope = abs(_edge_log_slope(ModelParams(T=bulk.tc, mu=mu), grid)) / bulk.tc
     t_noise = grid.self_convergence / slope if slope > 0 else np.inf
-
     return RatioRow(
         v=v,
         mu=mu,
         bc=bc,
         tc_bulk=bulk.tc,
         tc_boundary=bound.tc,
-        relative_shift=shift,
+        relative_shift=(bound.tc - bulk.tc) / bulk.tc,
         gap_at_tc_bulk=at_bulk.gap,
         grid_nodes=grid.n,
         t_noise=t_noise,
@@ -393,8 +402,8 @@ def ratio_curve(
     one bad point cannot hide the rest of the sweep.
     """
     vs = [float(v) for v in v_values]
-    if vs != sorted(vs) or not all(v > 0 for v in vs):
-        raise ValueError("v_values must be positive and sorted ascending")
+    if vs != sorted(vs) or not all(v > 0 and np.isfinite(v) for v in vs):
+        raise ValueError("v_values must be positive, finite and sorted ascending")
     rows = []
     for v in vs:
         try:

@@ -249,6 +249,16 @@ def _edge_sum(params: ModelParams, nodes, weights) -> float:
     return float(weights @ eval_B(0.0, nodes, params)) / (2.0 * np.pi)
 
 
+def _edge_log_slope(params: ModelParams, grid) -> float:
+    """d a_{T,mu} / d ln T on the grid's rule in closed form: B(0, q) is
+    tanh(x/2T)/x with x = q^2/4 - mu, so node q adds -w sech^2(x/2T)/(4piT),
+    and sech^2(u) = 4e/(1 + e)^2 with e = exp(-2|u|) cannot overflow."""
+    twoT = 2.0 * params.T
+    with np.errstate(over="ignore"):
+        e = _exp(-2.0 * np.abs((grid.nodes * grid.nodes / 4.0 - params.mu) / twoT))
+    return -float(grid.weights @ (4.0 * e / (1.0 + e) ** 2)) / (twoT * 2.0 * np.pi)
+
+
 def eval_a(params: ModelParams, grid):
     """Essential-spectrum edge a_{T,mu} = A(0), strictly decreasing in T,
     summed on the grid's nodes, which are graded to B(0, .)'s crossover."""

@@ -9,8 +9,11 @@ import pytest
 from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
 from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
 from bcs_edge.critical_temperature import (
+    BRACKET_CAP,
+    BRACKET_STEP,
     RatioCurve,
     RatioRow,
+    _bracket_above,
     _grid_tol,
     _root_decreasing,
     ratio_curve,
@@ -30,23 +33,32 @@ BISECTION_TC_BULK = 0.007450152003057238
 
 ROOT = 0.0123
 
+# synthetic decreasing functions of T with their root at ROOT
+FACTOR_TWO_FUNCTIONS = [
+    # the high-temperature form of a_{T,mu}: smooth, convex in log T
+    lambda T: T**-0.5 - ROOT**-0.5,
+    # steep crossover: slope 50 in log T at the root, flat elsewhere
+    lambda T: -np.tanh(50.0 * np.log(T / ROOT) - 0.3),
+]
+FACTOR_TWO_STARTS = [0.55, 0.7, 0.9]
+
+
+# exp(-30 log(T/r)) - 1 bends so hard that the secant alone creeps in
+# from one side
+def bent(T):
+    return np.expm1(-30.0 * np.log(T / ROOT))
+
+
+BENT_BRACKETS = [(0.3, 4.0), (0.2, 3.0), (0.5, 5.0), (0.7, 8.0)]
+
 
 def _solve_synthetic(f, lo, hi, tol=1e-6):
     h = lambda T: (f(T), None)
     return _root_decreasing(h, lo, hi, h(lo), h(hi), tol, "synthetic")
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        # the high-temperature form of a_{T,mu}: smooth, convex in log T
-        lambda T: T**-0.5 - ROOT**-0.5,
-        # steep crossover: slope 50 in log T at the root, flat elsewhere
-        lambda T: -np.tanh(50.0 * np.log(T / ROOT) - 0.3),
-    ],
-    ids=["smooth", "steep-tanh"],
-)
-@pytest.mark.parametrize("start", [0.55, 0.7, 0.9])
+@pytest.mark.parametrize("f", FACTOR_TWO_FUNCTIONS, ids=["smooth", "steep-tanh"])
+@pytest.mark.parametrize("start", FACTOR_TWO_STARTS)
 def test_root_decreasing_converges_from_factor_two_bracket(f, start):
     tol = 1e-6
     lo, hi = start * ROOT, 2.0 * start * ROOT
@@ -58,17 +70,27 @@ def test_root_decreasing_converges_from_factor_two_bracket(f, start):
     assert resid == f(tc)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.3, 4.0), (0.2, 3.0), (0.5, 5.0), (0.7, 8.0)])
+@pytest.mark.parametrize("lo, hi", BENT_BRACKETS)
 def test_root_decreasing_never_slower_than_bisection(lo, hi):
-    # exp(-30 log(T/r)) - 1 bends so hard that the secant alone creeps in
-    # from one side; the Illinois rule and the bisection guard keep the
-    # count below what plain bisection needs to pin log T to tol / 30
+    # the Illinois rule and the bisection guard keep the count below
+    # what plain bisection needs to pin log T to tol / 30
     tol = 1e-6
-    f = lambda T: np.expm1(-30.0 * np.log(T / ROOT))
     bisection = int(np.ceil(np.log2(np.log(hi / lo) / (tol / 30.0))))
-    _, resid, _, evals, _ = _solve_synthetic(f, lo * ROOT, hi * ROOT, tol)
+    _, resid, _, evals, _ = _solve_synthetic(bent, lo * ROOT, hi * ROOT, tol)
     assert evals <= bisection
     assert abs(resid) <= tol
+
+
+def test_root_decreasing_battery_count():
+    # every synthetic solve above; a bisection guard with a two-step
+    # window, which discards the step after an Illinois halving, took 133
+    runs = [
+        (f, s * ROOT, 2.0 * s * ROOT)
+        for f in FACTOR_TWO_FUNCTIONS
+        for s in FACTOR_TWO_STARTS
+    ]
+    runs += [(bent, lo * ROOT, hi * ROOT) for lo, hi in BENT_BRACKETS]
+    assert sum(_solve_synthetic(f, lo, hi)[3] for f, lo, hi in runs) <= 126
 
 
 def test_root_decreasing_rejects_non_monotone_bump():
@@ -89,6 +111,52 @@ def test_root_decreasing_step_function_hits_the_cap():
     # |h| = 1 everywhere, so the residual test never passes
     with pytest.raises(ToleranceUnreachable):
         _solve_synthetic(lambda T: 1.0 if T < ROOT else -1.0, 0.5 * ROOT, 1.5 * ROOT)
+
+
+def _bracket_synthetic(f, lo, slope, asked):
+    """_bracket_above on h(T) = (f(T), None) from lo; every T it steps
+    to is appended to asked."""
+
+    def h(T):
+        asked.append(T)
+        return f(T), None
+
+    return _bracket_above(h, lo, (f(lo), None), slope, 1e-6, "synthetic")
+
+
+def test_bracket_above_crosses_a_linear_root_in_one_step():
+    f = lambda T: -0.7 * np.log(T / ROOT)
+    asked = []
+    lo, hi, at_lo, at_hi, steps = _bracket_synthetic(f, ROOT / 1.3, -0.7, asked)
+    assert steps == len(asked) == 1
+    assert lo == ROOT / 1.3 < ROOT < hi == asked[0]
+    # the step lands tol/2 past the root
+    assert np.log(hi / ROOT) == pytest.approx(0.5e-6, rel=1e-6)
+    assert at_lo[0] > 0.0 > at_hi[0]
+
+
+def test_bracket_above_moves_lo_and_steps_by_secant():
+    # a wrong first slope: the secant of the two values then finds the root
+    f = lambda T: -0.7 * np.log(T / ROOT)
+    asked = []
+    lo, hi, _, _, steps = _bracket_synthetic(f, ROOT / 1.3, -5.0, asked)
+    assert steps == 2
+    assert lo == asked[0] < ROOT < hi == asked[1]
+
+
+def test_bracket_above_rejects_a_rising_value():
+    with pytest.raises(BracketFailure, match="rises"):
+        _bracket_synthetic(lambda T: 0.1 + np.log(T / ROOT), ROOT, -1.0, [])
+
+
+def test_bracket_above_hits_the_cap():
+    # never changes sign: full-length steps until the next passes BRACKET_CAP
+    asked = []
+    with pytest.raises(BracketFailure, match="no sign change"):
+        _bracket_synthetic(lambda T: 1.0, ROOT, 0.0, asked)
+    steps = np.diff(np.log([ROOT] + asked))
+    assert steps == pytest.approx(np.log1p(BRACKET_STEP), rel=1e-12)
+    assert asked[-1] <= BRACKET_CAP * ROOT < asked[-1] * (1.0 + BRACKET_STEP)
 
 
 def test_asymptotic_closed_form():
@@ -158,6 +226,19 @@ def test_tc_bulk_rejects_bad_inputs():
         tc_bulk(1.0, -1.0)
 
 
+@pytest.mark.parametrize("v", [np.inf, np.nan], ids=["inf", "nan"])
+def test_solvers_refuse_non_finite_coupling(v):
+    calls = [
+        lambda: tc_bulk(v, 1.0, tol=1e-3),
+        lambda: tc_boundary(v, 1.0, D, tol=1e-3),
+        lambda: ratio_curve([v], 1.0, D, tol=1e-3),
+        lambda: tc_bulk_asymptotic(v, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_tc_boundary_dirichlet_enhancement():
     res = tc_boundary(0.5, 1.0, D)
     bulk = tc_bulk(0.5, 1.0)
@@ -185,9 +266,21 @@ def test_tc_solves_take_few_evaluations():
     assert bulk.evaluations <= 10
     assert bulk.tc == pytest.approx(BISECTION_TC_BULK, rel=2e-6)
     res = tc_boundary(0.49, 1.0, D, 1e-6)
-    assert res.evaluations <= 10
+    assert res.evaluations <= 4
     assert res.numerics["bulk_evaluations"] == bulk.evaluations
     assert res.tc == pytest.approx(BISECTION_TC_BOUNDARY, rel=2e-6)
+
+
+def test_tc_boundary_solves_across_the_edge_row_range():
+    # the bracket's first step is predicted from the essential edge's
+    # slope; stepping blindly to 1.5 tc_bulk took 35 solves here
+    rows = [
+        row
+        for bc in (D, N)
+        for row in ratio_curve([0.49, 0.61, 0.86], 1.0, bc, tol=1e-6).rows
+    ]
+    assert all(row.error is None for row in rows)
+    assert sum(row.tc_boundary_evaluations for row in rows) <= 27
 
 
 def test_v_of_T_round_trip():

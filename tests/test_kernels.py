@@ -26,7 +26,7 @@ from bcs_edge import (
     eval_L,
     eval_a,
 )
-from bcs_edge.kernels import _BLOCK, TANH_RATIO_SWITCH, _exp
+from bcs_edge.kernels import _BLOCK, TANH_RATIO_SWITCH, _edge_log_slope, _exp
 
 # [a10] a_{T,mu} at T=1, mu=0
 A_ORACLE_T1_MU0 = 0.42890235186151114
@@ -268,6 +268,25 @@ def test_a_decreasing_in_T():
         params = ModelParams(T=T, mu=mu)
         vals.append(eval_a(params, build_grid(params, tol=1e-8)))
     assert vals == sorted(vals, reverse=True)
+
+
+@pytest.mark.parametrize("T", [1e-4, 2.6e-2, 3.0])
+def test_edge_log_slope_matches_central_difference(T):
+    # on one fixed grid, so only the kernel's T moves
+    params = ModelParams(T=T, mu=1.0)
+    grid = build_grid(params, tol=1e-8)
+    d = 1e-4
+    a_up = eval_a(ModelParams(T=T * np.exp(d), mu=1.0), grid)
+    a_down = eval_a(ModelParams(T=T * np.exp(-d), mu=1.0), grid)
+    slope = _edge_log_slope(params, grid)
+    assert slope < 0.0
+    assert slope == pytest.approx((a_up - a_down) / (2.0 * d), rel=1e-6)
+
+
+def test_edge_log_slope_does_not_overflow():
+    grid = build_grid(ModelParams(T=1e-3, mu=1.0), tol=1e-8)
+    with np.errstate(all="raise"):
+        assert _edge_log_slope(ModelParams(T=1e-300, mu=1.0), grid) == 0.0
 
 
 def test_E_zero_at_origin_and_positive():
