@@ -20,10 +20,9 @@ One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
 evaluated on the upper triangle, one block of rows at a time, then
 mirrored, and feeds the perturbation, the diagonal A(p_i) and the
 trial-state cross term.  _A_rows, the one integrator of A(p) (the
-diagonal, the trial state, eval_A and eval_E), integrates B(p, .) on a
-per-momentum mesh; all meshes are marched in one lock-step pass, and
-their octave panels, which are the grid's own, take their B values from
-the kernel rows.
+diagonal, the trial state, eval_A and eval_E), sums each kernel row on
+the grid and evaluates B(p, .) afresh only on short sub-meshes around
+the row's two crossovers, which replace the grid panels there.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import NoConvergence
 from .kernels import (
     _BLOCK, ModelParams, _require_resolved, _unwrap, _wrap, eval_B, eval_a
 )
-from .quadrature import MomentumGrid, _mesh_with_centers
+from .quadrature import BETA, MomentumGrid, _march_edges, _panels_to_grid
 
 __all__ = [
     "BoundaryCondition",
@@ -54,6 +53,11 @@ logger = logging.getLogger(__name__)
 
 # Eigenpairs must satisfy ||Mx - lambda x|| <= EIGEN_TOL * ||M||_inf.
 EIGEN_TOL = 1e-10
+
+# Inverse-iteration shift above the top eigenvalue, in units of ||M||_inf:
+# some twenty times that eigenvalue's rounding, while the residual of one
+# solve, which scales with the shift, stays near 5e-12 ||M||_inf.
+INVERSE_SHIFT = 1e-13
 
 
 class BoundaryCondition(enum.Enum):
@@ -113,49 +117,56 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
 
 def _A_rows(
     params: ModelParams, grid: MomentumGrid, p: np.ndarray, Kp: np.ndarray
-) -> np.ndarray:
-    """A(p_i) for ascending momenta p_i >= 0, on per-momentum meshes.
+) -> tuple[np.ndarray, int]:
+    """A(p_i) for momenta p_i >= 0, and the fresh kernel evaluations spent.
 
-    Kp holds the kernel rows B(p_i, grid.nodes).  B(p, .) has tanh
-    crossovers at q = |2 sqrt(mu) -/+ p|, which the shared grid resolves
-    only for p near 0, so each momentum gets the grid's mesh regraded with
-    those two points as extra refinement centers, at the grid's own floor
-    and cutoff so accuracy matches the grid's own certificate.  The meshes
-    are marched in one lock-step pass and end in the grid's own octave
-    panels, whose B values are read from Kp.  _march_edges drops centers at
-    or past the core cutoff, so for p > core_cutoff - 2 sqrt(mu) a crossover
-    falls in an octave panel that does not resolve it and A(p) can miss the
-    grid's tol.  Beyond p^2 ~ 1/(pi tol) the ridge contributes less than tol
-    (its amplitude decays like 1/p^2) and the shared grid is used directly:
-    A(p_i) = (Kp[i] @ weights) / 2pi.
+    Kp holds the kernel rows B(p_i, grid.nodes).  A(p_i) is the grid sum
+    of row i, corrected where the grid does not resolve B(p_i, .): near
+    its tanh crossovers q = |2 sqrt(mu) -/+ p_i|.  The grid panel that
+    holds a crossover and that panel's two neighbours form a span (a
+    row's two spans merge when they share panels); the span's grid terms
+    are dropped and B is evaluated afresh on a sub-mesh of the span,
+    graded toward the crossovers and the grid centers inside it.  The
+    panels left outside lie at least a neighbour's width away from the
+    crossover, where 16-point panels have converged (8-point ones can
+    miss tol a few times over for T >~ mu).  Each row grades down
+    to max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
+    high, so a panel that wide adds less than tol.  All spans are marched
+    in one lock-step pass, and each row is summed on its own, so A(p_i)
+    does not depend on which other momenta share the call.
     """
     _require_resolved(grid)
-    T, mu = params.T, params.mu
-    smu = np.sqrt(mu) if mu > 0 else 0.0
-    # ridge of B(p, .) carries weight <~ (4(sqrt(mu)+sqrt(T))+1)/p^2
-    p_skip = np.sqrt(
-        8.0 * mu + (4.0 * (smu + np.sqrt(T)) + 1.0) / (np.pi * grid.policy.tol)
-    )
-    k = int(np.searchsorted(p, p_skip))
-
-    out = np.empty(p.size)
-    if k:
-        head = p[:k]
-        crossovers = np.column_stack([np.abs(2.0 * smu - head), 2.0 * smu + head])
-        q, w, sizes = _mesh_with_centers(grid, crossovers)
-        ends = np.cumsum(sizes)
-        # every mesh ends in the grid's own n_oct octave nodes, whose B
-        # values Kp already holds
-        n_oct = int(np.count_nonzero(grid.nodes > grid.core_cutoff))
-        octave = (ends - n_oct)[:, None] + np.arange(n_oct)
-        vals = np.empty(q.size)
-        vals[octave] = Kp[:k, grid.n - n_oct :]
-        fresh = np.ones(q.size, dtype=bool)
-        fresh[octave] = False
-        vals[fresh] = eval_B(np.repeat(head, sizes - n_oct), q[fresh], params)
-        out[:k] = np.add.reduceat(w * vals, ends - sizes) / (2.0 * np.pi)
-    out[k:] = (Kp[k:] @ grid.weights) / (2.0 * np.pi)
-    return out
+    smu = np.sqrt(params.mu) if params.mu > 0 else 0.0
+    ppp = grid.policy.points_per_panel
+    edges = grid.panel_edges
+    last = edges.size - 2
+    cross = np.column_stack([np.abs(2.0 * smu - p), 2.0 * smu + p])
+    held = np.minimum(np.searchsorted(edges, cross, side="right") - 1, last)
+    first, stop = np.maximum(held - 1, 0), np.minimum(held + 2, last + 1)
+    merged = first[:, 1] < stop[:, 0]
+    stop[merged, 0] = stop[merged, 1]
+    kept = np.column_stack([np.ones(p.size, dtype=bool), ~merged])
+    per_row = kept.sum(axis=1)
+    row = np.repeat(np.arange(p.size), per_row)
+    first, stop = first[kept], stop[kept]
+    centers = np.hstack([cross, np.tile(grid.refinement_centers, (p.size, 1))])
+    floor = np.maximum(grid.floor, grid.policy.tol * p * p / 2.0)
+    spans = np.column_stack([edges[first], edges[stop]])
+    sub, sizes = _march_edges(spans, centers[row], floor[row], BETA)
+    live = np.arange(sub.shape[1] - 1) < sizes[:, None] - 1
+    q, w = _panels_to_grid(np.stack([sub[:, :-1][live], sub[:, 1:][live]], axis=1), ppp)
+    # span s drops grid nodes ppp*first[s] ... ppp*stop[s] - 1 of its row
+    dropped = ppp * (stop - first)
+    fresh = ppp * (sizes - 1)
+    head = np.cumsum(per_row) - per_row  # each row's first span
+    at = np.cumsum(dropped) - dropped
+    idx = np.arange(dropped.sum()) + np.repeat(ppp * first - at, dropped)
+    old = Kp[np.repeat(row, dropped), idx] * grid.weights[idx]
+    new = w * eval_B(np.repeat(p[row], fresh), q, params)
+    out = np.array([k @ grid.weights for k in Kp])
+    out -= np.add.reduceat(old, at[head])
+    out += np.add.reduceat(new, (np.cumsum(fresh) - fresh)[head])
+    return out / (2.0 * np.pi), q.size
 
 
 def eval_A(p, params: ModelParams, grid: MomentumGrid):
@@ -166,7 +177,7 @@ def eval_A(p, params: ModelParams, grid: MomentumGrid):
     order = np.argsort(np.abs(p))
     s = np.abs(p)[order]
     out = np.empty(p.size)
-    out[order] = _A_rows(params, grid, s, eval_B(s[:, None], grid.nodes, params))
+    out[order] = _A_rows(params, grid, s, eval_B(s[:, None], grid.nodes, params))[0]
     return _unwrap(out, scalar)
 
 
@@ -227,7 +238,7 @@ def assemble(
     formed once as an outer product.
     """
     K = _kernel_matrix(params, grid)
-    diag = _A_rows(params, grid, grid.nodes, K)
+    diag, fresh = _A_rows(params, grid, grid.nodes, K)
     sw = np.sqrt(grid.weights)
     full = K  # scaled in place; _A_rows was K's last reader
     full *= sw[:, None] * sw[None, :]
@@ -235,6 +246,8 @@ def assemble(
     full[np.diag_indices_from(full)] += diag
     assert np.array_equal(full, full.T), "assembly must be symmetric"
     m, cut_bound = _matrix_cut(full, grid)
+    logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
+                 "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)
     matrix = full[:m, :m].copy()
     matrix.setflags(write=False)
     return DiscretizedOperator(
@@ -250,38 +263,44 @@ def assemble(
 def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue of op.matrix and its unit vector.
 
-    Dense symmetric eigendecomposition of the m x m matrix.  The residual
-    ||Mx - lambda x|| is verified against EIGEN_TOL * ||M||_inf; the
-    second-largest eigenvalue goes to the debug log since nothing
-    guarantees the top one is isolated.  The vector comes back on the
-    grid's nodes, zero past the matrix cut: [x; 0] is the Rayleigh vector
-    whose quotient in the uncut matrix is lambda, within op.cut_bound of
-    the uncut top eigenvalue.
+    The eigenvalues of the m x m matrix M come from a dense symmetric
+    eigenvalue solve without vectors; the second-largest goes to the
+    debug log since nothing guarantees the top one is isolated.  The
+    vector comes from inverse iteration (B. N. Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 4): one solve of
+    (lambda + delta) I - M, delta = INVERSE_SHIFT * ||M||_inf, from the
+    flat start vector, and at most one more if the residual
+    ||Mx - lambda x|| still exceeds EIGEN_TOL * ||M||_inf.  The vector
+    comes back on the grid's nodes, zero past the matrix cut: [x; 0] is
+    the Rayleigh vector whose quotient in the uncut matrix is lambda,
+    within op.cut_bound of the uncut top eigenvalue.
     """
     M = op.matrix
     n = M.shape[0]
-    vals, vecs = np.linalg.eigh(M)
-    lam, x = vals[-1], vecs[:, -1]
+    vals = np.linalg.eigvalsh(M)
+    lam = vals[-1]
     second = vals[-2] if n > 1 else np.nan
-    residual = np.linalg.norm(M @ x - lam * x)
     scale = np.linalg.norm(M, np.inf)
-    if residual > EIGEN_TOL * scale:
+    shifted = -M
+    shifted[np.diag_indices(n)] += lam + INVERSE_SHIFT * scale
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for steps in (1, 2):
+        x = np.linalg.solve(shifted, x)
+        x /= np.linalg.norm(x)
+        residual = np.linalg.norm(M @ x - lam * x)
+        if residual <= EIGEN_TOL * scale:
+            break
+    else:
         raise NoConvergence(
             f"eigenpair residual {residual:.3e} exceeds {EIGEN_TOL:.1e} * ||M|| = "
-            f"{EIGEN_TOL * scale:.3e}"
+            f"{EIGEN_TOL * scale:.3e} after {steps} inverse-iteration steps"
         )
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     logger.debug(
-        "top eigenvalue %.12e (second %.12e, residual %.2e, n=%d of %d, "
-        "cut bound %.2e, bc=%s)",
-        lam,
-        second,
-        residual,
-        n,
-        op.grid.n,
-        op.cut_bound,
-        op.bc.value,
+        "top eigenvalue %.12e (second %.12e, residual %.2e after %d inverse-"
+        "iteration steps, n=%d of %d, cut bound %.2e, bc=%s)",
+        lam, second, residual, steps, n, op.grid.n, op.cut_bound, op.bc.value,
     )
     on_grid = np.zeros(op.grid.n)
     on_grid[:n] = x

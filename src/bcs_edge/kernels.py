@@ -234,8 +234,9 @@ def eval_B(p, q, params: ModelParams):
 def _require_resolved(grid) -> None:
     """Refuse a grid whose B(0, .) self-convergence probe exceeds its tol.
 
-    The probe certifies A(0) and the rows past p_skip that _A_rows sums on
-    the plain grid, not other momenta there; _A_rows regrades those.
+    The probe certifies A(0), the plain grid sum of B(0, .); _A_rows
+    takes other momenta's grid sums and corrects them near their
+    crossovers, which the probe does not see.
     """
     if grid.self_convergence > grid.policy.tol:
         raise QuadratureUnderresolved(

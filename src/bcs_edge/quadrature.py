@@ -7,10 +7,10 @@ cutoff, and an a-posteriori self-convergence measurement stored on the
 grid.  Grids are immutable after construction.
 
 One marcher, _march_edges, lays out the graded panel edges of many
-meshes in one lock-step numpy pass: build_grid marches its single mesh
-with it, and _mesh_with_centers the per-momentum meshes of the A(p)
-integrator in bs_operator, which add each momentum's two crossovers to
-the grid's own centers and share the grid's octave panels.
+spans in one lock-step numpy pass: build_grid marches its single mesh
+on [0, core_cutoff] with it, and the A(p) integrator in bs_operator the
+short spans of grid panels around each momentum's two crossovers, each
+with its own ends and floor.
 """
 
 from __future__ import annotations
@@ -139,31 +139,36 @@ def _panels_to_grid(edges: np.ndarray, ppp: int):
     return nodes, weights
 
 
-def _march_edges(hi: float, centers, floor: float, beta: float):
-    """Panel edges on [0, hi], graded toward each row's centers down to `floor`.
+def _march_edges(spans, centers, floor, beta: float):
+    """Panel edges on each row's span [lo, hi], graded toward its centers.
 
     Widths follow max(floor, min(beta*d_behind, d_ahead*beta/(1+beta)))
-    where d_* are distances to the refinement centers, so panels approach
-    and leave every center in geometric ladders and land on the centers
-    exactly.  centers holds one row of centers per mesh; all meshes march
-    in lock-step, each row taking the same floating-point steps it would
-    take alone.  Returns (edges, sizes): mesh r's edges are
-    edges[r, :sizes[r]], and the rest of the row repeats hi.
+    where d_* are distances to the row's refinement centers in [lo, hi),
+    so panels approach and leave every center in geometric ladders and
+    land on the centers exactly.  spans holds one (lo, hi) per row,
+    centers one row of centers per row and floor one floor per row, each
+    of the three broadcast over the rows.  All rows march in lock-step,
+    each taking the same floating-point steps it would take alone.
+    Returns (edges, sizes): row r's edges are edges[r, :sizes[r]], and
+    the rest of the row repeats its hi.
     """
     alpha = beta / (1.0 + beta)
     cs = np.array(centers, dtype=float, ndmin=2)
-    cs = np.sort(np.where((cs >= 0.0) & (cs < hi), cs, np.inf), axis=1)
     m, c = cs.shape
+    lo, hi = np.broadcast_to(np.asarray(spans, dtype=float), (m, 2)).T
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (m,))
+    inside = (cs >= lo[:, None]) & (cs < hi[:, None])
+    cs = np.sort(np.where(inside, cs, np.inf), axis=1)
     # with j centers of row r at or behind q, ladder[base[r] + j] is the
     # last of them and the next entry the first one ahead (-inf and inf
     # stand for none)
     ladder = np.hstack([np.full((m, 1), -np.inf), cs, np.full((m, 1), np.inf)])
     ladder = ladder.ravel()
     base = np.arange(0, m * (c + 2), c + 2)
-    q = np.zeros(m)
+    q = lo.copy()
     edges = [q]
     for _ in range(200000):
-        if q.min() >= hi:
+        if np.all(q >= hi):
             break
         at = base + np.count_nonzero(cs <= q[:, None], axis=1)
         ahead = ladder[at + 1]
@@ -176,7 +181,7 @@ def _march_edges(hi: float, centers, floor: float, beta: float):
     else:
         raise ToleranceUnreachable("panel marching failed to terminate")
     edges = np.stack(edges, axis=1)
-    sizes = 1 + np.count_nonzero(edges[:, :-1] < hi, axis=1)
+    sizes = 1 + np.count_nonzero(edges[:, :-1] < hi[:, None], axis=1)
     edges[np.arange(m), sizes - 1] = hi
     return edges, sizes
 
@@ -257,7 +262,7 @@ def build_grid(
     edges = None
     for depth in range(_DEPTH_CAP):
         floor = floor0 / 2.0**depth
-        edges = _march_edges(lam0, [centers], floor, BETA)[0][0]
+        edges = _march_edges((0.0, lam0), [centers], floor, BETA)[0][0]
         n1, w1 = _panels_to_grid(edges, points_per_panel)
         n2, w2 = _panels_to_grid(edges, 2 * points_per_panel)
         split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
@@ -305,30 +310,3 @@ def build_grid(
         core_cutoff=float(lam0),
         self_convergence=float(conv),
     )
-
-
-def _mesh_with_centers(grid: MomentumGrid, centers) -> tuple:
-    """Nodes, weights and sizes of grid's mesh regraded toward extra centers.
-
-    centers holds one row of extra centers per mesh.  Every mesh's core
-    [0, core_cutoff] is marched again at the grid's own floor with its
-    row added to the grid's refinement centers, all rows in one
-    lock-step pass; the octave panels beyond the core are the grid's own
-    and close every mesh, so a mesh's last nodes and weights are
-    bit-identical to the grid's octave nodes and weights.  Mesh r is
-    nodes[s:s + sizes[r]] with s = sizes[:r].sum(), and likewise weights.
-    """
-    core = grid.core_cutoff
-    extra = np.array(centers, dtype=float, ndmin=2)
-    m = extra.shape[0]
-    own = np.broadcast_to(grid.refinement_centers, (m, len(grid.refinement_centers)))
-    edges, sizes = _march_edges(core, np.hstack([own, extra]), grid.floor, BETA)
-    octaves = grid.panel_edges[grid.panel_edges > core]
-    edges = np.hstack([edges, np.broadcast_to(octaves, (m, octaves.size))])
-    # panels past a row's own core edges span [core, core]: drop them
-    panel = np.arange(edges.shape[1] - 1)
-    keep = (panel < sizes[:, None] - 1) | (panel >= edges.shape[1] - octaves.size - 1)
-    panels = np.stack([edges[:, :-1][keep], edges[:, 1:][keep]], axis=1)
-    ppp = grid.policy.points_per_panel
-    nodes, weights = _panels_to_grid(panels, ppp)
-    return nodes, weights, ppp * np.count_nonzero(keep, axis=1)

@@ -89,7 +89,7 @@ def _pieces(
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     K = _kernel_matrix(params, grid)
-    diag = _A_rows(params, grid, p, K)
+    diag, _ = _A_rows(params, grid, p, K)
     a = float(eval_a(params, grid))
     wg = w * gfold
     cross = wg @ K @ wg

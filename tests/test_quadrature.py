@@ -26,12 +26,12 @@ TAIL_BOUND_MU1_L50 = 0.16008541534707285
 TAIL_TRUE_MU1_L50 = 0.14408533001292031
 
 
-def scalar_march(hi, centers, floor, beta):
-    """Reference marcher: one mesh at a time, in plain Python."""
+def scalar_march(lo, hi, centers, floor, beta):
+    """Reference marcher: one mesh on [lo, hi] at a time, in plain Python."""
     alpha = beta / (1.0 + beta)
-    cs = sorted(c for c in centers if 0.0 <= c < hi)
-    edges = [0.0]
-    q = 0.0
+    cs = sorted(c for c in centers if lo <= c < hi)
+    edges = [lo]
+    q = lo
     for _ in range(200000):
         if q >= hi:
             break
@@ -156,19 +156,37 @@ def _march_battery():
 def test_batched_march_matches_scalar_loop():
     cases = 0
     for hi, floor, rows in _march_battery():
-        edges, sizes = _march_edges(hi, rows, floor, BETA)
+        edges, sizes = _march_edges((0.0, hi), rows, floor, BETA)
         assert edges.shape[0] == sizes.size == rows.shape[0]
         for r, centers in enumerate(rows):
-            ref = scalar_march(hi, centers, floor, BETA)
+            ref = scalar_march(0.0, hi, centers, floor, BETA)
             assert np.array_equal(edges[r, : sizes[r]], ref)
             assert np.all(edges[r, sizes[r] :] == hi)
             cases += 1
     assert cases == 5 * 3 * 25
 
 
+def test_batched_march_takes_per_row_spans_and_floors():
+    # the A(p) integrator marches short spans, each with its own ends,
+    # floor and centers, some of them outside the span
+    rng = np.random.default_rng(20261018)
+    lo = rng.uniform(0.0, 50.0, 200)
+    hi = lo + 10.0 ** rng.uniform(-3.0, 2.0, 200)
+    floor = 10.0 ** rng.uniform(-7.0, 0.0, 200)
+    rows = lo[:, None] + (hi - lo)[:, None] * rng.uniform(-0.5, 1.5, (200, 4))
+    rows[::3, 0] = lo[::3]  # a center on the span's start
+    rows[1::3, 1] = hi[1::3]  # and on its end
+    spans = np.column_stack([lo, hi])
+    edges, sizes = _march_edges(spans, rows, floor, BETA)
+    for r in range(rows.shape[0]):
+        ref = scalar_march(lo[r], hi[r], rows[r], floor[r], BETA)
+        assert np.array_equal(edges[r, : sizes[r]], ref)
+        assert np.all(edges[r, sizes[r] :] == hi[r])
+
+
 def test_march_without_floor_hits_step_cap():
     # with floor 0 a mesh stalls on its first center and never reaches hi
     with pytest.raises(ToleranceUnreachable):
-        scalar_march(2.0, (0.0, 1.0), 0.0, BETA)
+        scalar_march(0.0, 2.0, (0.0, 1.0), 0.0, BETA)
     with pytest.raises(ToleranceUnreachable):
-        _march_edges(2.0, [(0.0, 1.0), (0.5, 1.0)], 0.0, BETA)
+        _march_edges((0.0, 2.0), [(0.0, 1.0), (0.5, 1.0)], 0.0, BETA)

@@ -16,8 +16,8 @@ error type instead.  Fifth line: name, samples, violations and
 worst_margin of each of the eight CheckReports of the verify battery at
 mu = 1, seed 0 and 10,000 samples.  Sixth line: on the battery's mu > 0
 points, eval_A and eval_E at the OFF_NODE momenta (zero, negative, and
-past the plain-grid switch p_skip at tol 1e-5 and 1e-8), as one vector
-call and one scalar call per momentum.  Two checkouts that print the
+far past the grid's core at tol 1e-5 and 1e-8), as one vector call and
+one scalar call per momentum.  Two checkouts that print the
 same lines build bit-identical operators and solve to bit-identical
 temperatures on the batteries; a change meant to alter the matrix alone
 shows as a change of the first and third lines with the second kept.

@@ -162,6 +162,8 @@ print_const("A_p1p9_T1em3_mu1", A_value(mp.mpf("1.9"), mp.mpf("1e-3"), mu))
 
 print()
 print("## section A_octave: A(p) past the grid's core at T=1e-3, mu=1")
-for ps in ["167.771", "1000"]:
+# 13073.33284155418 is a node of the tol-1e-8 grid there, far enough out
+# that a plain grid sum misses the dip of B(p, .) between its crossovers
+for ps in ["167.771", "1000", "13073.33284155418"]:
     name = f"A_p{ps.replace('.', 'p')}_T1em3_mu1"
     print_const(name, A_value(mp.mpf(ps), mp.mpf("1e-3"), mu))
