@@ -12,7 +12,6 @@ from .errors import (
     CutoffTooSmall,
     DenominatorNonnegative,
     NoConvergence,
-    NoSignChange,
     NumericsError,
     QuadratureUnderresolved,
     RefusedRegime,
@@ -65,13 +64,12 @@ from .quadrature import (
 )
 from .variational import (
     TrialConfig,
-    find_T0,
     int_F_residual,
     scaled_sup,
     trial_gap,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",
@@ -79,7 +77,6 @@ __all__ = [
     "CutoffTooSmall",
     "DenominatorNonnegative",
     "NoConvergence",
-    "NoSignChange",
     "NumericsError",
     "QuadratureUnderresolved",
     "RefusedRegime",
@@ -112,7 +109,6 @@ __all__ = [
     "ratio_curve",
     "TrialConfig",
     "trial_gap",
-    "find_T0",
     "int_F_residual",
     "scaled_sup",
     "CheckReport",

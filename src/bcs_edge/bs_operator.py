@@ -37,7 +37,7 @@ from .errors import NoConvergence
 from .kernels import (
     _BLOCK, ModelParams, _require_resolved, _unwrap, _wrap, eval_B, eval_a
 )
-from .quadrature import BETA, MomentumGrid, _march_edges, _panels_to_grid
+from .quadrature import MomentumGrid, _march_edges, _panels_to_grid
 
 __all__ = [
     "BoundaryCondition",
@@ -152,7 +152,7 @@ def _A_rows(
     centers = np.hstack([cross, np.tile(grid.refinement_centers, (p.size, 1))])
     floor = np.maximum(grid.floor, grid.policy.tol * p * p / 2.0)
     spans = np.column_stack([edges[first], edges[stop]])
-    sub, sizes = _march_edges(spans, centers[row], floor[row], BETA)
+    sub, sizes = _march_edges(spans, centers[row], floor[row])
     live = np.arange(sub.shape[1] - 1) < sizes[:, None] - 1
     q, w = _panels_to_grid(np.stack([sub[:, :-1][live], sub[:, 1:][live]], axis=1), ppp)
     # span s drops grid nodes ppp*first[s] ... ppp*stop[s] - 1 of its row

@@ -6,12 +6,14 @@ same equation for the top eigenvalue of the discretized boundary
 operator.  Both functions are strictly decreasing in T, and both are
 solved by Illinois regula falsi in log T, safeguarded so that every
 trial point stays inside the bracket and a plain bisection step is taken
-whenever the bracket stops halving.  The half-line bracket is closed by
-steps up from tc_bulk, predicted from the closed-form slope of the
-essential edge and then from secants.  The monotonicity is monitored
-rather than trusted: a value that escapes the bracketing values, or
-rises while a bracket is closed, raises BracketFailure instead of
-returning a plausible wrong root.
+whenever the bracket stops halving.  Both brackets are closed by one
+rule, _bracket: steps in log T from a start (the weak-coupling closed
+form for the bulk, tc_bulk for the half line), predicted from the
+closed-form slope of the essential edge there and then from secants.
+The monotonicity is monitored rather than trusted: a value that escapes
+the bracketing values, or moves away from zero while a bracket is
+closed, raises BracketFailure instead of returning a plausible wrong
+root.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ logger = logging.getLogger(__name__)
 # residual; well above double-precision noise amplified by the eigensolve.
 TOL_DEFAULT = 1e-6
 
-# Largest relative step and cap of tc_boundary's bracketing (shifts are
-# O(10%) at most, so one or two steps suffice; the cap catches divergence).
+# Largest relative first step of the bracketing; the limit doubles with
+# every step that leaves the sign unchanged.  Boundary shifts are O(10%)
+# at most and the weak-coupling seed is within about 1% of tc_bulk for
+# v <= 0.9, so one or two steps usually suffice.
 BRACKET_STEP = 0.5
-BRACKET_CAP = 2.0**10
 
 _MAX_STEPS = 200
 
@@ -188,34 +191,49 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     return hi, h_hi, (lo, hi), len(widths), rec_hi
 
 
-def _bracket_above(h, lo, at_lo, slope, tol, label):
-    """Step x = log T up from lo, where h(lo) = at_lo is positive, until
-    the decreasing h changes sign; returns (lo, hi, at_lo, at_hi, steps).
+def _bracket(h, T0, at_T0, slope, tol, label):
+    """Step x = log T from T0, where h(T0) = at_T0, toward the sign change
+    of the decreasing h: up while h > 0, down while h < 0.  Returns
+    (lo, hi, at_lo, at_hi, steps) for _root_decreasing.
 
-    Each step is h(lo) / -slope + tol/2, so an accurate slope lands just
-    past the root, and at most log(1 + BRACKET_STEP), the step taken
-    where slope >= 0.  slope is dh/dx at the start, then the secant of
-    the last two values.  A value that rises by more than the slack, or
-    a step past BRACKET_CAP times the start, raises BracketFailure.
+    Each step is |h| / -slope + tol/2, so an accurate slope lands just
+    past the root, and at most a cap, which is also the step taken
+    where slope >= 0.  The cap starts at log(1 + BRACKET_STEP) and
+    doubles after every step that leaves the sign unchanged, so steps at
+    the cap pass a root d away in log T within
+    log2(1 + d / log(1 + BRACKET_STEP)) steps.  slope is dh/dx at T0,
+    then the secant of the last two values.  A value that moves
+    away from zero by more than the slack, a step to a T that is not
+    finite and positive, or _MAX_STEPS steps raise BracketFailure.
     """
-    slack, cap, steps = max(tol, 1e-12), BRACKET_CAP * lo, 0
-    while True:
-        dx = np.log1p(BRACKET_STEP)
+    slack, cap = max(tol, 1e-12), np.log1p(BRACKET_STEP)
+    up = at_T0[0] > 0.0
+    sign = 1.0 if up else -1.0
+    T, at_T = T0, at_T0
+    for steps in range(1, _MAX_STEPS + 1):
+        dx = cap
         if slope < 0.0:
-            dx = min(at_lo[0] / -slope + 0.5 * tol, dx)
-        T = lo * np.exp(dx)
-        if T > cap:
-            raise BracketFailure(f"{label}: no sign change below T={cap:.6g}")
-        at_T, steps = h(T), steps + 1
-        logger.debug("%s: T=%.9e h=%+.3e", label, T, at_T[0])
-        if at_T[0] > at_lo[0] + slack:
+            dx = min(abs(at_T[0]) / -slope + 0.5 * tol, cap)
+        with np.errstate(over="ignore"):
+            T_next = T * np.exp(sign * dx)
+        if not 0.0 < T_next < np.inf:
             raise BracketFailure(
-                f"{label}: h({T:.6g})={at_T[0]:.3e} rises above {at_lo[0]:.3e}"
+                f"{label}: no sign change from T={T0:.6g} to {T:.6g}"
             )
-        if at_T[0] <= 0.0:
-            return lo, T, at_lo, at_T, steps
-        slope = (at_T[0] - at_lo[0]) / dx
-        lo, at_lo = T, at_T
+        at_next = h(T_next)
+        logger.debug("%s: T=%.9e h=%+.3e", label, T_next, at_next[0])
+        if sign * (at_next[0] - at_T[0]) > slack:
+            raise BracketFailure(
+                f"{label}: h({T_next:.6g})={at_next[0]:.3e} "
+                f"{'rises above' if up else 'falls below'} {at_T[0]:.3e}"
+            )
+        if up and at_next[0] <= 0.0:
+            return T, T_next, at_T, at_next, steps
+        if not up and at_next[0] > 0.0:
+            return T_next, T, at_next, at_T, steps
+        slope = (at_next[0] - at_T[0]) / (sign * dx)
+        T, at_T, cap = T_next, at_next, 2.0 * cap
+    raise BracketFailure(f"{label}: no sign change in {_MAX_STEPS} steps")
 
 
 def tc_bulk_asymptotic(v: float, mu: float) -> float:
@@ -230,10 +248,11 @@ def tc_bulk(
 ) -> TcResult:
     """Solve a_{T,mu} = 1/v for T by safeguarded regula falsi in log T.
 
-    a is strictly decreasing in T, so the root is unique.  The initial
-    bracket is the weak-coupling closed form widened by a factor of 10
-    each way, then expanded decade by decade if the coupling is strong
-    enough to escape it.  Every grid is built with knobs.
+    a is strictly decreasing in T, so the root is unique.  The bracket
+    is closed by steps from the weak-coupling closed form, predicted
+    from the closed-form slope of a there and then from secants; strong
+    couplings, where the closed form is far off, take longer steps.
+    Every grid is built with knobs.
     """
     seed = tc_bulk_asymptotic(v, mu)
     gtol = _grid_tol(tol)
@@ -242,35 +261,20 @@ def tc_bulk(
     def h(T):
         params = ModelParams(T=T, mu=mu)
         grid = build_grid(params, gtol, knobs)
-        return eval_a(params, grid) - target, grid.n
+        return eval_a(params, grid) - target, grid
 
-    lo, hi = seed / 10.0, seed * 10.0
-    at_lo, at_hi = h(lo), h(hi)
-    expansions = 0
-    for _ in range(40):
-        if at_lo[0] > 0.0:
-            break
-        hi, at_hi = lo, at_lo
-        lo /= 10.0
-        at_lo = h(lo)
-        expansions += 1
-    for _ in range(40):
-        if at_hi[0] < 0.0:
-            break
-        lo, at_lo = hi, at_hi
-        hi *= 10.0
-        at_hi = h(hi)
-        expansions += 1
-
-    tc, resid, bracket, evals, n = _root_decreasing(
+    at_seed = h(seed)
+    slope = _edge_log_slope(ModelParams(T=seed, mu=mu), at_seed[1])
+    lo, hi, at_lo, at_hi, steps = _bracket(h, seed, at_seed, slope, tol, "tc_bulk")
+    tc, resid, bracket, evals, grid = _root_decreasing(
         h, lo, hi, at_lo, at_hi, tol, "tc_bulk"
     )
     return TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
-        evaluations=2 + expansions + evals,
-        numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": n},
+        evaluations=1 + steps + evals,
+        numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": grid.n},
     )
 
 
@@ -303,7 +307,7 @@ def tc_boundary(
     """Solve sup spectrum of the half-line operator = 1/v for T.
 
     Since the half-line temperature is never below the bulk one, the
-    bracket starts at tc_bulk and expands upward until the sign changes.
+    bracket starts at tc_bulk and steps upward until the sign changes.
     If the operator already sits at or below 1/v there (no bound state
     at this discretization), the bulk temperature is returned with the
     measured residual: the enhancement is zero at this tolerance.
@@ -331,13 +335,13 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
         tc, resid, bracket, steps, solve = bulk.tc, g_lo, bulk.bracket, 0, at_bulk
     else:
         slope = _edge_log_slope(ModelParams(T=bulk.tc, mu=mu), at_bulk.grid)
-        lo, hi, at_lo, at_hi, expansions = _bracket_above(
+        lo, hi, at_lo, at_hi, bracketing = _bracket(
             g, bulk.tc, at_lo, slope, tol, "tc_boundary"
         )
         tc, resid, bracket, steps, solve = _root_decreasing(
             g, lo, hi, at_lo, at_hi, tol, "tc_boundary"
         )
-        steps += expansions
+        steps += bracketing
     result = TcResult(
         tc=float(tc),
         residual=float(resid),

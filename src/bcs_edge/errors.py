@@ -36,7 +36,3 @@ class BracketFailure(NumericsError):
 
 class DenominatorNonnegative(NumericsError):
     """Variational denominator came out >= 0, signalling a grid failure."""
-
-
-class NoSignChange(NumericsError):
-    """A scan found no sign change where one was required."""

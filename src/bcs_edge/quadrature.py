@@ -121,7 +121,10 @@ class MomentumGrid:
 
 @lru_cache(maxsize=None)
 def _leggauss(k: int):
-    return np.polynomial.legendre.leggauss(k)
+    # every caller shares the cached arrays, so none may write to them
+    xi, wi = np.polynomial.legendre.leggauss(k)
+    xi.flags.writeable = wi.flags.writeable = False
+    return xi, wi
 
 
 def _panels_to_grid(edges: np.ndarray, ppp: int):
@@ -139,10 +142,10 @@ def _panels_to_grid(edges: np.ndarray, ppp: int):
     return nodes, weights
 
 
-def _march_edges(spans, centers, floor, beta: float):
+def _march_edges(spans, centers, floor):
     """Panel edges on each row's span [lo, hi], graded toward its centers.
 
-    Widths follow max(floor, min(beta*d_behind, d_ahead*beta/(1+beta)))
+    Widths follow max(floor, min(BETA*d_behind, d_ahead*BETA/(1+BETA)))
     where d_* are distances to the row's refinement centers in [lo, hi),
     so panels approach and leave every center in geometric ladders and
     land on the centers exactly.  spans holds one (lo, hi) per row,
@@ -152,7 +155,7 @@ def _march_edges(spans, centers, floor, beta: float):
     Returns (edges, sizes): row r's edges are edges[r, :sizes[r]], and
     the rest of the row repeats its hi.
     """
-    alpha = beta / (1.0 + beta)
+    alpha = BETA / (1.0 + BETA)
     cs = np.array(centers, dtype=float, ndmin=2)
     m, c = cs.shape
     lo, hi = np.broadcast_to(np.asarray(spans, dtype=float), (m, 2)).T
@@ -173,7 +176,7 @@ def _march_edges(spans, centers, floor, beta: float):
         at = base + np.count_nonzero(cs <= q[:, None], axis=1)
         ahead = ladder[at + 1]
         d_ahead = ahead - q
-        h = np.maximum(floor, np.minimum(beta * (q - ladder[at]), alpha * d_ahead))
+        h = np.maximum(floor, np.minimum(BETA * (q - ladder[at]), alpha * d_ahead))
         snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * floor))
         # a row that reached hi has nothing ahead and stays at hi
         q = np.where(snap, ahead, np.minimum(q + h, hi))
@@ -262,7 +265,7 @@ def build_grid(
     edges = None
     for depth in range(_DEPTH_CAP):
         floor = floor0 / 2.0**depth
-        edges = _march_edges((0.0, lam0), [centers], floor, BETA)[0][0]
+        edges = _march_edges((0.0, lam0), [centers], floor)[0][0]
         n1, w1 = _panels_to_grid(edges, points_per_panel)
         n2, w2 = _panels_to_grid(edges, 2 * points_per_panel)
         split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))

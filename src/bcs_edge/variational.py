@@ -28,24 +28,18 @@ from .bs_operator import (
     assemble,
     top_eigenpair,
 )
-from .errors import DenominatorNonnegative, NoSignChange
+from .errors import DenominatorNonnegative
 from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
 from .quadrature import GridKnobs, build_grid
 
 __all__ = [
     "TrialConfig",
     "trial_gap",
-    "find_T0",
     "int_F_residual",
     "scaled_sup",
 ]
 
 logger = logging.getLogger(__name__)
-
-# find_T0 scans T/mu over this many decades up to T = mu
-_T0_SCAN_DECADES = 6
-_T0_SCAN_POINTS = 13
-
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -138,48 +132,6 @@ def trial_gap(
         value,
     )
     return float(value)
-
-
-def find_T0(
-    mu: float, cfg: TrialConfig | None = None, tol: float = 1e-2
-) -> float:
-    """Temperature below which the trial bound certifies a boundary gap.
-
-    Evaluates trial_gap on a 13-point log grid of T/mu in [1e-6, 1],
-    brackets the first sign change from above zero to below, and
-    bisects with geometric midpoints until the bracket has relative
-    width tol.  Returns the bracket's geometric center.
-
-    Raises NoSignChange when the bound keeps one sign over the scan.
-    """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if cfg is None:
-        cfg = TrialConfig(b=mu)
-    ts = mu * np.logspace(-_T0_SCAN_DECADES, 0.0, _T0_SCAN_POINTS)
-    vals = [trial_gap(ModelParams(T=float(t), mu=mu), cfg) for t in ts]
-    idx = None
-    for i in range(len(ts) - 1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            idx = i
-            break
-    if idx is None:
-        sign = "positive" if vals[0] > 0 else "nonpositive"
-        raise NoSignChange(
-            f"trial_gap stays {sign} for T/mu in "
-            f"[1e-{_T0_SCAN_DECADES}, 1] at mu={mu:g}, b={cfg.b:g}"
-        )
-    lo, hi = float(ts[idx]), float(ts[idx + 1])
-    while hi - lo > tol * lo:
-        mid = float(np.sqrt(lo * hi))
-        if trial_gap(ModelParams(T=mid, mu=mu), cfg) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    logger.debug("find_T0(mu=%g): bracket [%g, %g]", mu, lo, hi)
-    return float(np.sqrt(lo * hi))
 
 
 def int_F_residual(params: ModelParams, tol: float = 1e-10) -> float:

@@ -14,8 +14,8 @@ import pytest
 import bcs_edge
 import bcs_edge.cli as cli
 from bcs_edge import lemma_suite
-from bcs_edge.critical_temperature import RatioCurve, RatioRow
-from bcs_edge.errors import NoConvergence
+from bcs_edge.critical_temperature import tc_bulk
+from bcs_edge.errors import RefusedRegime
 from bcs_edge.kernels import EULER_GAMMA
 
 
@@ -237,7 +237,7 @@ def test_manifest_replay(command, tmp_path, capsys):
         assert all(float(r["relative_shift"]) >= 0.0 for r in rows)
         assert manifest["config"]["tol"] == 1e-3
         for row in manifest["rows"]:
-            assert row["tc_bulk_evaluations"] >= 3
+            assert row["tc_bulk_evaluations"] >= 2
             assert row["tc_boundary_evaluations"] >= 1
             assert 0 < row["matrix_nodes"] < row["grid_nodes"]
 
@@ -262,48 +262,30 @@ def test_dropped_flags_rejected(command, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_ratio_curve_partial_failure(tmp_path, capsys, monkeypatch):
-    nan = float("nan")
-
-    def fake_curve(vs, mu, bc, tol, knobs):
-        v = float(vs[0])
-        if v > 0.7:
-            row = RatioRow(
-                v=v, mu=mu, bc=bc, tc_bulk=nan, tc_boundary=nan,
-                relative_shift=nan, gap_at_tc_bulk=nan, grid_nodes=0,
-                t_noise=nan, error="solver died",
-            )
-        else:
-            row = RatioRow(
-                v=v, mu=mu, bc=bc, tc_bulk=0.1, tc_boundary=0.11,
-                relative_shift=0.1, gap_at_tc_bulk=0.01, grid_nodes=100,
-                t_noise=1e-8,
-            )
-        return RatioCurve((row,), tol=tol)
-
-    monkeypatch.setattr(cli, "ratio_curve", fake_curve)
+def test_ratio_curve_partial_failure(tmp_path, capsys):
+    # v=0.05 seeds tc_bulk at T/mu ~ 2e-27, below the supported floor
+    with pytest.raises(RefusedRegime) as refused:
+        tc_bulk(0.05, 1.0, 1e-3)
+    solved = tc_bulk(0.5, 1.0, 1e-3)
     out = tmp_path / "partial.csv"
     code = cli.main(
-        ["ratio-curve", "--mu", "1", "--bc", "neumann", "--v-min", "0.5",
-         "--v-max", "1.0", "--v-count", "2", "--out", str(out)]
+        ["ratio-curve", "--mu", "1", "--bc", "neumann", "--v-min", "0.05",
+         "--v-max", "0.5", "--v-count", "2", "--tol", "1e-3", "--out", str(out)]
     )
     capsys.readouterr()
     assert code == 3
     _, rows = parse_csv(out.read_text())
-    assert rows[0]["tc_bulk"] == "0.1"
-    assert rows[1]["tc_bulk"] == "nan"
-    assert rows[1]["tc_boundary"] == "nan"
-    assert rows[1]["grid_nodes"] == "0"
+    assert rows[1]["tc_bulk"] == repr(solved.tc)
+    assert rows[0]["tc_bulk"] == "nan"
+    assert rows[0]["tc_boundary"] == "nan"
+    assert rows[0]["grid_nodes"] == "0"
     manifest = json.loads((tmp_path / "partial.csv.manifest.json").read_text())
-    assert manifest["rows"][1]["error"] == "solver died"
+    assert manifest["rows"][0]["error"] == str(refused.value)
 
 
-def test_numeric_failure_exit_two(capsys, monkeypatch):
-    def broken(v, mu, tol, knobs):
-        raise NoConvergence("bracket collapsed")
-
-    monkeypatch.setattr(cli, "tc_bulk", broken)
-    code = cli.main(["tc-bulk", "--mu", "1", "--v", "0.5"])
+def test_numeric_failure_exit_two(capsys):
+    # the weak-coupling seed of v=0.05 lies below the supported T/mu floor
+    code = cli.main(["tc-bulk", "--mu", "1", "--v", "0.05"])
     captured = capsys.readouterr()
     assert code == 2
     assert "numeric failure" in captured.err

@@ -1,6 +1,7 @@
 """Root-finders for the bulk and half-line critical temperatures."""
 
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
 from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
 from bcs_edge.critical_temperature import (
-    BRACKET_CAP,
+    _MAX_STEPS,
     BRACKET_STEP,
     RatioCurve,
     RatioRow,
-    _bracket_above,
+    _bracket,
     _grid_tol,
     _root_decreasing,
     ratio_curve,
@@ -113,50 +114,63 @@ def test_root_decreasing_step_function_hits_the_cap():
         _solve_synthetic(lambda T: 1.0 if T < ROOT else -1.0, 0.5 * ROOT, 1.5 * ROOT)
 
 
-def _bracket_synthetic(f, lo, slope, asked):
-    """_bracket_above on h(T) = (f(T), None) from lo; every T it steps
-    to is appended to asked."""
+def _bracket_synthetic(f, T0, slope, asked):
+    """_bracket on h(T) = (f(T), None) from T0; every T it steps to is
+    appended to asked."""
 
     def h(T):
         asked.append(T)
         return f(T), None
 
-    return _bracket_above(h, lo, (f(lo), None), slope, 1e-6, "synthetic")
+    return _bracket(h, T0, (f(T0), None), slope, 1e-6, "synthetic")
 
 
-def test_bracket_above_crosses_a_linear_root_in_one_step():
-    f = lambda T: -0.7 * np.log(T / ROOT)
+def linear(T):
+    return -0.7 * np.log(T / ROOT)
+
+
+@pytest.mark.parametrize("start", [1.0 / 1.3, 1.3], ids=["up", "down"])
+def test_bracket_crosses_a_linear_root_in_one_step(start):
     asked = []
-    lo, hi, at_lo, at_hi, steps = _bracket_synthetic(f, ROOT / 1.3, -0.7, asked)
+    lo, hi, at_lo, at_hi, steps = _bracket_synthetic(linear, start * ROOT, -0.7, asked)
     assert steps == len(asked) == 1
-    assert lo == ROOT / 1.3 < ROOT < hi == asked[0]
+    assert lo < ROOT < hi
+    assert {lo, hi} == {start * ROOT, asked[0]}
     # the step lands tol/2 past the root
-    assert np.log(hi / ROOT) == pytest.approx(0.5e-6, rel=1e-6)
+    assert abs(np.log(asked[0] / ROOT)) == pytest.approx(0.5e-6, rel=1e-6)
     assert at_lo[0] > 0.0 > at_hi[0]
 
 
-def test_bracket_above_moves_lo_and_steps_by_secant():
+@pytest.mark.parametrize("start", [1.0 / 1.3, 1.3], ids=["up", "down"])
+def test_bracket_moves_its_start_and_steps_by_secant(start):
     # a wrong first slope: the secant of the two values then finds the root
-    f = lambda T: -0.7 * np.log(T / ROOT)
     asked = []
-    lo, hi, _, _, steps = _bracket_synthetic(f, ROOT / 1.3, -5.0, asked)
+    lo, hi, _, _, steps = _bracket_synthetic(linear, start * ROOT, -5.0, asked)
     assert steps == 2
-    assert lo == asked[0] < ROOT < hi == asked[1]
+    assert lo < ROOT < hi
+    assert {lo, hi} == set(asked)
 
 
-def test_bracket_above_rejects_a_rising_value():
-    with pytest.raises(BracketFailure, match="rises"):
+def test_bracket_rejects_a_value_moving_away_from_zero():
+    with pytest.raises(BracketFailure, match="rises above"):
         _bracket_synthetic(lambda T: 0.1 + np.log(T / ROOT), ROOT, -1.0, [])
+    with pytest.raises(BracketFailure, match="falls below"):
+        _bracket_synthetic(lambda T: -0.1 + np.log(T / ROOT), ROOT, -1.0, [])
 
 
-def test_bracket_above_hits_the_cap():
-    # never changes sign: full-length steps until the next passes BRACKET_CAP
+@pytest.mark.parametrize("value", [1.0, -1.0], ids=["up", "down"])
+def test_bracket_without_sign_change_fails_in_bounded_steps(value):
+    # a constant never changes sign: steps double from log(1 + BRACKET_STEP)
+    # until T leaves the floating-point range, with no overflow warning
     asked = []
-    with pytest.raises(BracketFailure, match="no sign change"):
-        _bracket_synthetic(lambda T: 1.0, ROOT, 0.0, asked)
-    steps = np.diff(np.log([ROOT] + asked))
-    assert steps == pytest.approx(np.log1p(BRACKET_STEP), rel=1e-12)
-    assert asked[-1] <= BRACKET_CAP * ROOT < asked[-1] * (1.0 + BRACKET_STEP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketFailure, match="no sign change"):
+            _bracket_synthetic(lambda T: value, ROOT, 0.0, asked)
+    steps = np.abs(np.diff(np.log([ROOT] + asked)))
+    assert steps == pytest.approx(np.log1p(BRACKET_STEP) * 2.0 ** np.arange(len(asked)))
+    assert len(asked) <= 12 < _MAX_STEPS
+    assert all(0.0 < T < np.inf for T in asked)
 
 
 def test_asymptotic_closed_form():
@@ -194,11 +208,28 @@ def test_tc_bulk_monotone_in_v():
 
 
 def test_tc_bulk_strong_coupling_escapes_seed_bracket():
-    # at v=50 the asymptotic seed is off by 10x+; expansion must recover
-    res = tc_bulk(50.0, 1.0)
-    assert abs(res.residual) <= 1e-6
-    # high-T limit: a ~ T^(-1/2) * a_{1,0}, so tc ~ (a_{1,0} v)^2
-    assert res.tc == pytest.approx((0.42890235 * 50.0) ** 2, rel=0.01)
+    # the asymptotic seed is off by about 100x at v=50 and 4e4x at v=1000;
+    # the doubling step limit must still reach the root
+    for v in (50.0, 300.0, 1000.0):
+        res = tc_bulk(v, 1.0)
+        assert abs(res.residual) <= 1e-6
+        # high-T limit: a ~ T^(-1/2) * a_{1,0}, so tc ~ (a_{1,0} v)^2
+        assert res.tc == pytest.approx((0.42890235 * v) ** 2, rel=0.01)
+
+
+# the couplings of the benchmark's edge-row workload, tc_bulk / mu from
+# about 4e-3 to 0.13
+EDGE_ROW_COUPLINGS = (
+    0.45, 0.47, 0.49, 0.51, 0.60, 0.61, 0.62, 0.63, 0.80, 0.83, 0.86, 0.89
+)
+
+
+def test_tc_bulk_solves_across_the_edge_row_range():
+    # steps predicted from the weak-coupling seed land next to the root;
+    # the decade bracket [seed/10, 10 seed] took 79 evaluations here
+    results = [tc_bulk(v, 1.0, 1e-6) for v in EDGE_ROW_COUPLINGS]
+    assert all(abs(res.residual) <= 1e-6 for res in results)
+    assert sum(res.evaluations for res in results) <= 40
 
 
 def test_concurrent_tc_bulk_keeps_each_callers_knobs():
@@ -263,7 +294,7 @@ def test_tc_boundary_strong_coupling_dirichlet_clamps_to_bulk():
 
 def test_tc_solves_take_few_evaluations():
     bulk = tc_bulk(0.49, 1.0, 1e-6)
-    assert bulk.evaluations <= 10
+    assert bulk.evaluations <= 4
     assert bulk.tc == pytest.approx(BISECTION_TC_BULK, rel=2e-6)
     res = tc_boundary(0.49, 1.0, D, 1e-6)
     assert res.evaluations <= 4

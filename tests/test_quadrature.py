@@ -17,7 +17,7 @@ from bcs_edge import (
     build_grid,
     tail_bound,
 )
-from bcs_edge.quadrature import BETA, _march_edges
+from bcs_edge.quadrature import BETA, _leggauss, _march_edges
 
 # [tail] closed form at mu=1, cutoff=50
 TAIL_BOUND_MU1_L50 = 0.16008541534707285
@@ -128,6 +128,14 @@ def test_integrate_polynomial_exactness():
     assert w @ q**31 == pytest.approx(lam**32 / 32.0, rel=1e-11)
 
 
+def test_cached_reference_rule_is_read_only():
+    # every grid maps the same cached nodes and weights; a caller that
+    # wrote to them would corrupt every later grid
+    for arr in _leggauss(16):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @given(
     T=st.floats(1e-3, 10.0),
     mu=st.one_of(st.just(0.0), st.floats(1e-2, 4.0)),
@@ -156,7 +164,7 @@ def _march_battery():
 def test_batched_march_matches_scalar_loop():
     cases = 0
     for hi, floor, rows in _march_battery():
-        edges, sizes = _march_edges((0.0, hi), rows, floor, BETA)
+        edges, sizes = _march_edges((0.0, hi), rows, floor)
         assert edges.shape[0] == sizes.size == rows.shape[0]
         for r, centers in enumerate(rows):
             ref = scalar_march(0.0, hi, centers, floor, BETA)
@@ -177,7 +185,7 @@ def test_batched_march_takes_per_row_spans_and_floors():
     rows[::3, 0] = lo[::3]  # a center on the span's start
     rows[1::3, 1] = hi[1::3]  # and on its end
     spans = np.column_stack([lo, hi])
-    edges, sizes = _march_edges(spans, rows, floor, BETA)
+    edges, sizes = _march_edges(spans, rows, floor)
     for r in range(rows.shape[0]):
         ref = scalar_march(lo[r], hi[r], rows[r], floor[r], BETA)
         assert np.array_equal(edges[r, : sizes[r]], ref)
@@ -189,4 +197,4 @@ def test_march_without_floor_hits_step_cap():
     with pytest.raises(ToleranceUnreachable):
         scalar_march(0.0, 2.0, (0.0, 1.0), 0.0, BETA)
     with pytest.raises(ToleranceUnreachable):
-        _march_edges((0.0, 2.0), [(0.0, 1.0), (0.5, 1.0)], 0.0, BETA)
+        _march_edges((0.0, 2.0), [(0.0, 1.0), (0.5, 1.0)], 0.0)

@@ -1,4 +1,4 @@
-"""Trial-state gap bound, threshold temperature, and temperature limits.
+"""Trial-state gap bound and temperature limits.
 
 Reference constants come from tools/oracle_constants.py (mpmath at 30
 digits, independent of the package code).
@@ -11,13 +11,12 @@ import pytest
 
 from bcs_edge import variational
 from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
-from bcs_edge.errors import DenominatorNonnegative, NoSignChange
+from bcs_edge.errors import DenominatorNonnegative
 from bcs_edge.kernels import ModelParams, eval_F
 from bcs_edge.quadrature import _panels_to_grid, build_grid
 from bcs_edge.variational import (
     TrialConfig,
     _pieces,
-    find_T0,
     int_F_residual,
     scaled_sup,
     trial_gap,
@@ -110,41 +109,6 @@ def test_denominator_guard(monkeypatch):
     )
     with pytest.raises(DenominatorNonnegative):
         trial_gap(ModelParams(T=1.0, mu=1.0), TrialConfig(b=1.0))
-
-
-def test_find_T0_brackets_the_sign_change():
-    cfg = TrialConfig(b=1.0, tol=1e-8)
-    T0 = find_T0(1.0, cfg, tol=2e-2)
-    assert 1e-6 < T0 < 1.0
-    assert trial_gap(ModelParams(T=0.9 * T0, mu=1.0), cfg) > 0.0
-    assert trial_gap(ModelParams(T=1.1 * T0, mu=1.0), cfg) < 0.0
-
-
-def test_find_T0_scales_with_mu():
-    # with b proportional to mu the problem rescales exactly, so T0/mu
-    # is the same number up to quadrature and bisection width
-    ratios = [
-        find_T0(mu, TrialConfig(b=mu, tol=1e-7), tol=2e-2) / mu
-        for mu in (0.5, 1.0, 2.0)
-    ]
-    for r in ratios[1:]:
-        assert r == pytest.approx(ratios[0], rel=0.1)
-
-
-def test_find_T0_no_sign_change(monkeypatch):
-    monkeypatch.setattr(variational, "trial_gap", lambda p, c: 1.0)
-    with pytest.raises(NoSignChange):
-        find_T0(1.0, TrialConfig(b=1.0))
-    monkeypatch.setattr(variational, "trial_gap", lambda p, c: -1.0)
-    with pytest.raises(NoSignChange):
-        find_T0(1.0, TrialConfig(b=1.0))
-
-
-def test_find_T0_bad_inputs():
-    with pytest.raises(ValueError):
-        find_T0(0.0, TrialConfig(b=1.0))
-    with pytest.raises(ValueError):
-        find_T0(1.0, TrialConfig(b=1.0), tol=0.0)
 
 
 def test_int_F_residual_matches_oracle():
