@@ -22,7 +22,9 @@ mirrored, and feeds the perturbation, the diagonal A(p_i) and the
 trial-state cross term.  _A_rows, the one integrator of A(p) (the
 diagonal, the trial state, eval_A and eval_E), sums each kernel row on
 the grid and evaluates B(p, .) afresh only on short sub-meshes around
-the row's two crossovers, which replace the grid panels there.
+the row's two crossovers, which replace the grid panels there.  The
+sub-meshes do not depend on T (_A_meshes), so a root find lays them out
+once per grid.
 """
 
 from __future__ import annotations
@@ -115,28 +117,25 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     return K
 
 
-def _A_rows(
-    params: ModelParams, grid: MomentumGrid, p: np.ndarray, Kp: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """A(p_i) for momenta p_i >= 0, and the fresh kernel evaluations spent.
+def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
+    """The T-independent half of _A_rows for ascending momenta p >= 0.
 
-    Kp holds the kernel rows B(p_i, grid.nodes).  A(p_i) is the grid sum
-    of row i, corrected where the grid does not resolve B(p_i, .): near
-    its tanh crossovers q = |2 sqrt(mu) -/+ p_i|.  The grid panel that
-    holds a crossover and that panel's two neighbours form a span (a
-    row's two spans merge when they share panels); the span's grid terms
-    are dropped and B is evaluated afresh on a sub-mesh of the span,
-    graded toward the crossovers and the grid centers inside it.  The
-    panels left outside lie at least a neighbour's width away from the
+    A(p_i) is the grid sum of the kernel row B(p_i, grid.nodes),
+    corrected where the grid does not resolve B(p_i, .): near its tanh
+    crossovers q = |2 sqrt(mu) -/+ p_i|.  The grid panel that holds a
+    crossover and that panel's two neighbours form a span (a row's two
+    spans merge when they share panels); the span's grid terms are
+    dropped and B is evaluated afresh on a sub-mesh of the span, graded
+    toward the crossovers and the grid centers inside it.  The panels
+    left outside lie at least a neighbour's width away from the
     crossover, where 16-point panels have converged (8-point ones can
-    miss tol a few times over for T >~ mu).  Each row grades down
-    to max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
-    high, so a panel that wide adds less than tol.  All spans are marched
-    in one lock-step pass, and each row is summed on its own, so A(p_i)
-    does not depend on which other momenta share the call.
+    miss tol a few times over for T >~ mu).  Each row grades down to
+    max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
+    high, so a panel that wide adds less than tol.  All spans are
+    marched in one lock-step pass.  Returns the arrays _A_rows unpacks.
     """
-    _require_resolved(grid)
-    smu = np.sqrt(params.mu) if params.mu > 0 else 0.0
+    mu = grid.policy.mu
+    smu = np.sqrt(mu) if mu > 0 else 0.0
     ppp = grid.policy.points_per_panel
     edges = grid.panel_edges
     last = edges.size - 2
@@ -161,11 +160,20 @@ def _A_rows(
     head = np.cumsum(per_row) - per_row  # each row's first span
     at = np.cumsum(dropped) - dropped
     idx = np.arange(dropped.sum()) + np.repeat(ppp * first - at, dropped)
-    old = Kp[np.repeat(row, dropped), idx] * grid.weights[idx]
-    new = w * eval_B(np.repeat(p[row], fresh), q, params)
+    fresh_at = np.cumsum(fresh) - fresh
+    flat = np.repeat(row, dropped) * grid.n + idx
+    return flat, grid.weights[idx], np.repeat(p[row], fresh), q, w, at[head], fresh_at[head]
+
+
+def _A_rows(params: ModelParams, grid: MomentumGrid, meshes: tuple, Kp: np.ndarray):
+    """A(p_i) at params on _A_meshes(grid, p), and the fresh kernel evaluations
+    spent; Kp holds the kernel rows B(p_i, grid.nodes).  Each row is summed
+    on its own, so A(p_i) does not depend on which momenta share the call."""
+    _require_resolved(grid)
+    flat, w_flat, p_q, q, w, flat_at, fresh_at = meshes
     out = np.array([k @ grid.weights for k in Kp])
-    out -= np.add.reduceat(old, at[head])
-    out += np.add.reduceat(new, (np.cumsum(fresh) - fresh)[head])
+    out -= np.add.reduceat(Kp.ravel()[flat] * w_flat, flat_at)
+    out += np.add.reduceat(w * eval_B(p_q, q, params), fresh_at)
     return out / (2.0 * np.pi), q.size
 
 
@@ -177,7 +185,8 @@ def eval_A(p, params: ModelParams, grid: MomentumGrid):
     order = np.argsort(np.abs(p))
     s = np.abs(p)[order]
     out = np.empty(p.size)
-    out[order] = _A_rows(params, grid, s, eval_B(s[:, None], grid.nodes, params))[0]
+    Kp = eval_B(s[:, None], grid.nodes, params)
+    out[order] = _A_rows(params, grid, _A_meshes(grid, s), Kp)[0]
     return _unwrap(out, scalar)
 
 
@@ -237,8 +246,13 @@ def assemble(
     mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is
     formed once as an outer product.
     """
+    return _assemble(params, grid, bc, _A_meshes(grid, grid.nodes))
+
+
+def _assemble(params, grid, bc, meshes) -> DiscretizedOperator:
+    """assemble, with _A_meshes(grid, grid.nodes) given as meshes."""
     K = _kernel_matrix(params, grid)
-    diag, fresh = _A_rows(params, grid, grid.nodes, K)
+    diag, fresh = _A_rows(params, grid, meshes, K)
     sw = np.sqrt(grid.weights)
     full = K  # scaled in place; _A_rows was K's last reader
     full *= sw[:, None] * sw[None, :]
@@ -260,26 +274,37 @@ def assemble(
     )
 
 
+def _top_value(op: DiscretizedOperator) -> float:
+    """Largest eigenvalue of op.matrix by eigvalsh, good to its backward
+    error, far below EIGEN_TOL; the second-largest is logged, as nothing
+    guarantees the top one is isolated.  eigvalsh may return NaN or finite
+    nonsense for a NaN entry, so a non-finite matrix raises NoConvergence."""
+    if not np.isfinite(op.matrix.sum()):
+        raise NoConvergence(f"operator matrix has a non-finite entry (n={op.n})")
+    vals = np.linalg.eigvalsh(op.matrix)
+    lam = vals[-1]
+    logger.debug(
+        "top eigenvalue %.12e (second %.12e, n=%d of %d, cut bound %.2e, bc=%s)",
+        lam, vals[-2] if op.n > 1 else np.nan, op.n, op.grid.n, op.cut_bound, op.bc.value,
+    )
+    return float(lam)
+
+
 def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue of op.matrix and its unit vector.
 
-    The eigenvalues of the m x m matrix M come from a dense symmetric
-    eigenvalue solve without vectors; the second-largest goes to the
-    debug log since nothing guarantees the top one is isolated.  The
-    vector comes from inverse iteration (B. N. Parlett, The Symmetric
-    Eigenvalue Problem, SIAM 1998, ch. 4): one solve of
-    (lambda + delta) I - M, delta = INVERSE_SHIFT * ||M||_inf, from the
-    flat start vector, and at most one more if the residual
-    ||Mx - lambda x|| still exceeds EIGEN_TOL * ||M||_inf.  The vector
-    comes back on the grid's nodes, zero past the matrix cut: [x; 0] is
-    the Rayleigh vector whose quotient in the uncut matrix is lambda,
-    within op.cut_bound of the uncut top eigenvalue.
+    The value is _top_value's; the vector comes from inverse iteration
+    (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4):
+    one solve of (lambda + delta) I - M, delta = INVERSE_SHIFT *
+    ||M||_inf, from the flat start vector, and one more if the residual
+    ||Mx - lambda x|| still exceeds EIGEN_TOL * ||M||_inf.  It comes back
+    on the grid's nodes, zero past the matrix cut: [x; 0] is the Rayleigh
+    vector whose quotient in the uncut matrix is lambda, within
+    op.cut_bound of the uncut top eigenvalue.
     """
     M = op.matrix
     n = M.shape[0]
-    vals = np.linalg.eigvalsh(M)
-    lam = vals[-1]
-    second = vals[-2] if n > 1 else np.nan
+    lam = _top_value(op)
     scale = np.linalg.norm(M, np.inf)
     shifted = -M
     shifted[np.diag_indices(n)] += lam + INVERSE_SHIFT * scale
@@ -297,14 +322,10 @@ def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
         )
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
-    logger.debug(
-        "top eigenvalue %.12e (second %.12e, residual %.2e after %d inverse-"
-        "iteration steps, n=%d of %d, cut bound %.2e, bc=%s)",
-        lam, second, residual, steps, n, op.grid.n, op.cut_bound, op.bc.value,
-    )
+    logger.debug("eigenvector residual %.2e after %d steps", residual, steps)
     on_grid = np.zeros(op.grid.n)
     on_grid[:n] = x
-    return float(lam), on_grid
+    return lam, on_grid
 
 
 def spectral_gap(op: DiscretizedOperator) -> float:
@@ -316,5 +337,4 @@ def spectral_gap(op: DiscretizedOperator) -> float:
     matrix, so the gap of the uncut matrix lies in [gap, gap +
     op.cut_bound].
     """
-    value, _ = top_eigenpair(op)
-    return value - op.a_edge
+    return _top_value(op) - op.a_edge

@@ -12,8 +12,8 @@ form for the bulk, tc_bulk for the half line), predicted from the
 closed-form slope of the essential edge there and then from secants.
 The monotonicity is monitored rather than trusted: a value that escapes
 the bracketing values, or moves away from zero while a bracket is
-closed, raises BracketFailure instead of returning a plausible wrong
-root.
+closed, or is not finite, raises BracketFailure instead of returning a
+plausible wrong root.  A half-line root find solves on one grid.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bs_operator import EIGEN_TOL, BoundaryCondition, assemble, top_eigenpair
+from .bs_operator import EIGEN_TOL, BoundaryCondition, _A_meshes, _assemble, _top_value
+from .bs_operator import assemble
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
-from .quadrature import GridKnobs, MomentumGrid, build_grid
+from .quadrature import GridKnobs, MomentumGrid, _recertify, build_grid
 
 __all__ = [
     "TcResult",
@@ -87,8 +88,8 @@ class RatioRow:
     the top eigenvalue moves when the grid is refined, so t_noise bounds
     no error of either temperature.  The two evaluation counts are the
     solves each root find took, bracketing included.  grid_nodes counts
-    the nodes of the grid built at tc_bulk and matrix_nodes the order of
-    the cut operator matrix solved on it (both 0 in a failed row).
+    the nodes of the grid at tc_bulk that every boundary solve used and
+    matrix_nodes the cut matrix order there (both 0 in a failed row).
     """
 
     v: float
@@ -124,6 +125,13 @@ class RatioCurve:
                 )
 
 
+def _finite(label, T, at):
+    """at = h(T) = (value, record); BracketFailure unless value is finite."""
+    if not np.isfinite(at[0]):
+        raise BracketFailure(f"{label}: h({T:.6g}) = {at[0]} is not finite")
+    return at
+
+
 def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     """Root of a strictly decreasing h by safeguarded regula falsi in log T.
 
@@ -140,9 +148,9 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
     stays within four times the bisection count.
 
     Every value is checked against the bracketing values; an
-    out-of-order value means the monotonicity assumption failed at
-    quadrature level, which is a BracketFailure, not a root.  Stops when
-    hi - lo <= tol * lo and the better end has |value| <= tol, and
+    out-of-order or non-finite value means the monotonicity assumption
+    failed at quadrature level, which is a BracketFailure, not a root.
+    Stops when hi - lo <= tol * lo and the better end has |value| <= tol, and
     returns (tc, residual, bracket, evaluations, record) for that end.
     """
     (h_lo, rec_lo), (h_hi, rec_hi) = at_lo, at_hi
@@ -171,7 +179,7 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
         else:
             T, pinned = np.exp(x_in), x_in != x
         widths.append(width)
-        h_T, rec = h(T)
+        h_T, rec = _finite(label, T, h(T))
         logger.debug("%s: T=%.9e h=%+.3e", label, T, h_T)
         if h_T > h_lo + slack or h_T < h_hi - slack:
             raise BracketFailure(
@@ -202,14 +210,14 @@ def _bracket(h, T0, at_T0, slope, tol, label):
     doubles after every step that leaves the sign unchanged, so steps at
     the cap pass a root d away in log T within
     log2(1 + d / log(1 + BRACKET_STEP)) steps.  slope is dh/dx at T0,
-    then the secant of the last two values.  A value that moves
-    away from zero by more than the slack, a step to a T that is not
-    finite and positive, or _MAX_STEPS steps raise BracketFailure.
+    then the secant of the last two values.  A value that is not finite
+    or moves away from zero by more than the slack, a step to a T that is
+    not finite and positive, or _MAX_STEPS steps raise BracketFailure.
     """
     slack, cap = max(tol, 1e-12), np.log1p(BRACKET_STEP)
     up = at_T0[0] > 0.0
     sign = 1.0 if up else -1.0
-    T, at_T = T0, at_T0
+    T, at_T = T0, _finite(label, T0, at_T0)
     for steps in range(1, _MAX_STEPS + 1):
         dx = cap
         if slope < 0.0:
@@ -220,7 +228,7 @@ def _bracket(h, T0, at_T0, slope, tol, label):
             raise BracketFailure(
                 f"{label}: no sign change from T={T0:.6g} to {T:.6g}"
             )
-        at_next = h(T_next)
+        at_next = _finite(label, T_next, h(T_next))
         logger.debug("%s: T=%.9e h=%+.3e", label, T_next, at_next[0])
         if sign * (at_next[0] - at_T[0]) > slack:
             raise BracketFailure(
@@ -290,13 +298,6 @@ class _Solve(NamedTuple):
     cut_bound: float
 
 
-def _sup_boundary(T, mu, bc, gtol, knobs) -> _Solve:
-    params = ModelParams(T=T, mu=mu)
-    op = assemble(params, build_grid(params, gtol, knobs), bc)
-    value, _ = top_eigenpair(op)
-    return _Solve(value, value - op.a_edge, op.grid, op.n, op.cut_bound)
-
-
 def tc_boundary(
     v: float,
     mu: float,
@@ -317,17 +318,20 @@ def tc_boundary(
 
 
 def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
-    """tc_boundary from a solved bulk TcResult.
-
-    Returns (TcResult, _Solve at bulk.tc); the solve at the bulk
-    temperature is the bracket's lower end, so its gap is
-    spectral_gap(assemble(...)) there at no extra cost.
-    """
+    """tc_boundary from a solved bulk TcResult.  Every T is solved for the
+    top eigenvalue on one grid, built at the lowest T, bulk.tc, so the
+    finest (grading scales with T); each solve re-certifies it and reuses
+    A(p)'s sub-meshes.  Returns (TcResult, _Solve at bulk.tc), whose gap
+    is spectral_gap(assemble(...)) there."""
     gtol = _grid_tol(tol)
+    grid = build_grid(ModelParams(T=bulk.tc, mu=mu), gtol, knobs)
+    meshes = _A_meshes(grid, grid.nodes)
 
     def g(T):
-        solve = _sup_boundary(T, mu, bc, gtol, knobs)
-        return solve.value - 1.0 / v, solve
+        params = ModelParams(T=T, mu=mu)
+        op = _assemble(params, _recertify(grid, params), bc, meshes)
+        value = _top_value(op)
+        return value - 1.0 / v, _Solve(value, value - op.a_edge, op.grid, op.n, op.cut_bound)
 
     at_lo = g(bulk.tc)
     g_lo, at_bulk = at_lo
@@ -367,7 +371,8 @@ def v_of_T(
     knobs: GridKnobs = GridKnobs(),
 ) -> float:
     """Coupling at which T is the half-line critical temperature."""
-    return 1.0 / _sup_boundary(T, mu, bc, _grid_tol(tol), knobs).value
+    params = ModelParams(T=T, mu=mu)
+    return 1.0 / _top_value(assemble(params, build_grid(params, _grid_tol(tol), knobs), bc))
 
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:

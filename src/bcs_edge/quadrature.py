@@ -10,19 +10,19 @@ One marcher, _march_edges, lays out the graded panel edges of many
 spans in one lock-step numpy pass: build_grid marches its single mesh
 on [0, core_cutoff] with it, and the A(p) integrator in bs_operator the
 short spans of grid panels around each momentum's two crossovers, each
-with its own ends and floor.
+with its own ends and floor.  _recertify re-takes a grid's probe at a new T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import CutoffTooSmall, RefusedRegime, ToleranceUnreachable
-from .kernels import ModelParams, _edge_sum
+from .kernels import ModelParams, _edge_sum, _require_resolved
 
 __all__ = [
     "GridKnobs",
@@ -153,7 +153,8 @@ def _march_edges(spans, centers, floor):
     of the three broadcast over the rows.  All rows march in lock-step,
     each taking the same floating-point steps it would take alone.
     Returns (edges, sizes): row r's edges are edges[r, :sizes[r]], and
-    the rest of the row repeats its hi.
+    the rest of the row repeats its hi.  A pass that moves no row short
+    of hi, which a zero floor allows, raises ToleranceUnreachable.
     """
     alpha = BETA / (1.0 + BETA)
     cs = np.array(centers, dtype=float, ndmin=2)
@@ -179,7 +180,10 @@ def _march_edges(spans, centers, floor):
         h = np.maximum(floor, np.minimum(BETA * (q - ladder[at]), alpha * d_ahead))
         snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * floor))
         # a row that reached hi has nothing ahead and stays at hi
-        q = np.where(snap, ahead, np.minimum(q + h, hi))
+        step = np.where(snap, ahead, np.minimum(q + h, hi))
+        if not np.any(step > q):
+            raise ToleranceUnreachable(f"panel marching stalled at {q[q < hi][0]:.6g}")
+        q = step
         edges.append(q)
     else:
         raise ToleranceUnreachable("panel marching failed to terminate")
@@ -187,6 +191,16 @@ def _march_edges(spans, centers, floor):
     sizes = 1 + np.count_nonzero(edges[:, :-1] < hi[:, None], axis=1)
     edges[np.arange(m), sizes - 1] = hi
     return edges, sizes
+
+
+def _probe(params: ModelParams, edges: np.ndarray, ppp: int) -> float:
+    """Self-convergence of A(0) on the core panels edges at params: the
+    larger move of its sum when points per panel double and when every
+    panel is halved."""
+    split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
+    rules = ((edges, ppp), (edges, 2 * ppp), (split, ppp))
+    j1, j2, j3 = (_edge_sum(params, *_panels_to_grid(e, k)) for e, k in rules)
+    return max(abs(j1 - j2), abs(j1 - j3))
 
 
 def tail_bound(params: ModelParams, cutoff: float) -> float:
@@ -266,15 +280,7 @@ def build_grid(
     for depth in range(_DEPTH_CAP):
         floor = floor0 / 2.0**depth
         edges = _march_edges((0.0, lam0), [centers], floor)[0][0]
-        n1, w1 = _panels_to_grid(edges, points_per_panel)
-        n2, w2 = _panels_to_grid(edges, 2 * points_per_panel)
-        split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
-        n3, w3 = _panels_to_grid(split, points_per_panel)
-        j1 = _edge_sum(params, n1, w1)
-        conv = max(
-            abs(j1 - _edge_sum(params, n2, w2)),
-            abs(j1 - _edge_sum(params, n3, w3)),
-        )
+        conv = _probe(params, edges, points_per_panel)
         if conv <= tol:
             break
     else:
@@ -313,3 +319,16 @@ def build_grid(
         core_cutoff=float(lam0),
         self_convergence=float(conv),
     )
+
+
+def _recertify(grid: MomentumGrid, params: ModelParams) -> MomentumGrid:
+    """grid, sharing its arrays, with its B(0, .) probe re-taken at params.T
+    (params.mu is the build's); QuadratureUnderresolved if the probe exceeds
+    tol, ToleranceUnreachable if tail_bound no longer certifies the cutoff."""
+    core = grid.panel_edges[: np.searchsorted(grid.panel_edges, grid.core_cutoff) + 1]
+    conv = _probe(params, core, grid.policy.points_per_panel)
+    checked = replace(grid, self_convergence=float(conv))
+    _require_resolved(checked)
+    if tail_bound(params, grid.cutoff) / (4.0 * np.pi) > grid.policy.tol / 2.0:
+        raise ToleranceUnreachable(f"tail bound fails at T={params.T:.6g}")
+    return checked

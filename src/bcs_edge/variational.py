@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_operator import (
-    BoundaryCondition,
-    _A_rows,
-    _kernel_matrix,
-    assemble,
-    top_eigenpair,
-)
+from .bs_operator import BoundaryCondition, _A_meshes, _A_rows, _kernel_matrix
+from .bs_operator import _top_value, assemble
 from .errors import DenominatorNonnegative
 from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
 from .quadrature import GridKnobs, build_grid
@@ -83,7 +78,7 @@ def _pieces(
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     K = _kernel_matrix(params, grid)
-    diag, _ = _A_rows(params, grid, p, K)
+    diag, _ = _A_rows(params, grid, _A_meshes(grid, p), K)
     a = float(eval_a(params, grid))
     wg = w * gfold
     cross = wg @ K @ wg
@@ -167,5 +162,4 @@ def scaled_sup(
         raise ValueError(f"T must be positive, got {T}")
     params = ModelParams(T=T, mu=mu)
     grid = build_grid(params, tol)
-    value, _ = top_eigenpair(assemble(params, grid, bc))
-    return float(np.sqrt(T) * value)
+    return float(np.sqrt(T) * _top_value(assemble(params, grid, bc)))

@@ -30,7 +30,7 @@ from bcs_edge.bs_operator import (
     spectral_gap,
     top_eigenpair,
 )
-from bcs_edge.bs_operator import _kernel_matrix, eval_A
+from bcs_edge.bs_operator import _kernel_matrix, _top_value, eval_A
 from bcs_edge.kernels import _BLOCK
 from bcs_edge.quadrature import BETA, _panels_to_grid
 from test_quadrature import scalar_march
@@ -333,6 +333,31 @@ def test_top_eigenpair_trivial_matrices():
     lam, x = top_eigenpair(with_matrix(np.eye(5)))
     assert lam == pytest.approx(1.0, abs=1e-15)
     assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_top_value_refuses_a_nan_matrix():
+    # eigvalsh may return NaN, or finite values, for a NaN entry
+    params = ModelParams(T=1.0, mu=0.0)
+    base = assemble(params, build_grid(params, 1e-7), D)
+    for i, j in [(1, 2), (3, 3)]:
+        M = np.eye(4)
+        M[i, j] = M[j, i] = np.nan
+        op = bso.DiscretizedOperator(
+            matrix=M, grid=base.grid, params=params, bc=D, a_edge=base.a_edge,
+            cut_bound=0.0,
+        )
+        with pytest.raises(NoConvergence, match="non-finite entry"):
+            _top_value(op)
+        with pytest.raises(NoConvergence):
+            top_eigenpair(op)
+
+
+def test_top_value_is_top_eigenpairs_value():
+    params = ModelParams(T=1e-2, mu=1.0)
+    grid = build_grid(params, 1e-8)
+    for bc in (D, N):
+        op = assemble(params, grid, bc)
+        assert _top_value(op) == top_eigenpair(op)[0] == spectral_gap(op) + op.a_edge
 
 
 def test_import_leaves_scipy_unloaded():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
-from bcs_edge.bs_operator import BoundaryCondition, assemble, spectral_gap
+from bcs_edge.bs_operator import BoundaryCondition, _top_value, assemble, spectral_gap
 from bcs_edge.critical_temperature import (
     _MAX_STEPS,
     BRACKET_STEP,
@@ -24,6 +24,7 @@ from bcs_edge.critical_temperature import (
     v_of_T,
 )
 from bcs_edge.errors import BracketFailure, ToleranceUnreachable
+from bcs_edge.quadrature import _recertify
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -114,6 +115,18 @@ def test_root_decreasing_step_function_hits_the_cap():
         _solve_synthetic(lambda T: 1.0 if T < ROOT else -1.0, 0.5 * ROOT, 1.5 * ROOT)
 
 
+def test_root_decreasing_refuses_a_non_finite_value_at_once():
+    asked = []
+
+    def h(T):
+        asked.append(T)
+        return np.nan, None
+
+    with pytest.raises(BracketFailure, match=r"h\(0\.01\d*\) = nan is not finite"):
+        _root_decreasing(h, ROOT, 2.0 * ROOT, (1.0, None), (-1.0, None), 1e-6, "nan")
+    assert len(asked) == 1
+
+
 def _bracket_synthetic(f, T0, slope, asked):
     """_bracket on h(T) = (f(T), None) from T0; every T it steps to is
     appended to asked."""
@@ -156,6 +169,15 @@ def test_bracket_rejects_a_value_moving_away_from_zero():
         _bracket_synthetic(lambda T: 0.1 + np.log(T / ROOT), ROOT, -1.0, [])
     with pytest.raises(BracketFailure, match="falls below"):
         _bracket_synthetic(lambda T: -0.1 + np.log(T / ROOT), ROOT, -1.0, [])
+
+
+def test_bracket_refuses_a_non_finite_value_at_once():
+    asked = []
+    with pytest.raises(BracketFailure, match="is not finite"):
+        _bracket_synthetic(lambda T: 1.0 if T == ROOT else np.nan, ROOT, -1.0, asked)
+    assert len(asked) == 1
+    with pytest.raises(BracketFailure, match="is not finite"):
+        _bracket(lambda T: (1.0, None), ROOT, (np.inf, None), -1.0, 1e-6, "inf")
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0], ids=["up", "down"])
@@ -282,6 +304,22 @@ def test_tc_boundary_neumann_enhancement():
     res = tc_boundary(2.0, 1.0, N)
     bulk = tc_bulk(2.0, 1.0)
     assert res.tc > bulk.tc
+
+
+@pytest.mark.parametrize("bc", [D, N])
+def test_tc_boundary_solves_every_temperature_on_the_grid_at_tc_bulk(bc):
+    v, mu, tol = 0.5, 1.0, 1e-4
+    res = tc_boundary(v, mu, bc, tol)
+    bulk = tc_bulk(v, mu, tol)
+    assert res.tc > bulk.tc
+    grid = build_grid(ModelParams(T=bulk.tc, mu=mu), _grid_tol(tol))
+    params = ModelParams(T=res.tc, mu=mu)
+    value = _top_value(assemble(params, _recertify(grid, params), bc))
+    assert res.residual == value - 1.0 / v
+    # the grid built at the root itself gives other bits
+    own = _top_value(assemble(params, build_grid(params, _grid_tol(tol)), bc))
+    assert res.residual != own - 1.0 / v
+    assert res.numerics["grid_nodes"] == grid.n
 
 
 def test_tc_boundary_strong_coupling_dirichlet_clamps_to_bulk():

@@ -4,6 +4,8 @@ Frozen reference values come from tools/oracle_constants.py; section
 names in comments match that script's output.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,12 +14,13 @@ from hypothesis import strategies as st
 from bcs_edge import (
     CutoffTooSmall,
     ModelParams,
+    QuadratureUnderresolved,
     RefusedRegime,
     ToleranceUnreachable,
     build_grid,
     tail_bound,
 )
-from bcs_edge.quadrature import BETA, _leggauss, _march_edges
+from bcs_edge.quadrature import BETA, _leggauss, _march_edges, _recertify
 
 # [tail] closed form at mu=1, cutoff=50
 TAIL_BOUND_MU1_L50 = 0.16008541534707285
@@ -198,3 +201,24 @@ def test_march_without_floor_hits_step_cap():
         scalar_march(0.0, 2.0, (0.0, 1.0), 0.0, BETA)
     with pytest.raises(ToleranceUnreachable):
         _march_edges((0.0, 2.0), [(0.0, 1.0), (0.5, 1.0)], 0.0)
+
+
+def test_recertify_refuses_below_the_build_temperature():
+    # grading scales with T: a grid built at T=0.1 is too coarse at 1e-3
+    grid = build_grid(ModelParams(T=0.1, mu=1.0), 1e-8)
+    with pytest.raises(QuadratureUnderresolved):
+        _recertify(grid, ModelParams(T=1e-3, mu=1.0))
+    # at the build T the probe is the build's own, bit for bit
+    at_build = _recertify(grid, ModelParams(T=0.1, mu=1.0))
+    assert at_build.self_convergence == grid.self_convergence
+    for T in (0.2, 1.0, 10.0):
+        checked = _recertify(grid, ModelParams(T=T, mu=1.0))
+        assert checked.self_convergence <= grid.policy.tol
+        assert checked.nodes is grid.nodes and checked.policy is grid.policy
+
+
+def test_recertify_rechecks_the_tail_certificate():
+    grid = build_grid(ModelParams(T=0.1, mu=1.0), 1e-8)
+    short = dataclasses.replace(grid, cutoff=10.0)
+    with pytest.raises(ToleranceUnreachable, match="tail bound"):
+        _recertify(short, ModelParams(T=0.2, mu=1.0))
