@@ -4,15 +4,15 @@ The bulk temperature solves a_{T,mu} = 1/v (the essential-spectrum edge
 crosses the coupling threshold); the half-line temperature solves the
 same equation for the top eigenvalue of the discretized boundary
 operator.  Both functions are strictly decreasing in T, and both are
-solved by Illinois regula falsi in log T, safeguarded so that every
+solved by one search in log T, _root_decreasing.  It starts from one
+point (the weak-coupling closed form for the bulk, tc_bulk for the half
+line) and steps toward the sign change, predicted from the closed-form
+slope of the essential edge there and then from secants; once both
+signs are seen it runs Illinois regula falsi, safeguarded so that every
 trial point stays inside the bracket and a plain bisection step is taken
-whenever the bracket stops halving.  Both brackets are closed by one
-rule, _bracket: steps in log T from a start (the weak-coupling closed
-form for the bulk, tc_bulk for the half line), predicted from the
-closed-form slope of the essential edge there and then from secants.
-The monotonicity is monitored rather than trusted: a value that escapes
-the bracketing values, or moves away from zero while a bracket is
-closed, or is not finite, raises BracketFailure instead of returning a
+whenever the bracket stops halving.  The monotonicity is monitored
+rather than trusted: a value that lies outside the values at the known
+ends, or is not finite, raises BracketFailure instead of returning a
 plausible wrong root.  A half-line root find solves on one grid.
 """
 
@@ -132,54 +132,75 @@ def _finite(label, T, at):
     return at
 
 
-def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
-    """Root of a strictly decreasing h by safeguarded regula falsi in log T.
+def _root_decreasing(h, points, slope, tol, label):
+    """Root of a strictly decreasing h by a safeguarded search in x = log T.
 
-    h(T) returns (value, record); at_lo and at_hi are its results at the
-    bracket ends and must satisfy value(lo) > 0 > value(hi).  Each trial
-    point is the secant root in x = log T of the bracket ends, with the
+    h(T) returns (value, record); points lists (T, h(T)) pairs the caller
+    has evaluated.  They seed the ends lo (value > 0) and hi (value <= 0),
+    either of which may be missing.  While one is, each step goes from the
+    other toward the sign change by |value| / -slope + tol/2, so an
+    accurate slope lands just past the root, and at most a cap, which is
+    also the step taken where slope >= 0.  The cap starts at
+    c = log(1 + BRACKET_STEP) and doubles after every step that leaves
+    the sign unchanged, so a root d away is passed within log2(1 + d/c)
+    steps.  slope is dh/dx at the seed, then the secant of the last two values.
+
+    Once both ends exist, each trial point is their secant root, with the
     Illinois rule (Dowell & Jarratt 1971): the end kept twice in a row
     enters the secant with its value halved, so neither end can stall.
-    Two safeguards bound the cost: every trial point sits at least tol/2
-    inside the bracket (near the root this steps across it, which
-    closes the bracket), and the next step is a plain bisection when the
-    secant would be held there a second step in a row or when the
-    bracket has not at least halved over three steps, so the worst case
-    stays within four times the bisection count.
+    Every trial point sits at least tol/2 inside the bracket (near the
+    root this steps across it), and the next step is a plain bisection
+    when the secant would be held there a second step in a row or when
+    the bracket has not at least halved over three steps, so the worst
+    case stays within four times the bisection count.
 
-    Every value is checked against the bracketing values; an
-    out-of-order or non-finite value means the monotonicity assumption
-    failed at quadrature level, which is a BracketFailure, not a root.
-    Stops when hi - lo <= tol * lo and the better end has |value| <= tol, and
-    returns (tc, residual, bracket, evaluations, record) for that end.
+    A non-finite value, a value more than the slack outside the values
+    at the known ends (monotonicity failed at quadrature level) and a
+    step to a T outside (0, inf) raise BracketFailure; _MAX_STEPS calls
+    of h raise it while an end is missing, ToleranceUnreachable after.
+    Stops when hi - lo <= tol * lo and the better end has |value| <=
+    tol; returns (tc, residual, bracket, calls of h, record) for it.
     """
-    (h_lo, rec_lo), (h_hi, rec_hi) = at_lo, at_hi
-    if not (h_lo > 0.0 > h_hi):
-        raise BracketFailure(
-            f"{label}: not bracketed, h({lo:.6g})={h_lo:.3e}, "
-            f"h({hi:.6g})={h_hi:.3e}"
-        )
-    slack = max(tol, 1e-12)
+    slack, cap = max(tol, 1e-12), np.log1p(BRACKET_STEP)
+    lo = hi = rec_lo = rec_hi = None
+    h_lo, h_hi = np.inf, -np.inf  # a missing end bounds no value
+    for T, at in points:
+        h_T, rec = _finite(label, T, at)
+        if h_T > 0.0 and (lo is None or T > lo):
+            lo, h_lo, rec_lo = T, h_T, rec
+        elif h_T <= 0.0 and (hi is None or T < hi):
+            hi, h_hi, rec_hi = T, h_T, rec
     s_lo, s_hi = h_lo, h_hi  # secant values, halved by the Illinois rule
     kept = 0  # +1: the last step kept hi, -1: it kept lo
     pinned = False  # the last step was a secant held pad inside an end
-    widths = []  # log-bracket width before each step, one per evaluation
-    while not (hi - lo <= tol * lo and min(abs(h_lo), abs(h_hi)) <= tol):
-        if len(widths) == _MAX_STEPS:
-            raise ToleranceUnreachable(
-                f"{label}: no convergence in {_MAX_STEPS} steps"
-            )
-        x_lo, x_hi = np.log(lo), np.log(hi)
-        width = x_hi - x_lo
-        pad = min(0.5 * tol, 0.25 * width)
-        x = x_lo + width * s_lo / (s_lo - s_hi)
-        x_in = min(max(x, x_lo + pad), x_hi - pad)
-        if (len(widths) >= 3 and width > 0.5 * widths[-3]) or (pinned and x_in != x):
-            T, pinned = np.sqrt(lo * hi), False
+    widths, evals = [], 0  # log-bracket width before each bracketed step
+    while True:
+        bracketed = lo is not None and hi is not None
+        if bracketed and hi - lo <= tol * lo and min(abs(h_lo), abs(h_hi)) <= tol:
+            break
+        if evals == _MAX_STEPS:
+            error = ToleranceUnreachable if bracketed else BracketFailure
+            raise error(f"{label}: no root in {evals} steps, bracket ({lo}, {hi})")
+        if bracketed:
+            x_lo, x_hi = np.log(lo), np.log(hi)
+            width = x_hi - x_lo
+            pad = min(0.5 * tol, 0.25 * width)
+            x = x_lo + width * s_lo / (s_lo - s_hi)
+            x_in = min(max(x, x_lo + pad), x_hi - pad)
+            if (len(widths) >= 3 and width > 0.5 * widths[-3]) or (pinned and x_in != x):
+                T, pinned = np.sqrt(lo * hi), False
+            else:
+                T, pinned = np.exp(x_in), x_in != x
+            widths.append(width)
         else:
-            T, pinned = np.exp(x_in), x_in != x
-        widths.append(width)
+            sign, T_end, h_end = (1.0, lo, h_lo) if hi is None else (-1.0, hi, h_hi)
+            dx = min(abs(h_end) / -slope + 0.5 * tol, cap) if slope < 0.0 else cap
+            with np.errstate(over="ignore"):
+                T = T_end * np.exp(sign * dx)
+            if not 0.0 < T < np.inf:
+                raise BracketFailure(f"{label}: no sign change past T={T_end:.6g}")
         h_T, rec = _finite(label, T, h(T))
+        evals += 1
         logger.debug("%s: T=%.9e h=%+.3e", label, T, h_T)
         if h_T > h_lo + slack or h_T < h_hi - slack:
             raise BracketFailure(
@@ -194,54 +215,11 @@ def _root_decreasing(h, lo, hi, at_lo, at_hi, tol, label):
             if kept == -1:
                 s_lo *= 0.5
             hi, h_hi, rec_hi, s_hi, kept = T, h_T, rec, h_T, -1
+        if not bracketed:  # the Illinois rule starts with the bracket
+            slope, cap, kept = (h_T - h_end) / (sign * dx), 2.0 * cap, 0
     if abs(h_lo) <= abs(h_hi):
-        return lo, h_lo, (lo, hi), len(widths), rec_lo
-    return hi, h_hi, (lo, hi), len(widths), rec_hi
-
-
-def _bracket(h, T0, at_T0, slope, tol, label):
-    """Step x = log T from T0, where h(T0) = at_T0, toward the sign change
-    of the decreasing h: up while h > 0, down while h < 0.  Returns
-    (lo, hi, at_lo, at_hi, steps) for _root_decreasing.
-
-    Each step is |h| / -slope + tol/2, so an accurate slope lands just
-    past the root, and at most a cap, which is also the step taken
-    where slope >= 0.  The cap starts at log(1 + BRACKET_STEP) and
-    doubles after every step that leaves the sign unchanged, so steps at
-    the cap pass a root d away in log T within
-    log2(1 + d / log(1 + BRACKET_STEP)) steps.  slope is dh/dx at T0,
-    then the secant of the last two values.  A value that is not finite
-    or moves away from zero by more than the slack, a step to a T that is
-    not finite and positive, or _MAX_STEPS steps raise BracketFailure.
-    """
-    slack, cap = max(tol, 1e-12), np.log1p(BRACKET_STEP)
-    up = at_T0[0] > 0.0
-    sign = 1.0 if up else -1.0
-    T, at_T = T0, _finite(label, T0, at_T0)
-    for steps in range(1, _MAX_STEPS + 1):
-        dx = cap
-        if slope < 0.0:
-            dx = min(abs(at_T[0]) / -slope + 0.5 * tol, cap)
-        with np.errstate(over="ignore"):
-            T_next = T * np.exp(sign * dx)
-        if not 0.0 < T_next < np.inf:
-            raise BracketFailure(
-                f"{label}: no sign change from T={T0:.6g} to {T:.6g}"
-            )
-        at_next = _finite(label, T_next, h(T_next))
-        logger.debug("%s: T=%.9e h=%+.3e", label, T_next, at_next[0])
-        if sign * (at_next[0] - at_T[0]) > slack:
-            raise BracketFailure(
-                f"{label}: h({T_next:.6g})={at_next[0]:.3e} "
-                f"{'rises above' if up else 'falls below'} {at_T[0]:.3e}"
-            )
-        if up and at_next[0] <= 0.0:
-            return T, T_next, at_T, at_next, steps
-        if not up and at_next[0] > 0.0:
-            return T_next, T, at_next, at_T, steps
-        slope = (at_next[0] - at_T[0]) / (sign * dx)
-        T, at_T, cap = T_next, at_next, 2.0 * cap
-    raise BracketFailure(f"{label}: no sign change in {_MAX_STEPS} steps")
+        return lo, h_lo, (lo, hi), evals, rec_lo
+    return hi, h_hi, (lo, hi), evals, rec_hi
 
 
 def tc_bulk_asymptotic(v: float, mu: float) -> float:
@@ -273,25 +251,23 @@ def tc_bulk(
 
     at_seed = h(seed)
     slope = _edge_log_slope(ModelParams(T=seed, mu=mu), at_seed[1])
-    lo, hi, at_lo, at_hi, steps = _bracket(h, seed, at_seed, slope, tol, "tc_bulk")
     tc, resid, bracket, evals, grid = _root_decreasing(
-        h, lo, hi, at_lo, at_hi, tol, "tc_bulk"
+        h, [(seed, at_seed)], slope, tol, "tc_bulk"
     )
     return TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
-        evaluations=1 + steps + evals,
+        evaluations=1 + evals,
         numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": grid.n},
     )
 
 
 class _Solve(NamedTuple):
-    """One half-line operator solve: top eigenvalue, its gap to the
+    """One half-line operator solve: the top eigenvalue's gap to the
     essential edge a_edge, the grid it was solved on, the order of the
     cut matrix and the cut's eigenvalue bound."""
 
-    value: float
     gap: float
     grid: MomentumGrid
     matrix_nodes: int
@@ -331,7 +307,7 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
         params = ModelParams(T=T, mu=mu)
         op = _assemble(params, _recertify(grid, params), bc, meshes)
         value = _top_value(op)
-        return value - 1.0 / v, _Solve(value, value - op.a_edge, op.grid, op.n, op.cut_bound)
+        return value - 1.0 / v, _Solve(value - op.a_edge, op.grid, op.n, op.cut_bound)
 
     at_lo = g(bulk.tc)
     g_lo, at_bulk = at_lo
@@ -339,13 +315,9 @@ def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
         tc, resid, bracket, steps, solve = bulk.tc, g_lo, bulk.bracket, 0, at_bulk
     else:
         slope = _edge_log_slope(ModelParams(T=bulk.tc, mu=mu), at_bulk.grid)
-        lo, hi, at_lo, at_hi, bracketing = _bracket(
-            g, bulk.tc, at_lo, slope, tol, "tc_boundary"
-        )
         tc, resid, bracket, steps, solve = _root_decreasing(
-            g, lo, hi, at_lo, at_hi, tol, "tc_boundary"
+            g, [(bulk.tc, at_lo)], slope, tol, "tc_boundary"
         )
-        steps += bracketing
     result = TcResult(
         tc=float(tc),
         residual=float(resid),
@@ -370,9 +342,11 @@ def v_of_T(
     tol: float = TOL_DEFAULT,
     knobs: GridKnobs = GridKnobs(),
 ) -> float:
-    """Coupling at which T is the half-line critical temperature."""
+    """Coupling at which T is the half-line critical temperature: 1 / the
+    supremum of the half-line spectrum, max(top eigenvalue, a_edge)."""
     params = ModelParams(T=T, mu=mu)
-    return 1.0 / _top_value(assemble(params, build_grid(params, _grid_tol(tol), knobs), bc))
+    op = assemble(params, build_grid(params, _grid_tol(tol), knobs), bc)
+    return 1.0 / max(_top_value(op), op.a_edge)
 
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:

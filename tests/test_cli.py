@@ -284,11 +284,17 @@ def test_ratio_curve_partial_failure(tmp_path, capsys):
 
 
 def test_numeric_failure_exit_two(capsys):
-    # the weak-coupling seed of v=0.05 lies below the supported T/mu floor
-    code = cli.main(["tc-bulk", "--mu", "1", "--v", "0.05"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "numeric failure" in captured.err
+    refusals = [
+        # the weak-coupling seed of v=0.05 lies below the supported T/mu floor
+        ["tc-bulk", "--mu", "1", "--v", "0.05"],
+        # a trial state narrower than any node spacing: <g|A-a|g> is 0
+        ["trial-gap", "--T", "1", "--mu", "1", "--b", "1e-12"],
+    ]
+    for argv in refusals:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "numeric failure" in captured.err
 
 
 def spectrum_rows(capsys, T, mu, bc):

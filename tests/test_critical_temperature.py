@@ -14,7 +14,6 @@ from bcs_edge.critical_temperature import (
     BRACKET_STEP,
     RatioCurve,
     RatioRow,
-    _bracket,
     _grid_tol,
     _root_decreasing,
     ratio_curve,
@@ -56,7 +55,7 @@ BENT_BRACKETS = [(0.3, 4.0), (0.2, 3.0), (0.5, 5.0), (0.7, 8.0)]
 
 def _solve_synthetic(f, lo, hi, tol=1e-6):
     h = lambda T: (f(T), None)
-    return _root_decreasing(h, lo, hi, h(lo), h(hi), tol, "synthetic")
+    return _root_decreasing(h, [(lo, h(lo)), (hi, h(hi))], 0.0, tol, "synthetic")
 
 
 @pytest.mark.parametrize("f", FACTOR_TWO_FUNCTIONS, ids=["smooth", "steep-tanh"])
@@ -84,15 +83,17 @@ def test_root_decreasing_never_slower_than_bisection(lo, hi):
 
 
 def test_root_decreasing_battery_count():
-    # every synthetic solve above; a bisection guard with a two-step
-    # window, which discards the step after an Illinois halving, took 133
+    # every synthetic solve above, 126 in all; a bisection guard with a
+    # two-step window, which discards the step after an Illinois halving,
+    # took 133
     runs = [
         (f, s * ROOT, 2.0 * s * ROOT)
         for f in FACTOR_TWO_FUNCTIONS
         for s in FACTOR_TWO_STARTS
     ]
     runs += [(bent, lo * ROOT, hi * ROOT) for lo, hi in BENT_BRACKETS]
-    assert sum(_solve_synthetic(f, lo, hi)[3] for f, lo, hi in runs) <= 126
+    counts = [_solve_synthetic(f, lo, hi)[3] for f, lo, hi in runs]
+    assert counts == [6, 6, 5, 9, 8, 9, 21, 19, 18, 25]
 
 
 def test_root_decreasing_rejects_non_monotone_bump():
@@ -105,8 +106,18 @@ def test_root_decreasing_rejects_non_monotone_bump():
 
 
 def test_root_decreasing_rejects_unbracketed_pair():
-    with pytest.raises(BracketFailure, match="not bracketed"):
-        _solve_synthetic(lambda T: -T, ROOT, 2.0 * ROOT)
+    # both values are negative: the search steps down from the lower T,
+    # where -T only creeps toward zero, until the step cap
+    asked = []
+
+    def h(T):
+        asked.append(T)
+        return -T, None
+
+    with pytest.raises(BracketFailure, match=f"no root in {_MAX_STEPS} steps"):
+        _root_decreasing(h, [(ROOT, h(ROOT)), (2.0 * ROOT, h(2.0 * ROOT))], 0.0, 1e-6, "pair")
+    assert len(asked) == 2 + _MAX_STEPS
+    assert all(0.0 < T < ROOT for T in asked[2:])
 
 
 def test_root_decreasing_step_function_hits_the_cap():
@@ -122,52 +133,74 @@ def test_root_decreasing_refuses_a_non_finite_value_at_once():
         asked.append(T)
         return np.nan, None
 
+    pair = [(ROOT, (1.0, None)), (2.0 * ROOT, (-1.0, None))]
     with pytest.raises(BracketFailure, match=r"h\(0\.01\d*\) = nan is not finite"):
-        _root_decreasing(h, ROOT, 2.0 * ROOT, (1.0, None), (-1.0, None), 1e-6, "nan")
+        _root_decreasing(h, pair, 0.0, 1e-6, "nan")
     assert len(asked) == 1
 
 
+@pytest.mark.parametrize("T0", [1.0, 1.5], ids=["up-to-zero", "down-from-zero"])
+def test_root_decreasing_takes_an_exact_zero_as_a_root(T0):
+    # h is 1 up to T = 1 and exactly 0 above, so a value of 0.0 closes the
+    # bracket as its hi end, whether met by a step or at the start
+    def h(T):
+        return (1.0 if T <= 1.0 else 0.0), None
+
+    tc, resid, (lo, hi), _, _ = _root_decreasing(h, [(T0, h(T0))], -1.0, 1e-6, "zero")
+    assert lo <= 1.0 < hi <= lo * (1.0 + 1e-6)
+    assert (tc, resid) == (hi, 0.0)
+
+
 def _bracket_synthetic(f, T0, slope, asked):
-    """_bracket on h(T) = (f(T), None) from T0; every T it steps to is
-    appended to asked."""
+    """_root_decreasing on h(T) = (f(T), None) from T0 alone; every T it
+    steps to is appended to asked."""
 
     def h(T):
         asked.append(T)
         return f(T), None
 
-    return _bracket(h, T0, (f(T0), None), slope, 1e-6, "synthetic")
+    return _root_decreasing(h, [(T0, (f(T0), None))], slope, 1e-6, "synthetic")
 
 
 def linear(T):
     return -0.7 * np.log(T / ROOT)
 
 
+def test_root_decreasing_searches_on_from_a_same_sign_pair():
+    tc, _, (lo, hi), _, _ = _solve_synthetic(linear, 1.3 * ROOT, 2.0 * ROOT)
+    assert lo <= ROOT <= hi < 1.3 * ROOT
+    assert tc == pytest.approx(ROOT, rel=1e-6)
+
+
 @pytest.mark.parametrize("start", [1.0 / 1.3, 1.3], ids=["up", "down"])
 def test_bracket_crosses_a_linear_root_in_one_step(start):
     asked = []
-    lo, hi, at_lo, at_hi, steps = _bracket_synthetic(linear, start * ROOT, -0.7, asked)
-    assert steps == len(asked) == 1
-    assert lo < ROOT < hi
-    assert {lo, hi} == {start * ROOT, asked[0]}
-    # the step lands tol/2 past the root
+    tc, _, (lo, hi), evals, _ = _bracket_synthetic(linear, start * ROOT, -0.7, asked)
+    # the first step lands tol/2 past the root; secant steps then close in
     assert abs(np.log(asked[0] / ROOT)) == pytest.approx(0.5e-6, rel=1e-6)
-    assert at_lo[0] > 0.0 > at_hi[0]
+    assert linear(asked[0]) * linear(start * ROOT) < 0.0
+    assert evals == len(asked) <= 3
+    assert lo < ROOT < hi
+    assert tc == pytest.approx(ROOT, rel=1e-6)
 
 
 @pytest.mark.parametrize("start", [1.0 / 1.3, 1.3], ids=["up", "down"])
 def test_bracket_moves_its_start_and_steps_by_secant(start):
     # a wrong first slope: the secant of the two values then finds the root
     asked = []
-    lo, hi, _, _, steps = _bracket_synthetic(linear, start * ROOT, -5.0, asked)
-    assert steps == 2
+    tc, _, (lo, hi), evals, _ = _bracket_synthetic(linear, start * ROOT, -5.0, asked)
+    signs = [np.sign(linear(T)) for T in [start * ROOT] + asked[:2]]
+    assert signs[0] == signs[1] == -signs[2]
+    assert abs(np.log(asked[1] / ROOT)) == pytest.approx(0.5e-6, rel=1e-3)
+    assert evals == len(asked) <= 4
     assert lo < ROOT < hi
-    assert {lo, hi} == set(asked)
+    assert tc == pytest.approx(ROOT, rel=1e-6)
 
 
 def test_bracket_rejects_a_value_moving_away_from_zero():
-    with pytest.raises(BracketFailure, match="rises above"):
+    with pytest.raises(BracketFailure, match=r"escapes \[-inf, 1\.000e-01\]"):
         _bracket_synthetic(lambda T: 0.1 + np.log(T / ROOT), ROOT, -1.0, [])
-    with pytest.raises(BracketFailure, match="falls below"):
+    with pytest.raises(BracketFailure, match=r"escapes \[-1\.000e-01, inf\]"):
         _bracket_synthetic(lambda T: -0.1 + np.log(T / ROOT), ROOT, -1.0, [])
 
 
@@ -177,7 +210,7 @@ def test_bracket_refuses_a_non_finite_value_at_once():
         _bracket_synthetic(lambda T: 1.0 if T == ROOT else np.nan, ROOT, -1.0, asked)
     assert len(asked) == 1
     with pytest.raises(BracketFailure, match="is not finite"):
-        _bracket(lambda T: (1.0, None), ROOT, (np.inf, None), -1.0, 1e-6, "inf")
+        _root_decreasing(lambda T: (1.0, None), [(ROOT, (np.inf, None))], -1.0, 1e-6, "inf")
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0], ids=["up", "down"])
@@ -359,6 +392,10 @@ def test_v_of_T_round_trip():
     assert back.tc <= T * (1.0 + 2e-6)
     assert back.tc == pytest.approx(T, rel=1e-5)
     assert v_of_T(back.tc, 1.0, N) == pytest.approx(v, rel=1e-5)
+    # past the Dirichlet binding threshold no eigenvalue sits above the
+    # essential edge, so the supremum is a_edge and T the bulk temperature
+    for T in (0.7, 0.864):
+        assert tc_boundary(v_of_T(T, 1.0, D), 1.0, D).tc == pytest.approx(T, rel=1e-6)
 
 
 def test_v_of_T_monotone():
