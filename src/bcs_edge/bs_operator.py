@@ -19,12 +19,13 @@ tol/2 (_matrix_cut).
 One kernel matrix B(p_i, p_j) per grid serves the whole build: it is
 evaluated on the upper triangle, one block of rows at a time, then
 mirrored, and feeds the perturbation, the diagonal A(p_i) and the
-trial-state cross term.  _A_rows, the one integrator of A(p) (the
-diagonal, the trial state, eval_A and eval_E), sums each kernel row on
-the grid and evaluates B(p, .) afresh only on short sub-meshes around
-the row's two crossovers, which replace the grid panels there.  The
-sub-meshes do not depend on T (_A_meshes), so a root find lays them out
-once per grid.
+trial-state cross term.  quadrature._A_rows, the one integrator of A(p)
+(the diagonal, the trial state, eval_A and eval_E), sums each kernel row
+on the grid and evaluates B(p, .) afresh only on short sub-meshes around
+the row's two crossovers, which replace the grid panels there; a grid
+keeps those of its own nodes, so a root find that solves several T on
+one grid lays them out once.  assemble and eval_A first certify the
+grid at their params (MomentumGrid.certify).
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .kernels import (
-    _BLOCK, ModelParams, _require_resolved, _unwrap, _wrap, eval_B, eval_a
-)
-from .quadrature import MomentumGrid, _march_edges, _panels_to_grid
+from .kernels import _BLOCK, ModelParams, _edge_sum, _unwrap, _wrap, eval_B
+from .quadrature import MomentumGrid, _A_rows
 
 __all__ = [
     "BoundaryCondition",
@@ -117,76 +116,17 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     return K
 
 
-def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
-    """The T-independent half of _A_rows for ascending momenta p >= 0.
-
-    A(p_i) is the grid sum of the kernel row B(p_i, grid.nodes),
-    corrected where the grid does not resolve B(p_i, .): near its tanh
-    crossovers q = |2 sqrt(mu) -/+ p_i|.  The grid panel that holds a
-    crossover and that panel's two neighbours form a span (a row's two
-    spans merge when they share panels); the span's grid terms are
-    dropped and B is evaluated afresh on a sub-mesh of the span, graded
-    toward the crossovers and the grid centers inside it.  The panels
-    left outside lie at least a neighbour's width away from the
-    crossover, where 16-point panels have converged (8-point ones can
-    miss tol a few times over for T >~ mu).  Each row grades down to
-    max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
-    high, so a panel that wide adds less than tol.  All spans are
-    marched in one lock-step pass.  Returns the arrays _A_rows unpacks.
-    """
-    mu = grid.policy.mu
-    smu = np.sqrt(mu) if mu > 0 else 0.0
-    ppp = grid.policy.points_per_panel
-    edges = grid.panel_edges
-    last = edges.size - 2
-    cross = np.column_stack([np.abs(2.0 * smu - p), 2.0 * smu + p])
-    held = np.minimum(np.searchsorted(edges, cross, side="right") - 1, last)
-    first, stop = np.maximum(held - 1, 0), np.minimum(held + 2, last + 1)
-    merged = first[:, 1] < stop[:, 0]
-    stop[merged, 0] = stop[merged, 1]
-    kept = np.column_stack([np.ones(p.size, dtype=bool), ~merged])
-    per_row = kept.sum(axis=1)
-    row = np.repeat(np.arange(p.size), per_row)
-    first, stop = first[kept], stop[kept]
-    centers = np.hstack([cross, np.tile(grid.refinement_centers, (p.size, 1))])
-    floor = np.maximum(grid.floor, grid.policy.tol * p * p / 2.0)
-    spans = np.column_stack([edges[first], edges[stop]])
-    sub, sizes = _march_edges(spans, centers[row], floor[row])
-    live = np.arange(sub.shape[1] - 1) < sizes[:, None] - 1
-    q, w = _panels_to_grid(np.stack([sub[:, :-1][live], sub[:, 1:][live]], axis=1), ppp)
-    # span s drops grid nodes ppp*first[s] ... ppp*stop[s] - 1 of its row
-    dropped = ppp * (stop - first)
-    fresh = ppp * (sizes - 1)
-    head = np.cumsum(per_row) - per_row  # each row's first span
-    at = np.cumsum(dropped) - dropped
-    idx = np.arange(dropped.sum()) + np.repeat(ppp * first - at, dropped)
-    fresh_at = np.cumsum(fresh) - fresh
-    flat = np.repeat(row, dropped) * grid.n + idx
-    return flat, grid.weights[idx], np.repeat(p[row], fresh), q, w, at[head], fresh_at[head]
-
-
-def _A_rows(params: ModelParams, grid: MomentumGrid, meshes: tuple, Kp: np.ndarray):
-    """A(p_i) at params on _A_meshes(grid, p), and the fresh kernel evaluations
-    spent; Kp holds the kernel rows B(p_i, grid.nodes).  Each row is summed
-    on its own, so A(p_i) does not depend on which momenta share the call."""
-    _require_resolved(grid)
-    flat, w_flat, p_q, q, w, flat_at, fresh_at = meshes
-    out = np.array([k @ grid.weights for k in Kp])
-    out -= np.add.reduceat(Kp.ravel()[flat] * w_flat, flat_at)
-    out += np.add.reduceat(w * eval_B(p_q, q, params), fresh_at)
-    return out / (2.0 * np.pi), q.size
-
-
 def eval_A(p, params: ModelParams, grid: MomentumGrid):
     """A(p) = A(|p|) = (1/4pi) * integral_R B(p,q) dq, by _A_rows on grid;
     on the grid's nodes it is the operator's diagonal, bit for bit.  Raises
-    QuadratureUnderresolved if the grid's self-convergence exceeds its tol."""
+    what grid.certify(params) raises."""
+    grid.certify(params)
     p, scalar = _wrap(p)
     order = np.argsort(np.abs(p))
     s = np.abs(p)[order]
     out = np.empty(p.size)
     Kp = eval_B(s[:, None], grid.nodes, params)
-    out[order] = _A_rows(params, grid, _A_meshes(grid, s), Kp)[0]
+    out[order] = _A_rows(params, grid, Kp, s)[0]
     return _unwrap(out, scalar)
 
 
@@ -244,15 +184,12 @@ def assemble(
 
     Built symmetric by construction: B comes from _kernel_matrix, which
     mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is
-    formed once as an outer product.
+    formed once as an outer product.  Raises what grid.certify(params)
+    raises.
     """
-    return _assemble(params, grid, bc, _A_meshes(grid, grid.nodes))
-
-
-def _assemble(params, grid, bc, meshes) -> DiscretizedOperator:
-    """assemble, with _A_meshes(grid, grid.nodes) given as meshes."""
+    grid.certify(params)
     K = _kernel_matrix(params, grid)
-    diag, fresh = _A_rows(params, grid, meshes, K)
+    diag, fresh = _A_rows(params, grid, K)
     sw = np.sqrt(grid.weights)
     full = K  # scaled in place; _A_rows was K's last reader
     full *= sw[:, None] * sw[None, :]
@@ -269,7 +206,7 @@ def _assemble(params, grid, bc, meshes) -> DiscretizedOperator:
         grid=grid,
         params=params,
         bc=bc,
-        a_edge=float(eval_a(params, grid)),
+        a_edge=_edge_sum(params, grid.nodes, grid.weights),  # eval_a, certified above
         cut_bound=cut_bound,
     )
 
@@ -331,10 +268,10 @@ def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
 def spectral_gap(op: DiscretizedOperator) -> float:
     """Top eigenvalue minus the essential edge a_edge.
 
-    Positive values certify a boundary bound state at this
-    discretization once they clear the grid's self-convergence noise
-    (by convention, ten times it).  The eigenvalue is that of the cut
-    matrix, so the gap of the uncut matrix lies in [gap, gap +
-    op.cut_bound].
+    The eigenvalue is that of the cut matrix, so the uncut matrix's gap
+    lies in [gap, gap + op.cut_bound].  That is all it bounds: the
+    discretization error is open, as self_convergence reads about 0 while
+    the eigenvalue moves by 2-9e-8 when points per panel double at grid
+    tol 1e-8 (ROADMAP.md, "Make the discretisation error bar real").
     """
     return _top_value(op) - op.a_edge

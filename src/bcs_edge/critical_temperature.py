@@ -24,11 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bs_operator import EIGEN_TOL, BoundaryCondition, _A_meshes, _assemble, _top_value
-from .bs_operator import assemble
+from .bs_operator import EIGEN_TOL, BoundaryCondition, _top_value, assemble
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
-from .quadrature import GridKnobs, MomentumGrid, _recertify, build_grid
+from .quadrature import GridKnobs, MomentumGrid, build_grid
 
 __all__ = [
     "TcResult",
@@ -296,16 +295,14 @@ def tc_boundary(
 def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
     """tc_boundary from a solved bulk TcResult.  Every T is solved for the
     top eigenvalue on one grid, built at the lowest T, bulk.tc, so the
-    finest (grading scales with T); each solve re-certifies it and reuses
-    A(p)'s sub-meshes.  Returns (TcResult, _Solve at bulk.tc), whose gap
-    is spectral_gap(assemble(...)) there."""
+    finest (grading scales with T); assemble certifies it at each T, and
+    the grid lays out A(p)'s sub-meshes once.  Returns (TcResult, _Solve
+    at bulk.tc), whose gap is spectral_gap(assemble(...)) there."""
     gtol = _grid_tol(tol)
     grid = build_grid(ModelParams(T=bulk.tc, mu=mu), gtol, knobs)
-    meshes = _A_meshes(grid, grid.nodes)
 
     def g(T):
-        params = ModelParams(T=T, mu=mu)
-        op = _assemble(params, _recertify(grid, params), bc, meshes)
+        op = assemble(ModelParams(T=T, mu=mu), grid, bc)
         value = _top_value(op)
         return value - 1.0 / v, _Solve(value - op.a_edge, op.grid, op.n, op.cut_bound)
 

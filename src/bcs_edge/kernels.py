@@ -1,11 +1,11 @@
 """Closed-form kernels of the BCS spectral problem in momentum space.
 
 The kernel family (F, L, B) and the edge a = A(0) drive everything else
-in the package (A(p) and E(p) live in bs_operator).  All evaluators are
-pure functions, accept floats or numpy arrays elementwise, and are
-arranged to be cancellation-free at the removable singularities
-p^2 = mu (for F) and p^2 + q^2 = 2*mu (for L), so results stay finite
-for any finite input.
+in the package (eval_A and eval_E live in bs_operator; eval_a, like them,
+first certifies its grid at its params).  All evaluators are pure
+functions, accept floats or numpy arrays elementwise, and are arranged
+to be cancellation-free at the removable singularities p^2 = mu (for F)
+and p^2 + q^2 = 2*mu (for L), so results stay finite for any finite input.
 
 eval_L and eval_B run one pipeline, p, q -> (p +/- q)/2 -> u, v -> L,
 over the broadcast of their arguments in blocks of _BLOCK elements, so a
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import QuadratureUnderresolved
 
 __all__ = [
     "EULER_GAMMA",
@@ -231,20 +229,6 @@ def eval_B(p, q, params: ModelParams):
     return _blocked(_B_block, p, q, params)
 
 
-def _require_resolved(grid) -> None:
-    """Refuse a grid whose B(0, .) self-convergence probe exceeds its tol.
-
-    The probe certifies A(0), the plain grid sum of B(0, .); _A_rows
-    takes other momenta's grid sums and corrects them near their
-    crossovers, which the probe does not see.
-    """
-    if grid.self_convergence > grid.policy.tol:
-        raise QuadratureUnderresolved(
-            f"grid self-convergence estimate {grid.self_convergence:.3e} "
-            f"exceeds requested tolerance {grid.policy.tol:.3e}"
-        )
-
-
 def _edge_sum(params: ModelParams, nodes, weights) -> float:
     """(1/2pi) * sum_j w_j B(0, q_j): A(0) on one quadrature rule."""
     return float(weights @ eval_B(0.0, nodes, params)) / (2.0 * np.pi)
@@ -262,6 +246,7 @@ def _edge_log_slope(params: ModelParams, grid) -> float:
 
 def eval_a(params: ModelParams, grid):
     """Essential-spectrum edge a_{T,mu} = A(0), strictly decreasing in T,
-    summed on the grid's nodes, which are graded to B(0, .)'s crossover."""
-    _require_resolved(grid)
+    summed on the grid's nodes, which are graded to B(0, .)'s crossover.
+    Raises what grid.certify(params) raises."""
+    grid.certify(params)
     return _edge_sum(params, grid.nodes, grid.weights)

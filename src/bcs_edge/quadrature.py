@@ -4,25 +4,27 @@ Composite Gauss-Legendre panels on [0, Lambda] with geometric grading
 toward the kernel crossovers (|q| near 2*sqrt(mu) for B(0,.), sqrt(mu)
 for F, and the origin), an analytic tail bound used to certify the
 cutoff, and an a-posteriori self-convergence measurement stored on the
-grid.  Grids are immutable after construction.
+grid.  Grids are immutable; certify checks one at the (T, mu) it is used at.
 
 One marcher, _march_edges, lays out the graded panel edges of many
 spans in one lock-step numpy pass: build_grid marches its single mesh
-on [0, core_cutoff] with it, and the A(p) integrator in bs_operator the
-short spans of grid panels around each momentum's two crossovers, each
-with its own ends and floor.  _recertify re-takes a grid's probe at a new T.
+on [0, core_cutoff] with it, and _A_meshes, for _A_rows, the integrator
+of A(p), the short spans of grid panels around each momentum's two
+crossovers, each with its own ends and floor.  A grid keeps those of
+its own nodes, which do not depend on T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import CutoffTooSmall, RefusedRegime, ToleranceUnreachable
-from .kernels import ModelParams, _edge_sum, _require_resolved
+from .errors import CutoffTooSmall, QuadratureUnderresolved
+from .errors import RefusedRegime, ToleranceUnreachable
+from .kernels import ModelParams, _edge_sum, eval_B
 
 __all__ = [
     "GridKnobs",
@@ -70,9 +72,9 @@ class GridKnobs:
             raise ValueError(
                 f"points_per_panel must be at least 2, got {self.points_per_panel}"
             )
-        if not self.cutoff_factor > 0:
+        if not (self.cutoff_factor > 0 and np.isfinite(self.cutoff_factor)):
             raise ValueError(
-                f"cutoff_factor must be positive, got {self.cutoff_factor}"
+                f"cutoff_factor must be positive and finite, got {self.cutoff_factor}"
             )
 
 
@@ -101,7 +103,8 @@ class MomentumGrid:
 
     floor is the smallest panel width of the graded core [0,
     core_cutoff]; panels beyond core_cutoff are the octaves that extend
-    the cutoff to Lambda.
+    the cutoff to Lambda.  self_convergence is the B(0, .) probe at
+    policy.T, the build's; certify re-takes it at any other T.
     """
 
     nodes: np.ndarray
@@ -117,6 +120,33 @@ class MomentumGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    def certify(self, params: ModelParams) -> None:
+        """Refuse params at which this grid's integrals are not certified:
+        ValueError for a mu other than the build's; at the build T the
+        build's probe stands, at any other T the B(0, .) probe is re-taken
+        on the core panels (QuadratureUnderresolved above tol) and the tail
+        re-checked (ToleranceUnreachable if tail_bound fails the cutoff)."""
+        pol = self.policy
+        if params.mu != pol.mu:
+            raise ValueError(f"grid built for mu={pol.mu:.6g} used at mu={params.mu:.6g}")
+        moved = params.T != pol.T
+        conv = self.self_convergence
+        if moved:
+            core = np.searchsorted(self.panel_edges, self.core_cutoff) + 1
+            conv = _probe(params, self.panel_edges[:core], pol.points_per_panel)
+        if conv > pol.tol:
+            raise QuadratureUnderresolved(
+                f"grid self-convergence estimate {conv:.3e} "
+                f"exceeds requested tolerance {pol.tol:.3e}"
+            )
+        if moved and tail_bound(params, self.cutoff) / (4.0 * np.pi) > pol.tol / 2.0:
+            raise ToleranceUnreachable(f"tail bound fails at T={params.T:.6g}")
+
+    @cached_property
+    def _node_meshes(self) -> tuple:
+        """_A_meshes at the grid's own nodes, laid out on first use."""
+        return _A_meshes(self, self.nodes)
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +221,68 @@ def _march_edges(spans, centers, floor):
     sizes = 1 + np.count_nonzero(edges[:, :-1] < hi[:, None], axis=1)
     edges[np.arange(m), sizes - 1] = hi
     return edges, sizes
+
+
+def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
+    """The T-independent half of _A_rows for ascending momenta p >= 0.
+
+    A(p_i) is the grid sum of the kernel row B(p_i, grid.nodes),
+    corrected where the grid does not resolve B(p_i, .): near its tanh
+    crossovers q = |2 sqrt(mu) -/+ p_i|.  The grid panel that holds a
+    crossover and that panel's two neighbours form a span (a row's two
+    spans merge when they share panels); the span's grid terms are
+    dropped and B is evaluated afresh on a sub-mesh of the span, graded
+    toward the crossovers and the grid centers inside it.  The panels
+    left outside lie at least a neighbour's width away from the
+    crossover, where 16-point panels have converged (8-point ones can
+    miss tol a few times over for T >~ mu).  Each row grades down to
+    max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
+    high, so a panel that wide adds less than tol.  All spans are
+    marched in one lock-step pass.  Returns the arrays _A_rows unpacks.
+    """
+    mu = grid.policy.mu
+    smu = np.sqrt(mu) if mu > 0 else 0.0
+    ppp = grid.policy.points_per_panel
+    edges = grid.panel_edges
+    last = edges.size - 2
+    cross = np.column_stack([np.abs(2.0 * smu - p), 2.0 * smu + p])
+    held = np.minimum(np.searchsorted(edges, cross, side="right") - 1, last)
+    first, stop = np.maximum(held - 1, 0), np.minimum(held + 2, last + 1)
+    merged = first[:, 1] < stop[:, 0]
+    stop[merged, 0] = stop[merged, 1]
+    kept = np.column_stack([np.ones(p.size, dtype=bool), ~merged])
+    per_row = kept.sum(axis=1)
+    row = np.repeat(np.arange(p.size), per_row)
+    first, stop = first[kept], stop[kept]
+    centers = np.hstack([cross, np.tile(grid.refinement_centers, (p.size, 1))])
+    floor = np.maximum(grid.floor, grid.policy.tol * p * p / 2.0)
+    spans = np.column_stack([edges[first], edges[stop]])
+    sub, sizes = _march_edges(spans, centers[row], floor[row])
+    live = np.arange(sub.shape[1] - 1) < sizes[:, None] - 1
+    q, w = _panels_to_grid(np.stack([sub[:, :-1][live], sub[:, 1:][live]], axis=1), ppp)
+    # span s drops grid nodes ppp*first[s] ... ppp*stop[s] - 1 of its row
+    dropped = ppp * (stop - first)
+    fresh = ppp * (sizes - 1)
+    head = np.cumsum(per_row) - per_row  # each row's first span
+    at = np.cumsum(dropped) - dropped
+    idx = np.arange(dropped.sum()) + np.repeat(ppp * first - at, dropped)
+    fresh_at = np.cumsum(fresh) - fresh
+    flat = np.repeat(row, dropped) * grid.n + idx
+    return p, flat, grid.weights[idx], q, w, at[head], fresh_at[head]
+
+
+def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
+    """A(p_i) at params, for ascending p >= 0 (the grid's nodes if None, whose
+    meshes the grid keeps) on a grid certified at params, and the fresh kernel
+    evaluations spent; Kp holds the kernel rows B(p_i, grid.nodes).  Each row
+    is summed on its own, so A(p_i) does not depend on which momenta share it."""
+    meshes = grid._node_meshes if p is None else _A_meshes(grid, p)
+    p, flat, w_flat, q, w, flat_at, fresh_at = meshes
+    out = np.array([k @ grid.weights for k in Kp])
+    out -= np.add.reduceat(Kp.ravel()[flat] * w_flat, flat_at)
+    p_q = np.repeat(p, np.diff(fresh_at, append=q.size))
+    out += np.add.reduceat(w * eval_B(p_q, q, params), fresh_at)
+    return out / (2.0 * np.pi), q.size
 
 
 def _probe(params: ModelParams, edges: np.ndarray, ppp: int) -> float:
@@ -320,15 +412,3 @@ def build_grid(
         self_convergence=float(conv),
     )
 
-
-def _recertify(grid: MomentumGrid, params: ModelParams) -> MomentumGrid:
-    """grid, sharing its arrays, with its B(0, .) probe re-taken at params.T
-    (params.mu is the build's); QuadratureUnderresolved if the probe exceeds
-    tol, ToleranceUnreachable if tail_bound no longer certifies the cutoff."""
-    core = grid.panel_edges[: np.searchsorted(grid.panel_edges, grid.core_cutoff) + 1]
-    conv = _probe(params, core, grid.policy.points_per_panel)
-    checked = replace(grid, self_convergence=float(conv))
-    _require_resolved(checked)
-    if tail_bound(params, grid.cutoff) / (4.0 * np.pi) > grid.policy.tol / 2.0:
-        raise ToleranceUnreachable(f"tail bound fails at T={params.T:.6g}")
-    return checked

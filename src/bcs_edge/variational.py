@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_operator import BoundaryCondition, _A_meshes, _A_rows, _kernel_matrix
-from .bs_operator import _top_value, assemble
+from .bs_operator import BoundaryCondition, _kernel_matrix, _top_value, assemble
 from .errors import DenominatorNonnegative
 from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
-from .quadrature import GridKnobs, build_grid
+from .quadrature import GridKnobs, _A_rows, build_grid
 
 __all__ = [
     "TrialConfig",
@@ -77,9 +76,9 @@ def _pieces(
     grid = build_grid(params, cfg.tol, knobs)
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
-    K = _kernel_matrix(params, grid)
-    diag, _ = _A_rows(params, grid, _A_meshes(grid, p), K)
     a = float(eval_a(params, grid))
+    K = _kernel_matrix(params, grid)
+    diag, _ = _A_rows(params, grid, K)
     wg = w * gfold
     cross = wg @ K @ wg
     denom = float(w @ (gsq * (diag - a)) - cross / (4.0 * np.pi))

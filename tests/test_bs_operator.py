@@ -20,6 +20,7 @@ from bcs_edge import (
     GridKnobs,
     ModelParams,
     NoConvergence,
+    QuadratureUnderresolved,
     build_grid,
     eval_B,
     eval_a,
@@ -181,6 +182,27 @@ def test_eval_A_is_the_operator_diagonal():
         perm = rng.permutation(grid.n)
         flipped = rng.choice([-1.0, 1.0], grid.n) * grid.nodes[perm]
         assert np.array_equal(eval_A(flipped, params, grid), diag[perm])
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda params, grid: assemble(params, grid, D),
+        lambda params, grid: eval_a(params, grid),
+        lambda params, grid: eval_A(grid.nodes[:4], params, grid),
+    ],
+    ids=["assemble", "eval_a", "eval_A"],
+)
+def test_grid_is_certified_at_the_params_it_is_used_at(use):
+    # unchecked, the grid built at T=1 gave a_edge 3.3278 at T=1e-4 (3.4130
+    # on the grid built there) and a Dirichlet gap of -0.486 (+0.0058)
+    grid = build_grid(ModelParams(T=1.0, mu=1.0), 1e-8)
+    with pytest.raises(QuadratureUnderresolved):
+        use(ModelParams(T=1e-4, mu=1.0), grid)
+    # built for mu=1 at T=1e-2 it gave a_edge 1.6686 at mu=2 (1.5328)
+    grid = build_grid(ModelParams(T=1e-2, mu=1.0), 1e-8)
+    with pytest.raises(ValueError, match="mu"):
+        use(ModelParams(T=1e-2, mu=2.0), grid)
 
 
 def test_even_sector_matches_full_line():

@@ -66,6 +66,7 @@ def test_usage_errors_exit_one(capsys):
         (["ratio-curve", "--mu", "1", "--bc", "dirichlet", "--v-min", "1",
           "--v-max", "inf", "--v-count", "2"], "--v-max"),
         (["trial-gap", "--T", "0.1", "--mu", "1", "--b", "inf"], "--b"),
+        (["spectrum", "--T", "1", "--mu", "1", "--cutoff-factor", "inf"], "cutoff_factor"),
     ],
 )
 def test_non_finite_values_exit_one(capsys, argv, flag):

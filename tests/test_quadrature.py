@@ -12,15 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bcs_edge import (
+    BoundaryCondition,
     CutoffTooSmall,
     ModelParams,
     QuadratureUnderresolved,
     RefusedRegime,
     ToleranceUnreachable,
+    assemble,
     build_grid,
+    eval_a,
     tail_bound,
 )
-from bcs_edge.quadrature import BETA, _leggauss, _march_edges, _recertify
+from bcs_edge.quadrature import BETA, _leggauss, _march_edges
 
 # [tail] closed form at mu=1, cutoff=50
 TAIL_BOUND_MU1_L50 = 0.16008541534707285
@@ -207,18 +210,20 @@ def test_recertify_refuses_below_the_build_temperature():
     # grading scales with T: a grid built at T=0.1 is too coarse at 1e-3
     grid = build_grid(ModelParams(T=0.1, mu=1.0), 1e-8)
     with pytest.raises(QuadratureUnderresolved):
-        _recertify(grid, ModelParams(T=1e-3, mu=1.0))
-    # at the build T the probe is the build's own, bit for bit
-    at_build = _recertify(grid, ModelParams(T=0.1, mu=1.0))
-    assert at_build.self_convergence == grid.self_convergence
+        eval_a(ModelParams(T=1e-3, mu=1.0), grid)
+    # at the build T the probe is the build's own: a stored probe above tol
+    # is refused there, and re-taken (and passed) at any other T
+    bad = dataclasses.replace(grid, self_convergence=10.0 * grid.policy.tol)
+    with pytest.raises(QuadratureUnderresolved):
+        eval_a(ModelParams(T=0.1, mu=1.0), bad)
     for T in (0.2, 1.0, 10.0):
-        checked = _recertify(grid, ModelParams(T=T, mu=1.0))
-        assert checked.self_convergence <= grid.policy.tol
-        assert checked.nodes is grid.nodes and checked.policy is grid.policy
+        params = ModelParams(T=T, mu=1.0)
+        assert eval_a(params, bad) == eval_a(params, grid)
+        assert assemble(params, grid, BoundaryCondition.DIRICHLET).grid is grid
 
 
 def test_recertify_rechecks_the_tail_certificate():
     grid = build_grid(ModelParams(T=0.1, mu=1.0), 1e-8)
     short = dataclasses.replace(grid, cutoff=10.0)
     with pytest.raises(ToleranceUnreachable, match="tail bound"):
-        _recertify(short, ModelParams(T=0.2, mu=1.0))
+        eval_a(ModelParams(T=0.2, mu=1.0), short)
