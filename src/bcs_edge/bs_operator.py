@@ -72,7 +72,7 @@ class BoundaryCondition(enum.Enum):
         return -1.0 if self is BoundaryCondition.DIRICHLET else 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedOperator:
     """Symmetric Nystroem matrix plus the data that produced it.
 
@@ -81,12 +81,12 @@ class DiscretizedOperator:
     cut_bound bounds how far the top eigenvalue of the uncut matrix lies
     above that of matrix (0 when nothing is cut).  a_edge is the
     essential-spectrum edge a = A(0) evaluated on the whole grid;
-    spectral_gap measures the top eigenvalue against it.
+    spectral_gap measures the top eigenvalue against it.  Operators
+    compare and hash by identity.
     """
 
     matrix: np.ndarray
     grid: MomentumGrid
-    params: ModelParams
     bc: BoundaryCondition
     a_edge: float
     cut_bound: float
@@ -204,7 +204,6 @@ def assemble(
     return DiscretizedOperator(
         matrix=matrix,
         grid=grid,
-        params=params,
         bc=bc,
         a_edge=_edge_sum(params, grid.nodes, grid.weights),  # eval_a, certified above
         cut_bound=cut_bound,

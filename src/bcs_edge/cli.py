@@ -43,7 +43,7 @@ from .kernels import ModelParams
 from .quadrature import GridKnobs, build_grid
 from .variational import TrialConfig, trial_gap
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,8 +158,6 @@ def _pmap(fn, items, threads: int) -> list:
 def _cell(value) -> str:
     if isinstance(value, BoundaryCondition):
         return value.value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -197,12 +195,6 @@ def _render(command: str, fmt: str, header, rows) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _argstr(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _replay_argv(command: str, cfg: dict, opts) -> list:
     """Flag list that re-resolves to this exact configuration.
 
@@ -217,7 +209,7 @@ def _replay_argv(command: str, cfg: dict, opts) -> list:
         if value is None:
             continue
         for item in value if opt.repeat else [value]:
-            argv += [opt.flag, _argstr(item)]
+            argv += [opt.flag, _cell(item)]
     return argv
 
 
@@ -577,9 +569,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

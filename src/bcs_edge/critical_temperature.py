@@ -56,7 +56,11 @@ _MAX_STEPS = 200
 
 
 def _grid_tol(tol: float) -> float:
-    # quadrature must sit well below the equation residual target
+    """Grid tolerance for solver tolerance tol: quadrature must sit well
+    below the equation residual target.  ValueError unless tol is positive
+    and finite."""
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     return max(min(0.01 * tol, 1e-8), 1e-12)
 
 
@@ -88,18 +92,19 @@ class RatioRow:
     no error of either temperature.  The two evaluation counts are the
     solves each root find took, bracketing included.  grid_nodes counts
     the nodes of the grid at tc_bulk that every boundary solve used and
-    matrix_nodes the cut matrix order there (both 0 in a failed row).
+    matrix_nodes the cut matrix order there.  A failed row leaves every
+    result field at its default: NaN, and 0 for the counts.
     """
 
     v: float
     mu: float
     bc: BoundaryCondition
-    tc_bulk: float
-    tc_boundary: float
-    relative_shift: float
-    gap_at_tc_bulk: float
-    grid_nodes: int
-    t_noise: float
+    tc_bulk: float = np.nan
+    tc_boundary: float = np.nan
+    relative_shift: float = np.nan
+    gap_at_tc_bulk: float = np.nan
+    grid_nodes: int = 0
+    t_noise: float = np.nan
     error: str | None = None
     tc_bulk_evaluations: int = 0
     tc_boundary_evaluations: int = 0
@@ -216,9 +221,10 @@ def _root_decreasing(h, points, slope, tol, label):
             hi, h_hi, rec_hi, s_hi, kept = T, h_T, rec, h_T, -1
         if not bracketed:  # the Illinois rule starts with the bracket
             slope, cap, kept = (h_T - h_end) / (sign * dx), 2.0 * cap, 0
+    bracket = (float(lo), float(hi))
     if abs(h_lo) <= abs(h_hi):
-        return lo, h_lo, (lo, hi), evals, rec_lo
-    return hi, h_hi, (lo, hi), evals, rec_hi
+        return lo, h_lo, bracket, evals, rec_lo
+    return hi, h_hi, bracket, evals, rec_hi
 
 
 def tc_bulk_asymptotic(v: float, mu: float) -> float:
@@ -390,18 +396,5 @@ def ratio_curve(
             rows.append(_row(v, mu, bc, tol, knobs))
         except NumericsError as err:
             logger.warning("ratio_curve row v=%g failed: %s", v, err)
-            rows.append(
-                RatioRow(
-                    v=v,
-                    mu=mu,
-                    bc=bc,
-                    tc_bulk=np.nan,
-                    tc_boundary=np.nan,
-                    relative_shift=np.nan,
-                    gap_at_tc_bulk=np.nan,
-                    grid_nodes=0,
-                    t_noise=np.nan,
-                    error=str(err),
-                )
-            )
+            rows.append(RatioRow(v=v, mu=mu, bc=bc, error=str(err)))
     return RatioCurve(rows=tuple(rows), tol=tol)

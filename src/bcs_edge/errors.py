@@ -5,6 +5,17 @@ code can map them to a single exit code while tests can still assert
 the precise failure kind.
 """
 
+__all__ = [
+    "NumericsError",
+    "QuadratureUnderresolved",
+    "ToleranceUnreachable",
+    "CutoffTooSmall",
+    "RefusedRegime",
+    "NoConvergence",
+    "BracketFailure",
+    "DenominatorNonnegative",
+]
+
 
 class NumericsError(Exception):
     """Base class for numerical failures the caller may want to catch."""

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
-    "TANH_RATIO_SWITCH",
     "ModelParams",
     "eval_F",
     "eval_L",

@@ -14,7 +14,7 @@ Reports are reproducible bit-for-bit given (seed, sample count).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,12 +111,24 @@ def _tally(name: str, margins: np.ndarray, scale, seed: int) -> CheckReport:
     )
 
 
-def _split(n_samples: int) -> tuple:
-    """(random, directed) sample counts; directed probes boundary cases."""
+def _pairs(n_samples: int, seed: int, lo: float, directed) -> tuple:
+    """Seeded sample pairs x, y and the generator they were drawn from.
+
+    All but a tenth of the pairs (at most 2000 held back) are uniform on
+    [lo, _BOX]^2; the rest form a directed block that probes a boundary
+    case: x uniform on [lo, _BOX] and y = directed(x).
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n_dir = min(2000, n_samples // 10)
-    return n_samples - n_dir, n_dir
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo, _BOX, n_samples - n_dir)
+    y = rng.uniform(lo, _BOX, n_samples - n_dir)
+    if n_dir:
+        xd = rng.uniform(lo, _BOX, n_dir)
+        x = np.concatenate([x, xd])
+        y = np.concatenate([y, directed(xd)])
+    return x, y, rng
 
 
 def check_tanh_sum(n_samples: int = 100_000, seed: int = 0) -> CheckReport:
@@ -127,17 +139,11 @@ def check_tanh_sum(n_samples: int = 100_000, seed: int = 0) -> CheckReport:
     left side degenerates to a difference quotient that the sinh/cosh
     form evaluates without cancellation.
     """
-    n_rand, n_dir = _split(n_samples)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-_BOX, _BOX, n_rand)
-    y = rng.uniform(-_BOX, _BOX, n_rand)
-    if n_dir:
-        xd = rng.uniform(-_BOX, _BOX, n_dir)
-        delta = np.geomspace(1e-12, 1e-2, n_dir) * np.where(
-            np.arange(n_dir) % 2, 1.0, -1.0
-        )
-        x = np.concatenate([x, xd])
-        y = np.concatenate([y, -xd + delta])
+    def across(xd):
+        sign = np.where(np.arange(xd.size) % 2, 1.0, -1.0)
+        return -xd + np.geomspace(1e-12, 1e-2, xd.size) * sign
+
+    x, y, rng = _pairs(n_samples, seed, -_BOX, across)
     T = 10.0 ** rng.uniform(-3.0, 3.0, x.size)
     lhs = _tanh_pair_ratio(x / T, y / T) / T
     rhs = 2.0 / (np.abs(x) + np.abs(y))
@@ -150,14 +156,7 @@ def check_tanh_diff(n_samples: int = 100_000, seed: int = 0) -> CheckReport:
     The x = y limit sech^2(x) is probed by a directed block; the
     quotient is the pair ratio at (x, -y), so it stays finite there.
     """
-    n_rand, n_dir = _split(n_samples)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, _BOX, n_rand)
-    y = rng.uniform(0.0, _BOX, n_rand)
-    if n_dir:
-        xd = rng.uniform(0.0, _BOX, n_dir)
-        x = np.concatenate([x, xd])
-        y = np.concatenate([y, xd])
+    x, y, _ = _pairs(n_samples, seed, 0.0, lambda xd: xd)
     lhs = _tanh_pair_ratio(x, -y)
     rhs = 4.0 * np.exp(-2.0 * np.minimum(x, y))
     return _tally("tanh_diff", rhs - lhs, rhs, seed)
@@ -170,14 +169,7 @@ def check_mean_bound(n_samples: int = 100_000, seed: int = 0) -> CheckReport:
     directed block sits on that line, so ulp-level dips there are
     expected and logged as noise.
     """
-    n_rand, n_dir = _split(n_samples)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-_BOX, _BOX, n_rand)
-    y = rng.uniform(-_BOX, _BOX, n_rand)
-    if n_dir:
-        xd = rng.uniform(-_BOX, _BOX, n_dir)
-        x = np.concatenate([x, xd])
-        y = np.concatenate([y, xd])
+    x, y, _ = _pairs(n_samples, seed, -_BOX, lambda xd: xd)
     lhs = _tanh_pair_ratio(x, y)
     rhs = 0.5 * (_tanh_over_x(x) + _tanh_over_x(y))
     return _tally("mean_bound", rhs - lhs, rhs, seed)
@@ -190,15 +182,10 @@ def check_concavity_bound(n_samples: int = 100_000, seed: int = 0) -> CheckRepor
     both halves of B's argument pair coincide.  Directed blocks sit on
     q = 0 (equality, noise-logged) and p = q (strict).
     """
-    n_rand, n_dir = _split(n_samples)
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(-_BOX, _BOX, n_rand)
-    q = rng.uniform(-_BOX, _BOX, n_rand)
-    if n_dir:
-        pd = rng.uniform(-_BOX, _BOX, n_dir)
-        half = n_dir // 2
-        p = np.concatenate([p, pd])
-        q = np.concatenate([q, np.where(np.arange(n_dir) < half, 0.0, pd)])
+    def on_axis_then_diagonal(pd):
+        return np.where(np.arange(pd.size) < pd.size // 2, 0.0, pd)
+
+    p, q, _ = _pairs(n_samples, seed, -_BOX, on_axis_then_diagonal)
     params = ModelParams(T=1.0, mu=0.0)
     lhs = eval_B(p, q, params)
     rhs = 0.5 * _tanh_over_x((p * p + q * q) / 8.0)
@@ -266,13 +253,7 @@ def check_E_log_growth(
         ms.append(float(np.min(eval_E(ps, params, grid)) / np.log(mu / T)))
     logger.info("E_log_growth(mu=%g, eps=%g): m(T) ladder %s", mu, eps, ms)
     report = _tally("E_log_growth", np.asarray(ms), 1.0, 0)
-    return CheckReport(
-        name=report.name,
-        samples=len(ms) * _E_MOMENTA,
-        violations=report.violations,
-        worst_margin=report.worst_margin,
-        seed=0,
-    )
+    return replace(report, samples=len(ms) * _E_MOMENTA)
 
 
 def check_B_uniform_norm(

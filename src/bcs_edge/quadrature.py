@@ -94,17 +94,17 @@ class GridPolicy:
     tail_k: ClassVar[float] = TAIL_K
     extend_tail: ClassVar[bool] = True
     extra_centers: ClassVar[tuple] = ()
-    depth: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumGrid:
     """Quadrature nodes/weights on (0, Lambda] plus refinement metadata.
 
     floor is the smallest panel width of the graded core [0,
     core_cutoff]; panels beyond core_cutoff are the octaves that extend
     the cutoff to Lambda.  self_convergence is the B(0, .) probe at
-    policy.T, the build's; certify re-takes it at any other T.
+    policy.T, the build's; certify re-takes it at any other T.  Grids
+    compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -343,8 +343,8 @@ def build_grid(
     depth cap is hit first.
     """
     points_per_panel = knobs.points_per_panel
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol < _TOL_FLOOR:
         raise ToleranceUnreachable(
             f"tol {tol:.1e} is below the double-precision certification "
@@ -398,7 +398,6 @@ def build_grid(
         tol=tol,
         points_per_panel=points_per_panel,
         cutoff_factor=knobs.cutoff_factor,
-        depth=depth,
     )
     return MomentumGrid(
         nodes=nodes,

@@ -49,8 +49,8 @@ class TrialConfig:
     def __post_init__(self):
         if not self.b > 0:
             raise ValueError(f"b must be positive, got {self.b}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and np.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _gauss_fold(p: np.ndarray, mu: float, b: float):
@@ -64,7 +64,7 @@ def _gauss_fold(p: np.ndarray, mu: float, b: float):
 def _pieces(
     params: ModelParams, cfg: TrialConfig, knobs: GridKnobs = GridKnobs()
 ):
-    """(B(0,0), I0, <g|A-a|g>, grid) behind trial_gap.
+    """(B(0,0), I0, <g|A-a|g>) behind trial_gap.
 
     I0 = integral_R B(0,q) ghat(q) dq and
     <g|A-a|g> = integral ghat(p)^2 (A(p)-a) dp
@@ -84,7 +84,7 @@ def _pieces(
     denom = float(w @ (gsq * (diag - a)) - cross / (4.0 * np.pi))
     i0 = float(wg @ eval_B(0.0, p, params))
     b00 = float(eval_B(0.0, 0.0, params))
-    return b00, i0, denom, grid
+    return b00, i0, denom
 
 
 def trial_gap(
@@ -108,7 +108,7 @@ def trial_gap(
         raise ValueError(f"mu must be positive, got {params.mu}")
     if cfg is None:
         cfg = TrialConfig(b=params.mu)
-    b00, i0, denom, _ = _pieces(params, cfg, knobs)
+    b00, i0, denom = _pieces(params, cfg, knobs)
     if denom >= 0.0:
         raise DenominatorNonnegative(
             f"<g|A-a|g> = {denom:.3e} >= 0 at T={params.T:g}, "
@@ -157,8 +157,6 @@ def scaled_sup(
     limit: the top of the (1, 0) operator, which equals a for Dirichlet
     and exceeds it by a fixed amount for Neumann.
     """
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
     params = ModelParams(T=T, mu=mu)
     grid = build_grid(params, tol)
     return float(np.sqrt(T) * _top_value(assemble(params, grid, bc)))

@@ -340,7 +340,6 @@ def test_top_eigenpair_trivial_matrices():
         return bso.DiscretizedOperator(
             matrix=M,
             grid=base.grid,
-            params=params,
             bc=D,
             a_edge=base.a_edge,
             cut_bound=0.0,
@@ -365,7 +364,7 @@ def test_top_value_refuses_a_nan_matrix():
         M = np.eye(4)
         M[i, j] = M[j, i] = np.nan
         op = bso.DiscretizedOperator(
-            matrix=M, grid=base.grid, params=params, bc=D, a_edge=base.a_edge,
+            matrix=M, grid=base.grid, bc=D, a_edge=base.a_edge,
             cut_bound=0.0,
         )
         with pytest.raises(NoConvergence, match="non-finite entry"):
@@ -380,6 +379,31 @@ def test_top_value_is_top_eigenpairs_value():
     for bc in (D, N):
         op = assemble(params, grid, bc)
         assert _top_value(op) == top_eigenpair(op)[0] == spectral_gap(op) + op.a_edge
+
+
+def test_top_eigenpair_turns_the_largest_entry_positive():
+    # inverse iteration from the flat start keeps the sign of the entry sum,
+    # which here is opposite to that of the largest entry
+    params = ModelParams(T=1.0, mu=0.0)
+    base = assemble(params, build_grid(params, 1e-7), D)
+    v = np.array([-0.6, 0.48, 0.48, 0.42])
+    v /= np.linalg.norm(v)
+    op = bso.DiscretizedOperator(
+        matrix=np.outer(v, v), grid=base.grid, bc=D, a_edge=base.a_edge, cut_bound=0.0
+    )
+    lam, x = top_eigenpair(op)
+    assert lam == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(x[:4], -v, rtol=0.0, atol=1e-12)
+
+
+def test_grids_and_operators_compare_by_identity():
+    params = ModelParams(T=1.0, mu=0.0)
+    grid, twin = build_grid(params, 1e-7), build_grid(params, 1e-7)
+    assert np.array_equal(grid.nodes, twin.nodes)
+    op, op_twin = assemble(params, grid, D), assemble(params, grid, D)
+    for one, other in [(grid, twin), (op, op_twin)]:
+        assert one == one and one != other
+        assert len({one, other, one}) == 2
 
 
 def test_import_leaves_scipy_unloaded():

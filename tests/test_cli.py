@@ -6,6 +6,8 @@ Solver-heavy paths run at loosened tolerances to keep the suite quick.
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,26 @@ def test_help_and_version_exit_zero(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_exits_with_mains_code():
+    src = str(Path(bcs_edge.__file__).resolve().parents[1])
+
+    def module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "bcs_edge.cli", *args],
+            cwd=src,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    out = module("--version")
+    assert (out.returncode, out.stdout) == (0, f"bcs-edge {bcs_edge.__version__}\n")
+    out = module("asymptotics", "--mu", "1", "--v", "0.5")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[0] == "v,mu,tc_asymptotic"
+    assert module("asymptotics", "--mu", "-1", "--v", "0.5").returncode == 1
+
+
 def test_pyproject_version_matches_package():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -163,6 +185,19 @@ def test_tc_bulk_json_format(capsys):
     obj = json.loads(out)
     assert obj["command"] == "tc-bulk"
     assert obj["rows"][0]["tc"] > 0
+
+
+def test_ratio_curve_json_format(capsys):
+    argv = ["ratio-curve", "--mu", "1", "--bc", "neumann", "--v-min", "0.6",
+            "--v-max", "0.6", "--v-count", "1", "--tol", "1e-4", "--format", "json"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["command"] == "ratio-curve"
+    [row] = obj["rows"]
+    assert row["bc"] == "neumann" and row["v"] == 0.6
+    assert row["tc_boundary"] > row["tc_bulk"] > 0.0
+    assert isinstance(row["grid_nodes"], int) and row["grid_nodes"] > 0
 
 
 def test_tc_boundary_at_least_bulk(capsys):

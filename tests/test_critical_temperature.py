@@ -324,6 +324,24 @@ def test_solvers_refuse_non_finite_coupling(v):
             call()
 
 
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1e-6], ids=["inf", "zero", "negative"])
+def test_solvers_refuse_a_tol_that_is_not_positive_and_finite(tol):
+    calls = [
+        lambda: tc_bulk(0.5, 1.0, tol),
+        lambda: tc_boundary(0.5, 1.0, N, tol),
+        lambda: v_of_T(0.01, 1.0, N, tol),
+        lambda: ratio_curve([0.5], 1.0, N, tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
+
+
+def test_tc_results_hold_python_floats():
+    for result in (tc_bulk(0.5, 1.0, tol=1e-4), tc_boundary(0.5, 1.0, N, tol=1e-4)):
+        assert [type(x) for x in (result.tc, *result.bracket)] == [float] * 3
+
+
 def test_tc_boundary_dirichlet_enhancement():
     res = tc_boundary(0.5, 1.0, D)
     bulk = tc_bulk(0.5, 1.0)

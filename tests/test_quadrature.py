@@ -101,6 +101,11 @@ def test_bad_tolerance_rejected():
         build_grid(ModelParams(T=1.0, mu=0.0), tol=1e-30)
 
 
+def test_infinite_tolerance_rejected():
+    with pytest.raises(ValueError, match="positive and finite"):
+        build_grid(ModelParams(T=1.0, mu=1.0), tol=np.inf)
+
+
 def test_tail_bound_oracle():
     got = tail_bound(ModelParams(T=1.0, mu=1.0), 50.0)
     assert got == pytest.approx(TAIL_BOUND_MU1_L50, rel=1e-13)

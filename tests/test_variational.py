@@ -51,19 +51,24 @@ def test_trial_config_validation():
         cfg.b = 2.0
 
 
+def test_trial_config_refuses_an_infinite_tol():
+    with pytest.raises(ValueError, match="positive and finite"):
+        TrialConfig(b=1.0, tol=np.inf)
+
+
 def test_trial_pieces_match_oracle(pieces_small_T):
-    b00, i0, denom, _ = pieces_small_T
+    b00, i0, denom = pieces_small_T
     assert b00 == pytest.approx(1.0, rel=1e-15)
     assert i0 == pytest.approx(I_G_ORACLE, rel=1e-10)
     assert denom < 0.0
 
 
 def test_sandwich_bounds(pieces_small_T):
-    _, i0, _, _ = pieces_small_T
+    _, i0, _ = pieces_small_T
     ratio = i0 / np.log(1.0 / 1e-4)
     assert SANDWICH_LO < ratio < SANDWICH_HI
     # the bounds hold down to the smallest supported temperatures
-    _, i0_cold, _, _ = _pieces(
+    _, i0_cold, _ = _pieces(
         ModelParams(T=1e-6, mu=1.0), TrialConfig(b=1.0, tol=1e-8)
     )
     assert SANDWICH_LO < i0_cold / np.log(1e6) < SANDWICH_HI
@@ -73,7 +78,7 @@ def test_denominator_negative_and_log_bounded():
     # <g|A-a|g> stays negative with |denom|/ln(mu/T) bounded as T drops
     for T in (1e-3, 1e-5):
         for b in (0.5, 2.0):
-            _, _, denom, _ = _pieces(
+            _, _, denom = _pieces(
                 ModelParams(T=T, mu=1.0), TrialConfig(b=b, tol=1e-7)
             )
             assert denom < 0.0
