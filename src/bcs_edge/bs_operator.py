@@ -10,7 +10,7 @@ Nystroem product by sqrt(weights) makes the matrix symmetric, so entry
     delta_ij A(p_i) -/+ (1/4pi) * 2 * B(p_i, p_j) * sqrt(w_i w_j).
 
 Its top eigenvalue against the essential-spectrum edge a = A(0) decides
-whether the boundary binds a state at the given (T, mu).  The octave
+whether the boundary binds a state at the given (T, mu).  The tail
 panels far beyond the core certify the integrals A(p_i) and a; the
 eigensolve sees only the leading principal block whose dropped
 off-diagonal block is certified to move the top eigenvalue by at most
@@ -77,7 +77,7 @@ class DiscretizedOperator:
     """Symmetric Nystroem matrix plus the data that produced it.
 
     matrix is the leading n x n principal block of the Nystroem matrix
-    on all grid.n nodes: the core nodes and the first octave panels.
+    on all grid.n nodes: the core nodes and the first tail panels.
     cut_bound bounds how far the top eigenvalue of the uncut matrix lies
     above that of matrix (0 when nothing is cut).  a_edge is the
     essential-spectrum edge a = A(0) evaluated on the whole grid;
@@ -150,7 +150,7 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
     whenever eta <= lambda_max(C) - lambda_max(D) is positive.  Here
     ||X||_2 <= ||X||_F, max diag(C) bounds lambda_max(C) from below and
     D's Gershgorin discs bound lambda_max(D) from above.  The block keeps
-    the core nodes plus the fewest leading octave panels whose bound is
+    the core nodes plus the fewest leading tail panels whose bound is
     at most tol/2; if none qualifies, m is the grid's n and the bound 0.
     """
     ppp = grid.policy.points_per_panel
@@ -179,8 +179,8 @@ def assemble(
     an earlier panel edge, the matrix cutoff: _matrix_cut keeps the
     leading principal block whose top eigenvalue lies within tol/2 of
     the uncut matrix's, the same budget the tail certificate takes, and
-    stores that a priori bound as cut_bound.  The far octaves stay only
-    in the integrals.
+    stores that a priori bound as cut_bound.  The far tail panels stay
+    only in the integrals.
 
     Built symmetric by construction: B comes from _kernel_matrix, which
     mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is

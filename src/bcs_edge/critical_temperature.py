@@ -86,10 +86,11 @@ class RatioRow:
 
     t_noise is the grid's self-convergence (the B(0,.) probe that
     decides refinement depth) divided by the closed-form slope of
-    a_{T,mu} in T at tc_bulk on the row's grid.  The probe reads near 0
-    on converged grids (t_noise 1.7e-17 at v=0.6, mu=1, tol 1e-4), while
-    the top eigenvalue moves when the grid is refined, so t_noise bounds
-    no error of either temperature.  The two evaluation counts are the
+    a_{T,mu} in T at tc_bulk on the row's grid.  On converged grids the
+    probe reads its own resolution, the spacing of its sums, so t_noise
+    is about 7e-16 tc_bulk (1.7e-17 at v=0.6, mu=1, tol 1e-4), while the
+    top eigenvalue moves when the grid is refined, so t_noise bounds no
+    error of either temperature.  The two evaluation counts are the
     solves each root find took, bracketing included.  grid_nodes counts
     the nodes of the grid at tc_bulk that every boundary solve used and
     matrix_nodes the cut matrix order there.  A failed row leaves every

@@ -3,8 +3,9 @@
 Composite Gauss-Legendre panels on [0, Lambda] with geometric grading
 toward the kernel crossovers (|q| near 2*sqrt(mu) for B(0,.), sqrt(mu)
 for F, and the origin), an analytic tail bound used to certify the
-cutoff, and an a-posteriori self-convergence measurement stored on the
-grid.  Grids are immutable; certify checks one at the (T, mu) it is used at.
+cutoff, tail panels past the core as wide as their Gauss rule allows,
+and an a-posteriori self-convergence measurement stored on the grid.
+Grids are immutable; certify checks one at the (T, mu) it is used at.
 
 One marcher, _march_edges, lays out the graded panel edges of many
 spans in one lock-step numpy pass: build_grid marches its single mesh
@@ -51,9 +52,17 @@ _TOL_FLOOR = 1e-14
 
 _DEPTH_CAP = 8
 
-# Core cutoff, before the certified octaves: cutoff_factor * (2 sqrt(mu) +
+# Core cutoff, before the certified tail: cutoff_factor * (2 sqrt(mu) +
 # TAIL_K sqrt(max(T, mu, 1))).
 TAIL_K = 20.0
+
+# Past the core, B(p, q) <= 4/|p^2 + q^2 - 4 mu| is smooth in q on the
+# scale of q itself, so an n-point Gauss-Legendre panel [c, r c] resolves
+# it to about ((sqrt r - 1)/(sqrt r + 1))^(2n) (Bernstein-ellipse bound;
+# Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+# Tail panels take the widest power-of-two ratio r that keeps this at
+# rounding level.
+TAIL_RESOLUTION = 1e-15
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,11 @@ class MomentumGrid:
     """Quadrature nodes/weights on (0, Lambda] plus refinement metadata.
 
     floor is the smallest panel width of the graded core [0,
-    core_cutoff]; panels beyond core_cutoff are the octaves that extend
-    the cutoff to Lambda.  self_convergence is the B(0, .) probe at
-    policy.T, the build's; certify re-takes it at any other T.  Grids
-    compare and hash by identity.
+    core_cutoff]; panels beyond core_cutoff are the tail panels that
+    extend the cutoff to Lambda, each _tail_octaves(points_per_panel)
+    octaves wide but the last, which ends at Lambda.  self_convergence is
+    the B(0, .) probe at policy.T, the build's; certify re-takes it at any
+    other T.  Grids compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -155,6 +165,18 @@ def _leggauss(k: int):
     xi, wi = np.polynomial.legendre.leggauss(k)
     xi.flags.writeable = wi.flags.writeable = False
     return xi, wi
+
+
+def _tail_octaves(ppp: int) -> int:
+    """Octaves k spanned by each tail panel of a ppp-point grid: the most
+    whose ratio r = 2^k keeps the Bernstein bound within TAIL_RESOLUTION,
+    and at least 1.  1 at 8 points, 2 at 16 and 3 at 32."""
+    k = 1
+    while True:
+        s = np.sqrt(2.0 ** (k + 1))
+        if ((s - 1.0) / (s + 1.0)) ** (2 * ppp) > TAIL_RESOLUTION:
+            return k
+        k += 1
 
 
 def _panels_to_grid(edges: np.ndarray, ppp: int):
@@ -288,11 +310,13 @@ def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
 def _probe(params: ModelParams, edges: np.ndarray, ppp: int) -> float:
     """Self-convergence of A(0) on the core panels edges at params: the
     larger move of its sum when points per panel double and when every
-    panel is halved."""
+    panel is halved, and at least the spacing of the largest of the three
+    rounded sums, below which their difference measures nothing."""
     split = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2.0]))
     rules = ((edges, ppp), (edges, 2 * ppp), (split, ppp))
     j1, j2, j3 = (_edge_sum(params, *_panels_to_grid(e, k)) for e, k in rules)
-    return max(abs(j1 - j2), abs(j1 - j3))
+    resolution = np.spacing(max(abs(j1), abs(j2), abs(j3)))
+    return max(abs(j1 - j2), abs(j1 - j3), resolution)
 
 
 def tail_bound(params: ModelParams, cutoff: float) -> float:
@@ -329,13 +353,16 @@ def build_grid(
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
     Lambda starts at knobs.cutoff_factor*(2*sqrt(max(mu,0)) + TAIL_K*
-    sqrt(max(T,mu,1))) and grows by octaves until the analytic
+    sqrt(max(T,mu,1))), the core cutoff, and doubles until the analytic
     tail_bound certifies a truncation error below tol/2 in the units
-    of a = (1/4pi) integral B(0,q) dq.  Panels refine
+    of a = (1/4pi) integral B(0,q) dq.  Core panels refine
     geometrically toward 0, sqrt(mu), 2*sqrt(mu) down to the crossover
     width; construction then measures an a-posteriori estimate by
     doubling points per panel and by halving panels, and deepens the
-    grading until that estimate is below tol.
+    grading until that estimate is below tol.  Tail panels cover [core
+    cutoff, Lambda], _tail_octaves(points_per_panel) doublings each and
+    the last one what is left; at 8 points they are the octaves
+    themselves.
 
     Every panel carries knobs.points_per_panel Gauss-Legendre nodes.
 
@@ -381,13 +408,18 @@ def build_grid(
         )
 
     cutoff = lam0
+    octaves = 0
     for _ in range(80):
         if tail_bound(params, cutoff) / (4.0 * np.pi) <= tol / 2.0:
             break
-        edges = np.append(edges, 2.0 * cutoff)
         cutoff *= 2.0
+        octaves += 1
     else:
         raise ToleranceUnreachable("tail extension failed to certify cutoff")
+    # lam0 times a power of two is exact, so the last edge is cutoff itself
+    step = _tail_octaves(points_per_panel)
+    tail = np.minimum(np.arange(step, octaves + step, step), octaves)
+    edges = np.append(edges, lam0 * 2.0**tail)
 
     nodes, weights = _panels_to_grid(edges, points_per_panel)
     assert abs(weights.sum() - cutoff) <= 1e-12 * cutoff, "weights must sum to Lambda"

@@ -34,7 +34,7 @@ from bcs_edge.bs_operator import (
 from bcs_edge.bs_operator import _kernel_matrix, _top_value, eval_A
 from bcs_edge.kernels import _BLOCK
 from bcs_edge.quadrature import BETA, _panels_to_grid
-from test_quadrature import scalar_march
+from test_quadrature import octave_twin, scalar_march
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -157,8 +157,8 @@ def test_diag_A_matches_per_node_meshes():
     ],
 )
 def test_diag_A_meets_tol_against_ppp32(T, mu, ppp):
-    # every node, octave nodes included: the crossovers of B(p, .) past
-    # the core lie in octave panels the grid does not resolve
+    # every node, tail nodes included: the crossovers of B(p, .) past
+    # the core lie in tail panels the grid does not resolve
     params = ModelParams(T=T, mu=mu)
     grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=ppp))
     fine = build_grid(params, 1e-8, GridKnobs(points_per_panel=32))
@@ -270,7 +270,7 @@ def uncut_matrix(params, grid, bc):
         for T in (1e-5, 1e-2, 1.0, 1e3)
         for bc in (D, N)
     ]
-    # dropping every octave here moves the top eigenvalue by 4e-6
+    # dropping every tail panel here moves the top eigenvalue by 4e-6
     + [(1.0, 1.0, N, 1e-6)],
 )
 def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
@@ -288,7 +288,7 @@ def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
 FIXED_T_LATTICE = [float(f"{1e-5 * 1e5 ** (k / 35):.6g}") for k in range(36)]
 
 
-def test_matrix_cut_drops_octaves_on_fixed_t_lattice():
+def test_matrix_cut_drops_tail_panels_on_fixed_t_lattice():
     for T in FIXED_T_LATTICE:
         params = ModelParams(T=T, mu=1.0)
         grid = build_grid(params, 1e-8)
@@ -315,10 +315,28 @@ def test_top_eigenpair_matches_eigh_on_fixed_t_lattice():
             assert np.linalg.norm(M @ x - lam * x) < bso.EIGEN_TOL * scale
 
 
+# 32-point matrices at T <= 1e-3 reach order 2,272 and take seconds each
+@pytest.mark.parametrize(
+    "T, ppp", [(T, 16) for T in (1e-5, 1e-3, 0.1, 1.0)] + [(0.1, 32), (1.0, 32)]
+)
+def test_tail_panels_move_the_top_eigenvalue_within_the_cut_bound(T, ppp):
+    # wide tail panels against octaves at the same cutoff: the matrix cut
+    # falls on other edges, and the top eigenvalue moves by no more than
+    # the larger of the two cut bounds
+    params = ModelParams(T=T, mu=1.0)
+    grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=ppp))
+    _, twin = octave_twin(params, grid)
+    for bc in (D, N):
+        op, op_twin = assemble(params, grid, bc), assemble(params, twin, bc)
+        assert op.a_edge == pytest.approx(op_twin.a_edge, rel=1e-14, abs=0)
+        move = abs(_top_value(op) - _top_value(op_twin))
+        assert move <= max(op.cut_bound, op_twin.cut_bound) + 1e-13
+
+
 def test_assemble_peak_memory():
-    # tracemalloc peak of one assemble at n=1,056 reads 27.2 MB: the kernel
-    # matrix (8.9 MB) plus A(p)'s sub-meshes.  It read 62.8 MB while every
-    # momentum had its own full mesh, 1.15M points in all
+    # tracemalloc peak of one assemble at n=896 reads 22.0 MB: the kernel
+    # matrix (6.4 MB) plus A(p)'s sub-meshes.  It read 62.8 MB (at n=1,056)
+    # while every momentum had its own full mesh, 1.15M points in all
     params = ModelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, 1e-8)
     tracemalloc.start()
@@ -327,7 +345,7 @@ def test_assemble_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grid.n == 1056
+    assert grid.n == 896
     assert peak < 32e6
 
 

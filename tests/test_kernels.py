@@ -36,7 +36,7 @@ A_ORACLE_T1EM3_MU1 = 2.6800680136681097
 A_ORACLE_P0P77_T1EM2 = 0.55480306178325759
 A_ORACLE_P1P9_T1EM3 = 0.32930591021352367
 # [A_octave] A(p) at T=1e-3, mu=1 past the core, for p = 167.771, 1000 and
-# the grid node 13073.33284155418
+# 13073.33284155418, a node of the grid when its tail panels were octaves
 A_ORACLE_OCTAVE = (
     (167.771, 0.0059156898112334185),
     (1000.0, 0.00099872875758954958),
@@ -336,8 +336,8 @@ def test_A_off_node_matches_oracle():
 
 
 def test_A_past_core_matches_oracle():
-    # B(p, .)'s crossovers fall in octave panels; at the last momentum the
-    # grid sum alone misses the dip between them by 1.5e-6
+    # B(p, .)'s crossovers fall in tail panels; at the first momentum the
+    # grid sum alone misses the dip between them by 4.5e-5
     params = ModelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, tol=1e-8)
     ps, refs = np.array(A_ORACLE_OCTAVE).T

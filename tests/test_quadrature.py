@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 from bcs_edge import (
     BoundaryCondition,
     CutoffTooSmall,
+    GridKnobs,
     ModelParams,
     QuadratureUnderresolved,
     RefusedRegime,
     ToleranceUnreachable,
     assemble,
     build_grid,
+    eval_A,
     eval_a,
     tail_bound,
 )
-from bcs_edge.quadrature import BETA, _leggauss, _march_edges
+from bcs_edge.quadrature import BETA, _leggauss, _march_edges, _panels_to_grid
 
 # [tail] closed form at mu=1, cutoff=50
 TAIL_BOUND_MU1_L50 = 0.16008541534707285
@@ -232,3 +234,71 @@ def test_recertify_rechecks_the_tail_certificate():
     short = dataclasses.replace(grid, cutoff=10.0)
     with pytest.raises(ToleranceUnreachable, match="tail bound"):
         eval_a(ModelParams(T=0.2, mu=1.0), short)
+
+
+def octave_twin(params, grid):
+    """(cutoff, twin): grid's core panels, then one panel per doubling of
+    the core cutoff until tail_bound certifies it, as 8-point grids lay
+    out their tail; cutoff comes from the twin's own doubling loop."""
+    pol = grid.policy
+    cutoff, octaves = grid.core_cutoff, 0
+    while tail_bound(params, cutoff) / (4.0 * np.pi) > pol.tol / 2.0:
+        cutoff *= 2.0
+        octaves += 1
+    core = grid.panel_edges[grid.panel_edges <= grid.core_cutoff]
+    edges = np.append(core, grid.core_cutoff * 2.0 ** np.arange(1, octaves + 1))
+    nodes, weights = _panels_to_grid(edges, pol.points_per_panel)
+    twin = dataclasses.replace(grid, nodes=nodes, weights=weights, panel_edges=edges)
+    return cutoff, twin
+
+
+TAIL_LATTICE = [
+    (T, mu, tol)
+    for T in (1e-5, 1e-3, 0.1, 1.0)
+    for mu in (0.0, 1.0)
+    for tol in (1e-8, 1e-6)
+]
+
+
+@pytest.mark.parametrize("ppp, ratio", [(16, 4), (32, 8)])
+@pytest.mark.parametrize("T, mu, tol", TAIL_LATTICE)
+def test_tail_panels_keep_the_octave_cutoff_and_integrals(T, mu, tol, ppp, ratio):
+    params = ModelParams(T=T, mu=mu)
+    grid = build_grid(params, tol, GridKnobs(points_per_panel=ppp))
+    cutoff, twin = octave_twin(params, grid)
+    assert grid.cutoff == cutoff
+    tail = grid.panel_edges[grid.panel_edges >= grid.core_cutoff]
+    octaves = np.log2(tail[1:] / tail[:-1])
+    assert np.all(octaves[:-1] == np.log2(ratio)) and 0 < octaves[-1] <= np.log2(ratio)
+    assert eval_a(params, grid) == pytest.approx(eval_a(params, twin), rel=1e-14, abs=0)
+    # the core nodes are the twin's; past them A(p) is only tol-accurate on
+    # either grid, and the two agree to 3.4e-4 tol on this lattice
+    core = grid.nodes < grid.core_cutoff
+    A, A_twin = eval_A(grid.nodes, params, grid), eval_A(grid.nodes, params, twin)
+    assert np.array_equal(grid.nodes[core], twin.nodes[: core.sum()])
+    assert np.all(np.abs(A[core] - A_twin[core]) <= 1e-14 * np.abs(A_twin[core]))
+    assert np.all(np.abs(A[~core] - A_twin[~core]) <= 1e-3 * tol)
+
+
+# 8-point grids at mu=0, T <= 1e-3, tol 1e-8 hit the depth cap and refuse
+@pytest.mark.parametrize(
+    "T, mu, tol", [c for c in TAIL_LATTICE if c[1] > 0 or c[0] > 1e-3 or c[2] > 1e-8]
+)
+def test_eight_point_tails_stay_octaves(T, mu, tol):
+    # no panel wider than an octave resolves the tail at 8 points
+    params = ModelParams(T=T, mu=mu)
+    grid = build_grid(params, tol, GridKnobs(points_per_panel=8))
+    _, twin = octave_twin(params, grid)
+    assert np.array_equal(grid.panel_edges, twin.panel_edges)
+    assert np.array_equal(grid.nodes, twin.nodes)
+    assert np.array_equal(grid.weights, twin.weights)
+
+
+@pytest.mark.parametrize("T", [0.008469343658681782, 0.008469343658681773])
+def test_probe_reports_its_own_resolution(T):
+    # the probe's three sums of A(0) agree to the last bit at one of these
+    # T and differ by one ulp at the other; a difference of rounded sums
+    # never reads an error below their spacing
+    params = ModelParams(T=T, mu=1.0)
+    grid = build_grid(params, 1e-8)
+    assert grid.self_convergence >= np.spacing(eval_a(params, grid)) / 2.0 > 0.0
