@@ -101,18 +101,20 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
 
     B(p, q) and B(q, p) come out bit-identical (the kernel sees p + q and
     the square of p - q), so B is evaluated on the upper triangle only,
-    one kernel block of rows at a time, and mirrored: rows i0:i1 take
-    columns i0: (their diagonal block whole) and hand the part right of
-    that block to the rows below, transposed.
+    one kernel block of rows at a time, and mirrored: rows i0:i1, as many
+    as fill a block at the row length n - i0, take columns i0: (their
+    diagonal block whole) and hand the part right of that block to the
+    rows below, transposed.
     """
     p = grid.nodes
     n = p.size
     K = np.empty((n, n))
-    rows = max(1, _BLOCK // n)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
+    i0 = 0
+    while i0 < n:
+        i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)
         K[i0:i1, i0:] = eval_B(p[i0:i1, None], p[None, i0:], params)
         K[i1:, i0:i1] = K[i0:i1, i1:].T
+        i0 = i1
     return K
 
 
@@ -183,17 +185,23 @@ def assemble(
     only in the integrals.
 
     Built symmetric by construction: B comes from _kernel_matrix, which
-    mirrors each evaluated pair, and the weight product sqrt(w_i w_j) is
-    formed once as an outer product.  Raises what grid.certify(params)
-    raises.
+    mirrors each evaluated pair, and sqrt(w_i) sqrt(w_j) is the same
+    product whichever node comes first.  B is scaled in place, one kernel
+    block of rows at a time: each row block by its slice of the weight
+    outer product, then by sign/(2 pi), so no n x n temporary is formed.
+    Raises what grid.certify(params) raises.
     """
     grid.certify(params)
     K = _kernel_matrix(params, grid)
     diag, fresh = _A_rows(params, grid, K)
     sw = np.sqrt(grid.weights)
+    scale = bc.sign / (2.0 * np.pi)
     full = K  # scaled in place; _A_rows was K's last reader
-    full *= sw[:, None] * sw[None, :]
-    full *= bc.sign / (2.0 * np.pi)
+    rows = max(1, _BLOCK // grid.n)
+    for i0 in range(0, grid.n, rows):
+        block = full[i0:i0 + rows]
+        block *= sw[i0:i0 + rows, None] * sw
+        block *= scale
     full[np.diag_indices_from(full)] += diag
     assert np.array_equal(full, full.T), "assembly must be symmetric"
     m, cut_bound = _matrix_cut(full, grid)

@@ -13,7 +13,8 @@ trial point stays inside the bracket and a plain bisection step is taken
 whenever the bracket stops halving.  The monotonicity is monitored
 rather than trusted: a value that lies outside the values at the known
 ends, or is not finite, raises BracketFailure instead of returning a
-plausible wrong root.  A half-line root find solves on one grid.
+plausible wrong root.  A half-line root find solves on one grid, the
+one its bulk root find built at tc_bulk.
 """
 
 from __future__ import annotations
@@ -246,6 +247,12 @@ def tc_bulk(
     couplings, where the closed form is far off, take longer steps.
     Every grid is built with knobs.
     """
+    return _tc_bulk(v, mu, tol, knobs)[0]
+
+
+def _tc_bulk(v, mu, tol, knobs):
+    """tc_bulk's root find: (TcResult, the grid it built at tc), so that a
+    boundary search at tc_bulk can solve on that grid."""
     seed = tc_bulk_asymptotic(v, mu)
     gtol = _grid_tol(tol)
     target = 1.0 / v
@@ -260,13 +267,14 @@ def tc_bulk(
     tc, resid, bracket, evals, grid = _root_decreasing(
         h, [(seed, at_seed)], slope, tol, "tc_bulk"
     )
-    return TcResult(
+    result = TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
         evaluations=1 + evals,
         numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": grid.n},
     )
+    return result, grid
 
 
 class _Solve(NamedTuple):
@@ -295,18 +303,18 @@ def tc_boundary(
     at this discretization), the bulk temperature is returned with the
     measured residual: the enhancement is zero at this tolerance.
     """
-    bulk = tc_bulk(v, mu, tol, knobs)
-    return _tc_boundary_above(bulk, v, mu, bc, tol, knobs)[0]
+    bulk, grid = _tc_bulk(v, mu, tol, knobs)
+    return _tc_boundary_above(bulk, grid, v, mu, bc, tol)[0]
 
 
-def _tc_boundary_above(bulk, v, mu, bc, tol, knobs):
-    """tc_boundary from a solved bulk TcResult.  Every T is solved for the
-    top eigenvalue on one grid, built at the lowest T, bulk.tc, so the
-    finest (grading scales with T); assemble certifies it at each T, and
-    the grid lays out A(p)'s sub-meshes once.  Returns (TcResult, _Solve
-    at bulk.tc), whose gap is spectral_gap(assemble(...)) there."""
+def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
+    """tc_boundary from a solved bulk TcResult and the grid its root find
+    built at bulk.tc.  Every T is solved for the top eigenvalue on that
+    one grid, built at the lowest T, so the finest (grading scales with
+    T); assemble certifies it at each T, and the grid lays out A(p)'s
+    sub-meshes once.  Returns (TcResult, _Solve at bulk.tc), whose gap is
+    spectral_gap(assemble(...)) there."""
     gtol = _grid_tol(tol)
-    grid = build_grid(ModelParams(T=bulk.tc, mu=mu), gtol, knobs)
 
     def g(T):
         op = assemble(ModelParams(T=T, mu=mu), grid, bc)
@@ -354,9 +362,8 @@ def v_of_T(
 
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:
-    bulk = tc_bulk(v, mu, tol, knobs)
-    bound, at_bulk = _tc_boundary_above(bulk, v, mu, bc, tol, knobs)
-    grid = at_bulk.grid
+    bulk, grid = _tc_bulk(v, mu, tol, knobs)
+    bound, at_bulk = _tc_boundary_above(bulk, grid, v, mu, bc, tol)
     # the slope of a_{T,mu} in T turns the probe into a T-units noise floor
     slope = abs(_edge_log_slope(ModelParams(T=bulk.tc, mu=mu), grid)) / bulk.tc
     t_noise = grid.self_convergence / slope if slope > 0 else np.inf

@@ -11,10 +11,13 @@ eval_L and eval_B run one pipeline, p, q -> (p +/- q)/2 -> u, v -> L,
 over the broadcast of their arguments in blocks of _BLOCK elements, so a
 block's temporaries stay in cache and no broadcast input is copied at
 full size.  Inside it, exponentials whose argument is at or below
-_EXP_ZERO_CUT are written as the 0.0 that np.exp rounds them to, without
-calling exp.  Both change no output bit: every element sees the same
-operations whatever block it falls in.  The block size is a constant,
-not a setting.
+_EXP_ZERO_CUT are written as the 0.0 that np.exp rounds them to, and
+1 + exp(x) is taken at x = _ONE_PLUS_EXP_CUT wherever x lies below it,
+where the sum is 1.0 either way.  The pair kernel runs its common branch
+on every lane with no mask and overwrites its rare branches by index.
+None of this changes an output bit: every element sees the same
+operations whatever block it falls in, and gets its own branch's bits.
+The block size is a constant, not a setting.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ _BLOCK = 2**14
 # np.exp rounds to exactly 0.0 below ln(2**-1075) = -745.1332...; its
 # slow path there costs about ten times an ordinary call.
 _EXP_ZERO_CUT = -745.2
+
+# 1.0 + np.exp(x) rounds to exactly 1.0 once exp(x) < 2**-53, which holds
+# below x = -36.74; the cut sits a little lower, past exp's last-bit error.
+_ONE_PLUS_EXP_CUT = -37.5
 
 
 @dataclass(frozen=True)
@@ -88,23 +95,37 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_plus_exp(x: np.ndarray) -> np.ndarray:
+    """1.0 + np.exp(x), bit for bit.  x is clamped at _ONE_PLUS_EXP_CUT
+    first, so exp never takes its slow path for results that round to
+    zero or below the normal range, and NaN passes through."""
+    out = np.maximum(x, _ONE_PLUS_EXP_CUT)
+    np.exp(out, out=out)
+    out += 1.0
+    return out
+
+
 def _tanh_over_x(x: np.ndarray) -> np.ndarray:
-    """tanh(x)/x elementwise with a guarded series branch near x = 0."""
-    out = np.empty_like(x)
-    small = np.abs(x) < TANH_RATIO_SWITCH
+    """tanh(x)/x elementwise with a guarded series branch near x = 0.
+
+    The quotient runs on every lane (x = 0 gives 0/0 there, silenced);
+    the lanes with |x| < TANH_RATIO_SWITCH are then overwritten by index
+    with the series, so the common lanes are never gathered.
+    """
+    with np.errstate(invalid="ignore"):
+        out = np.tanh(x) / x
+    small = np.nonzero(np.abs(x) < TANH_RATIO_SWITCH)
     xs = x[small]
     x2 = xs * xs
     out[small] = 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0
-    xl = x[~small]
-    out[~small] = np.tanh(xl) / xl
     return out
 
 
 def _sinhc(w: np.ndarray) -> np.ndarray:
     """sinh(w)/w elementwise; equals 1 at w = 0 (no cancellation there)."""
-    out = np.ones_like(w)
-    nz = w != 0.0
-    out[nz] = np.sinh(w[nz]) / w[nz]
+    with np.errstate(invalid="ignore"):  # 0/0 at w = 0, overwritten
+        out = np.sinh(w) / w
+    out[w == 0.0] = 1.0
     return out
 
 
@@ -116,19 +137,28 @@ def _tanh_pair_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     exceeds |u| + |v|, hence every exponent below is <= 0.  The u+v -> 0
     limit sech^2(u) comes out of the sinh(w)/w branch, taken for
     |u + v| < 1; the direct difference of exponentials takes the rest.
-    Exponentials go through _exp, which skips those that round to zero.
-    A lane with an infinite argument and no NaN returns 0.0, the limit
-    when the other argument is finite: |tanh| <= 1 over an infinite sum.
+    Exponentials go through _exp, which skips those that round to zero,
+    and the cosh factors through _one_plus_exp.  A lane with an infinite
+    argument and no NaN returns 0.0, the limit when the other argument is
+    finite: |tanh| <= 1 over an infinite sum.
+
+    The difference of exponentials, the branch of nearly every lane at
+    T << mu, runs on every lane without a mask (its 0/0 at w = 0 and
+    inf - inf at m = inf are silenced); the lanes |u + v| < 1 and
+    m = inf are then overwritten by index.  Each lane gets the bits of
+    its own branch.
     """
+    au, av = np.abs(u), np.abs(v)
     w = u + v
-    m = np.abs(u) + np.abs(v)
-    core = np.zeros_like(w)
-    small = np.abs(w) < 1.0
+    m = au + av
+    with np.errstate(invalid="ignore"):  # 0/0 at w = 0, inf - inf at m = inf
+        core = _exp(w - m)
+        core -= _exp(-w - m)
+        core /= 2.0 * w
+    small = np.nonzero(np.abs(w) < 1.0)
     core[small] = _sinhc(w[small]) * _exp(-m[small])
-    large = ~small & ~(m == np.inf)
-    wl, ml = w[large], m[large]
-    core[large] = (_exp(wl - ml) - _exp(-wl - ml)) / (2.0 * wl)
-    core *= 4.0 / ((1.0 + _exp(-2.0 * np.abs(u))) * (1.0 + _exp(-2.0 * np.abs(v))))
+    core[np.nonzero(m == np.inf)] = 0.0
+    core *= 4.0 / (_one_plus_exp(-2.0 * au) * _one_plus_exp(-2.0 * av))
     return core
 
 
@@ -152,12 +182,15 @@ def _saturated_L(x, y, u, v):
 
 def _L_block(p, q, mu, twoT):
     """L(p, q) on one block of equally shaped arrays."""
-    x = p * p - mu
-    y = q * q - mu
+    x = p * p
+    x -= mu
+    y = q * q
+    y -= mu
     with np.errstate(over="ignore"):  # overflowed lanes go to _saturated_L
         u = x / twoT
         v = y / twoT
-    out = _tanh_pair_ratio(u, v) / twoT
+    out = _tanh_pair_ratio(u, v)
+    out /= twoT
     hit = np.isinf(u) | np.isinf(v)
     if hit.any():
         out[hit] = _saturated_L(x[hit], y[hit], u[hit], v[hit])
@@ -165,8 +198,13 @@ def _L_block(p, q, mu, twoT):
 
 
 def _B_block(p, q, mu, twoT):
-    """B(p, q) = L((p+q)/2, (p-q)/2) on one block."""
-    return _L_block((p + q) / 2.0, (p - q) / 2.0, mu, twoT)
+    """B(p, q) = L((p+q)/2, (p-q)/2) on one block (* 0.5 is / 2.0 bit for
+    bit, and cheaper)."""
+    s = p + q
+    s *= 0.5
+    d = p - q
+    d *= 0.5
+    return _L_block(s, d, mu, twoT)
 
 
 def _blocked(block, p, q, params: ModelParams):

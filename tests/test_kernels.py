@@ -7,6 +7,7 @@ section names in comments match that script's output.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,14 @@ from bcs_edge import (
     eval_L,
     eval_a,
 )
-from bcs_edge.kernels import _BLOCK, TANH_RATIO_SWITCH, _edge_log_slope, _exp
+from bcs_edge.kernels import (
+    _BLOCK,
+    TANH_RATIO_SWITCH,
+    _edge_log_slope,
+    _exp,
+    _tanh_over_x,
+    _tanh_pair_ratio,
+)
 
 # [a10] a_{T,mu} at T=1, mu=0
 A_ORACLE_T1_MU0 = 0.42890235186151114
@@ -370,6 +378,124 @@ def test_exp_skip_matches_np_exp_bitwise():
         expected = np.exp(x)
         got = _exp(x)
     assert np.array_equal(_bits(got), _bits(expected))
+
+
+def _one(f, *args):
+    """f on one-element arrays: a lane's value with no other lane beside it."""
+    return f(*(np.array([a], dtype=float) for a in args))[0]
+
+
+def _pair_branch(u, v):
+    """(tanh u + tanh v) / (u + v) by the documented branch of the lane
+    (u, v): 0.0 where |u| + |v| = inf, sinh(w)/w exp(-m) where |w| < 1
+    (1 at w = 0), the difference of exponentials elsewhere; then the
+    cosh factor 4 / ((1 + exp(-2|u|)) (1 + exp(-2|v|)))."""
+    w, m = _one(np.add, u, v), _one(np.add, abs(u), abs(v))
+    if m == np.inf:
+        return 0.0
+    if abs(w) < 1.0:
+        sinhc = 1.0 if w == 0.0 else _one(np.sinh, w) / w
+        core = sinhc * _one(np.exp, -m)
+    else:
+        core = (_one(np.exp, w - m) - _one(np.exp, -w - m)) / (2.0 * w)
+    return core * (4.0 / ((1.0 + _one(np.exp, -2.0 * abs(u)))
+                          * (1.0 + _one(np.exp, -2.0 * abs(v)))))
+
+
+def _L_branch(p, q, params):
+    """L(p, q) by the documented branch of the lane: the pair ratio over 2T,
+    or the saturated 2s / (1 + exp(-2 s b)) / (x + y) where x/2T or y/2T
+    is infinite."""
+    twoT = 2.0 * params.T
+    x, y = p * p - params.mu, q * q - params.mu
+    with np.errstate(over="ignore"):
+        u, v = x / twoT, y / twoT
+    if not (np.isinf(u) or np.isinf(v)):
+        return _pair_branch(u, v) / twoT
+    s, b = (np.sign(u), v) if np.isinf(u) else (np.sign(v), u)
+    with np.errstate(over="ignore"):
+        num = 2.0 * s / (1.0 + _one(np.exp, -2.0 * s * b))
+    return 0.0 if num == 0.0 else num / (x + y)
+
+
+def _same_bits(got, expected):
+    """Equal bit for bit (signed zeros included); NaN matches any NaN."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    nan = np.isnan(expected)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        _bits(got[~nan]), _bits(expected[~nan]))
+
+
+ONE_UP, ONE_DOWN = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+# (u, v) lanes: w = u + v exactly 0; |w| one ulp either side of 1, and at
+# 1 where the two branch formulas round differently, with small and with
+# large |u| + |v|; same signs; opposite signs whose
+# value lies in or below the subnormal range; exponents -2|u|, w - m and
+# -w - m in the band (-745.13, -708.4) where exp returns subnormals; the
+# cut at 37.5 of the cosh factor; infinite and NaN arguments.
+PAIR_LANES = [
+    (0.0, 0.0), (-0.0, 0.0), (3.0, -3.0), (-3.0, 3.0), (400.0, -400.0),
+    (ONE_UP, 0.0), (ONE_DOWN, 0.0), (1.0, 0.0), (-ONE_UP, 0.0), (-ONE_DOWN, -0.0),
+    (2.0, -1.0), (5.5, -4.5), (1.5, -2.5), (33.5, -32.5),
+    (10.0, -9.0), (10.0, -np.nextafter(9.0, 10.0)), (10.0, -np.nextafter(9.0, 8.0)),
+    (-10.0, 9.0), (360.0, -np.nextafter(359.0, 360.0)),
+    (2.0, 5.0), (-2.0, -5.0), (400.0, 390.0), (-400.0, -390.0), (1e-300, 2e-300),
+    (400.0, -390.0), (-400.0, 390.0), (370.0, -360.0), (-370.0, 360.0),
+    (362.0, 1.5), (0.5, -360.0), (1.0, 354.5), (360.0, 360.0), (800.0, -2.5),
+    (18.75, 2.0), (np.nextafter(18.75, 0.0), -3.0), (18.7, 18.8), (36.0, -0.5),
+    (np.inf, 1.0), (1.0, -np.inf), (-np.inf, 0.0), (np.inf, np.inf), (-np.inf, -np.inf),
+    (np.nan, 1.0), (2.0, np.nan), (np.nan, np.inf),
+]
+
+
+def test_pair_ratio_branches_bitwise():
+    # every lane gets its own branch's bits, alone or among the others;
+    # the blocked-vs-elementwise tests run one code path on both sides,
+    # so only a per-branch reference can catch a misrouted lane
+    u, v = (np.array(c) for c in zip(*PAIR_LANES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _tanh_pair_ratio(u, v)
+        alone = [_one(_tanh_pair_ratio, a, b) for a, b in PAIR_LANES]
+    expected = [_pair_branch(a, b) for a, b in PAIR_LANES]
+    assert _same_bits(got, expected)
+    assert _same_bits(alone, expected)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-3, 0.3])
+def test_eval_L_branches_bitwise(T):
+    # momenta whose u = x/2T and v = y/2T hit the lanes of
+    # test_pair_ratio_branches_bitwise, overflow to +-inf, or are NaN
+    params = ModelParams(T=T, mu=1.0)
+    twoT = 2.0 * T
+    momenta = [np.sqrt(max(params.mu + twoT * a, 0.0)) for a in (0.0, ONE_UP, 360.0, 370.0)]
+    momenta += [0.0, 1.0, 1.5, 3.0, 1e5, 1e150, np.inf, np.nan]
+    P, Q = (a.ravel() for a in np.meshgrid(momenta, momenta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = eval_L(P, Q, params)
+    expected = [_L_branch(a, b, params) for a, b in zip(P.tolist(), Q.tolist())]
+    assert _same_bits(got, expected)
+
+
+def test_tanh_over_x_branches_bitwise():
+    # the series below TANH_RATIO_SWITCH (one ulp either side), the
+    # quotient above it, x = 0, infinities and NaN
+    cut = TANH_RATIO_SWITCH
+    x = np.array([0.0, -0.0, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0),
+                  -np.nextafter(cut, 0.0), -cut, 0.3, -2.0, 50.0, 1e300,
+                  np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _tanh_over_x(x)
+    expected = []
+    for xi in x.tolist():
+        if abs(xi) < cut:
+            x2 = xi * xi
+            expected.append(1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0)
+        else:
+            expected.append(_one(np.tanh, xi) / xi)
+    assert _same_bits(got, expected)
 
 
 @pytest.fixture(scope="module")
