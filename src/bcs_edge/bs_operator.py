@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .kernels import _BLOCK, ModelParams, _edge_sum, _unwrap, _wrap, eval_B
+from .kernels import _BLOCK, _CLOSED_CUT, ModelParams, _B_closed, _closed_uv
+from .kernels import _edge_sum, _unwrap, _wrap, eval_B
 from .quadrature import MomentumGrid, _A_rows
 
 __all__ = [
@@ -59,6 +60,12 @@ EIGEN_TOL = 1e-10
 # some twenty times that eigenvalue's rounding, while the residual of one
 # solve, which scales with the shift, stays near 5e-12 ||M||_inf.
 INVERSE_SHIFT = 1e-13
+
+# _kernel_matrix lays its closed-form ranges out where |u|, |v| >= 20, a
+# margin over the _CLOSED_CUT = 18.75 that the closed form needs, so that
+# rounding in the range ends almost never fails the exact check of a
+# block's innermost pair.
+_CLOSED_MARGIN = 20.0
 
 
 class BoundaryCondition(enum.Enum):
@@ -105,14 +112,50 @@ def _kernel_matrix(params: ModelParams, grid: MomentumGrid) -> np.ndarray:
     as fill a block at the row length n - i0, take columns i0: (their
     diagonal block whole) and hand the part right of that block to the
     rows below, transposed.
+
+    Inside a row block, the columns where every row's u and v (those of
+    kernels._B_block) are both <= -_CLOSED_CUT, next to the diagonal, or
+    both >= _CLOSED_CUT, at the far end, take the closed form _B_closed;
+    the columns between go through eval_B.  The nodes being sorted, row
+    i's ranges are p_j <= 2 sqrt(mu - 2T c) - p_i and p_j >= p_i +
+    2 sqrt(mu + 2T c) at c = _CLOSED_MARGIN, and a block takes those of
+    its last row, the innermost.  u and v are rounded monotone functions
+    of p + q and |p - q|, and v <= u, so one pair proves a range: the last
+    row's last negative column must have u <= -_CLOSED_CUT, and its first
+    positive column v >= _CLOSED_CUT.  _closed_uv checks that pair with
+    _B_block's roundings; a range that fails goes to eval_B.  Where
+    (max p^2 + |mu|)/T overflows, some u or v may be infinite
+    (_saturated_L), and every pair goes to eval_B.
     """
     p = grid.nodes
     n = p.size
+    mu, twoT = params.mu, 2.0 * params.T
     K = np.empty((n, n))
+    top = float(p[-1])
+    if np.isfinite((top * top + abs(mu)) / params.T):
+        below = mu - twoT * _CLOSED_MARGIN
+        neg = np.searchsorted(p, 2.0 * np.sqrt(max(below, 0.0)) - p, side="right")
+        above = max(mu + twoT * _CLOSED_MARGIN, 0.0)
+        pos = np.searchsorted(p, p + 2.0 * np.sqrt(above))
+    else:
+        neg, pos = np.zeros(n, dtype=int), np.full(n, n)
     i0 = 0
     while i0 < n:
         i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)
-        K[i0:i1, i0:] = eval_B(p[i0:i1, None], p[None, i0:], params)
+        last = p[i1 - 1]
+        a = max(i0, neg[i1 - 1])
+        if a > i0 and not _closed_uv(last, p[a - 1], mu, twoT)[0] <= -_CLOSED_CUT:
+            a = i0
+        b = max(a, pos[i1 - 1])
+        if b < n and not _closed_uv(last, p[b], mu, twoT)[1] >= _CLOSED_CUT:
+            b = n
+        rows = p[i0:i1, None]
+        if a > i0:
+            K[i0:i1, i0:a] = _B_closed(rows, p[i0:a], mu, twoT)
+        if b > a:
+            K[i0:i1, a:b] = eval_B(rows, p[a:b], params)
+        if b < n:
+            K[i0:i1, b:] = _B_closed(rows, p[b:], mu, twoT)
         K[i1:, i0:i1] = K[i0:i1, i1:].T
         i0 = i1
     return K
@@ -203,7 +246,6 @@ def assemble(
         block *= sw[i0:i0 + rows, None] * sw
         block *= scale
     full[np.diag_indices_from(full)] += diag
-    assert np.array_equal(full, full.T), "assembly must be symmetric"
     m, cut_bound = _matrix_cut(full, grid)
     logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
                  "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)

@@ -17,7 +17,9 @@ where the sum is 1.0 either way.  The pair kernel runs its common branch
 on every lane with no mask and overwrites its rare branches by index.
 None of this changes an output bit: every element sees the same
 operations whatever block it falls in, and gets its own branch's bits.
-The block size is a constant, not a setting.
+The block size is a constant, not a setting.  _B_closed gives the pair
+kernel's bits in closed form where both tanh factors are exactly +-1;
+bs_operator._kernel_matrix takes it on whole column ranges.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ _EXP_ZERO_CUT = -745.2
 # 1.0 + np.exp(x) rounds to exactly 1.0 once exp(x) < 2**-53, which holds
 # below x = -36.74; the cut sits a little lower, past exp's last-bit error.
 _ONE_PLUS_EXP_CUT = -37.5
+
+# Where u = x/2T and v = y/2T share a sign and both |u|, |v| reach this,
+# the pair kernel's value has the closed form of _B_closed: both
+# 1 + exp(-2|.|) clamp to exactly 1.0 at _ONE_PLUS_EXP_CUT.
+_CLOSED_CUT = -_ONE_PLUS_EXP_CUT / 2.0
 
 
 @dataclass(frozen=True)
@@ -205,6 +212,49 @@ def _B_block(p, q, mu, twoT):
     d = p - q
     d *= 0.5
     return _L_block(s, d, mu, twoT)
+
+
+def _B_closed(p, q, mu, twoT):
+    """B(p, q) on lanes where u and v share a sign and |u|, |v| >= _CLOSED_CUT
+    (u, v as in _B_block, with |u| + |v| finite), in closed form: _B_block's
+    bits there.
+
+    On such a lane write w = u + v.  Its sum m = |u| + |v| is |w| exactly
+    (rounding is symmetric in sign), so the two exponent arguments of
+    _tanh_pair_ratio are 0 and -2|w| <= -75: the difference of
+    exponentials is exactly +-1.0 with the sign of w, and dividing it by
+    2w gives 1.0 / (2|w|).  |w| >= 37.5 keeps the lane off the sinh(w)/w
+    branch, and m is finite, so the m = inf overwrite never fires.  Both
+    1 + exp(-2|.|) are taken at _ONE_PLUS_EXP_CUT, where they are 1.0, so
+    the cosh factor is 4.0 / (1.0 * 1.0) = 4.0.  What is left is
+    ((1.0 / (2|w|)) * 4.0) / 2T, with u and v formed by _B_block's own
+    steps: about fifteen passes instead of the pipeline's fifty.
+    """
+    u = p + q
+    u *= 0.5
+    u *= u
+    u -= mu
+    u /= twoT
+    v = p - q
+    v *= 0.5
+    v *= v
+    v -= mu
+    v /= twoT
+    u += v
+    np.abs(u, out=u)
+    u *= 2.0
+    np.divide(1.0, u, out=u)
+    u *= 4.0
+    u /= twoT
+    return u
+
+
+def _closed_uv(p: float, q: float, mu: float, twoT: float) -> tuple:
+    """u and v of _B_block at one pair of momenta, with its roundings."""
+    p, q = float(p), float(q)
+    s = (p + q) * 0.5
+    d = (p - q) * 0.5
+    return (s * s - mu) / twoT, (d * d - mu) / twoT
 
 
 def _blocked(block, p, q, params: ModelParams):

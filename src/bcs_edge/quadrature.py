@@ -202,8 +202,9 @@ def _march_edges(spans, centers, floor):
     so panels approach and leave every center in geometric ladders and
     land on the centers exactly.  spans holds one (lo, hi) per row,
     centers one row of centers per row and floor one floor per row, each
-    of the three broadcast over the rows.  All rows march in lock-step,
-    each taking the same floating-point steps it would take alone.
+    of the three broadcast over the rows.  The rows march in lock-step,
+    each taking the same floating-point steps it would take alone, and
+    the rows that reached hi drop out once they are half of those left.
     Returns (edges, sizes): row r's edges are edges[r, :sizes[r]], and
     the rest of the row repeats its hi.  A pass that moves no row short
     of hi, which a zero floor allows, raises ToleranceUnreachable.
@@ -221,22 +222,31 @@ def _march_edges(spans, centers, floor):
     ladder = np.hstack([np.full((m, 1), -np.inf), cs, np.full((m, 1), np.inf)])
     ladder = ladder.ravel()
     base = np.arange(0, m * (c + 2), c + 2)
-    q = lo.copy()
-    edges = [q]
+    # row live[k] is at q[k]; the rows that reached hi leave live each time
+    # they come to half of it, and until then step to hi again.  now holds
+    # every row's last edge
+    live = np.arange(m)
+    q, top, fl, cl, bl = lo.copy(), hi, floor, cs, base
+    now = lo.copy()
+    edges = [lo]
     for _ in range(200000):
-        if np.all(q >= hi):
+        going = q < top
+        if not going.any():
             break
-        at = base + np.count_nonzero(cs <= q[:, None], axis=1)
+        if 2 * np.count_nonzero(going) <= going.size:
+            live, q, top, fl, cl, bl = (a[going] for a in (live, q, top, fl, cl, bl))
+        at = bl + np.count_nonzero(cl <= q[:, None], axis=1)
         ahead = ladder[at + 1]
         d_ahead = ahead - q
-        h = np.maximum(floor, np.minimum(BETA * (q - ladder[at]), alpha * d_ahead))
-        snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * floor))
+        h = np.maximum(fl, np.minimum(BETA * (q - ladder[at]), alpha * d_ahead))
+        snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * fl))
         # a row that reached hi has nothing ahead and stays at hi
-        step = np.where(snap, ahead, np.minimum(q + h, hi))
+        step = np.where(snap, ahead, np.minimum(q + h, top))
         if not np.any(step > q):
-            raise ToleranceUnreachable(f"panel marching stalled at {q[q < hi][0]:.6g}")
+            raise ToleranceUnreachable(f"panel marching stalled at {q[q < top][0]:.6g}")
         q = step
-        edges.append(q)
+        now[live] = q
+        edges.append(now.copy())
     else:
         raise ToleranceUnreachable("panel marching failed to terminate")
     edges = np.stack(edges, axis=1)
@@ -300,7 +310,7 @@ def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
     is summed on its own, so A(p_i) does not depend on which momenta share it."""
     meshes = grid._node_meshes if p is None else _A_meshes(grid, p)
     p, flat, w_flat, q, w, flat_at, fresh_at = meshes
-    out = np.array([k @ grid.weights for k in Kp])
+    out = np.vecdot(Kp, grid.weights)
     out -= np.add.reduceat(Kp.ravel()[flat] * w_flat, flat_at)
     p_q = np.repeat(p, np.diff(fresh_at, append=q.size))
     out += np.add.reduceat(w * eval_B(p_q, q, params), fresh_at)

@@ -7,6 +7,7 @@ assembly path.
 """
 
 import bisect
+import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +35,7 @@ from bcs_edge.bs_operator import (
 from bcs_edge.bs_operator import _kernel_matrix, _top_value, eval_A
 from bcs_edge.kernels import _BLOCK
 from bcs_edge.quadrature import BETA, _panels_to_grid
+from test_kernels import _same_bits
 from test_quadrature import octave_twin, scalar_march
 
 D = BoundaryCondition.DIRICHLET
@@ -60,23 +62,63 @@ def test_signs():
     assert D.sign == -1.0 and N.sign == 1.0
 
 
-def test_matrix_symmetric_and_immutable():
-    params = ModelParams(T=0.3, mu=1.0)
-    op = assemble(params, build_grid(params, 1e-7), D)
-    assert np.array_equal(op.matrix, op.matrix.T)
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 0.0
+@pytest.mark.parametrize(
+    "T, mu", [(0.3, 1.0), (4.2e-3, 1.0), (3.1e-2, 1.0), (0.131, 1.0), (0.3, 0.0)]
+)
+def test_matrix_symmetric_and_immutable(T, mu):
+    # assemble builds its matrix symmetric and does not compare it with
+    # its transpose; the bits must agree exactly, at the bulk critical
+    # temperatures of the edge-row couplings v = 0.45, 0.63 and 0.89 too
+    params = ModelParams(T=T, mu=mu)
+    grid = build_grid(params, 1e-7)
+    for bc in (D, N):
+        op = assemble(params, grid, bc)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 0.0
 
 
-def test_kernel_matrix_is_B_on_every_pair_bitwise():
-    # row blocks of _BLOCK // n rows, the last one short; the mirrored
-    # lower triangle must hold the very bits a full evaluation gives
-    params = ModelParams(T=1e-3, mu=1.0)
-    grid = build_grid(params, 1e-6)
+@pytest.mark.parametrize("ppp", [8, 16])
+@pytest.mark.parametrize("T", [1e-5, 1e-3, 3e-2, 1.0, 20.0])
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 1.0, 4.0])
+def test_kernel_matrix_is_B_on_every_pair_bitwise(mu, T, ppp):
+    # closed-form ranges, eval_B between them and the mirrored lower
+    # triangle must give the very bits of one full evaluation, at the
+    # build T and off it (the ranges move with T, the nodes do not)
+    grid = build_grid(ModelParams(T=T, mu=mu), 1e-6, GridKnobs(points_per_panel=ppp))
     p = grid.nodes
-    assert p.size % max(1, _BLOCK // p.size)
+    for at in (T, 1.07 * T):
+        params = ModelParams(T=at, mu=mu)
+        K = _kernel_matrix(params, grid)
+        assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
+
+
+def test_kernel_matrix_falls_back_where_u_may_overflow():
+    # at T = 1e-300 (max p^2 + |mu|)/T overflows and some u = x/2T are
+    # infinite (kernels._saturated_L): every pair goes through eval_B,
+    # whose sums u + v overflow on the way (hence the errstate)
+    grid = build_grid(ModelParams(T=1e-3, mu=1.0), 1e-6)
+    p = grid.nodes
+    params = ModelParams(T=1e-300, mu=1.0)
+    assert np.isinf(float(p[-1]) ** 2 / (2.0 * params.T))
+    with np.errstate(over="ignore"):
+        K = _kernel_matrix(params, grid)
+        assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
+
+
+def test_kernel_matrix_refuses_a_range_that_rounding_admits():
+    # at p = 2^34 a column is found past p_i + 2 sqrt(mu + 40T) = 2^34 + 2
+    # + 4e-8, which rounds to 2^34 + 2, where d = 1 and v = 0: the exact
+    # check of the block's innermost pair must send that range to eval_B.
+    # Rows 0-80 fill the first row block, which ends on the row at 2^34
+    big = 2.0**34
+    far = big + 2.0 + 10.0 * np.arange(1, 119)
+    nodes = np.concatenate([np.linspace(0.1, 3.0, 80), [big, big + 2.0], far])
+    assert max(1, _BLOCK // nodes.size) == 81
+    grid = dataclasses.replace(build_grid(ModelParams(T=1.0, mu=1.0), 1e-4), nodes=nodes)
+    params = ModelParams(T=1e-9, mu=1.0)
     K = _kernel_matrix(params, grid)
-    assert np.array_equal(K, eval_B(p[:, None], p[None, :], params))
+    assert _same_bits(K, eval_B(nodes[:, None], nodes[None, :], params))
 
 
 def test_diag_only_is_multiplication_by_A():
