@@ -19,7 +19,8 @@ None of this changes an output bit: every element sees the same
 operations whatever block it falls in, and gets its own branch's bits.
 The block size is a constant, not a setting.  _B_closed gives the pair
 kernel's bits in closed form where both tanh factors are exactly +-1;
-bs_operator._kernel_matrix takes it on whole column ranges.
+_B_matrix, the kernel matrix on a grid's nodes, takes it on the column
+ranges where it holds (_closed_columns).
 """
 
 from __future__ import annotations
@@ -150,22 +151,26 @@ def _tanh_pair_ratio(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     finite: |tanh| <= 1 over an infinite sum.
 
     The difference of exponentials, the branch of nearly every lane at
-    T << mu, runs on every lane without a mask (its 0/0 at w = 0 and
-    inf - inf at m = inf are silenced); the lanes |u + v| < 1 and
+    T << mu, runs on every lane without a mask; the lanes |u + v| < 1 and
     m = inf are then overwritten by index.  Each lane gets the bits of
-    its own branch.
+    its own branch.  Overflow and invalid operations are silenced: 0/0
+    at w = 0 and inf - inf at m = inf, and, for finite u, v near the
+    float maximum (x/2T at T ~ 1e-300), u + v, |u| + |v| and w - m going
+    to +-inf and -2|u| to -inf, which _one_plus_exp clamps to the 1.0 of
+    the finite value.  A lane whose m overflows ends as 0.0, like an
+    infinite argument.
     """
-    au, av = np.abs(u), np.abs(v)
-    w = u + v
-    m = au + av
-    with np.errstate(invalid="ignore"):  # 0/0 at w = 0, inf - inf at m = inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        au, av = np.abs(u), np.abs(v)
+        w = u + v
+        m = au + av
         core = _exp(w - m)
         core -= _exp(-w - m)
         core /= 2.0 * w
-    small = np.nonzero(np.abs(w) < 1.0)
-    core[small] = _sinhc(w[small]) * _exp(-m[small])
-    core[np.nonzero(m == np.inf)] = 0.0
-    core *= 4.0 / (_one_plus_exp(-2.0 * au) * _one_plus_exp(-2.0 * av))
+        small = np.nonzero(np.abs(w) < 1.0)
+        core[small] = _sinhc(w[small]) * _exp(-m[small])
+        core[np.nonzero(m == np.inf)] = 0.0
+        core *= 4.0 / (_one_plus_exp(-2.0 * au) * _one_plus_exp(-2.0 * av))
     return core
 
 
@@ -214,6 +219,16 @@ def _B_block(p, q, mu, twoT):
     return _L_block(s, d, mu, twoT)
 
 
+def _uv(t, mu, twoT):
+    """u (t = p + q) or v (t = p - q) of _B_block, with its roundings,
+    formed in place in t."""
+    t *= 0.5
+    t *= t
+    t -= mu
+    t /= twoT
+    return t
+
+
 def _B_closed(p, q, mu, twoT):
     """B(p, q) on lanes where u and v share a sign and |u|, |v| >= _CLOSED_CUT
     (u, v as in _B_block, with |u| + |v| finite), in closed form: _B_block's
@@ -230,17 +245,8 @@ def _B_closed(p, q, mu, twoT):
     ((1.0 / (2|w|)) * 4.0) / 2T, with u and v formed by _B_block's own
     steps: about fifteen passes instead of the pipeline's fifty.
     """
-    u = p + q
-    u *= 0.5
-    u *= u
-    u -= mu
-    u /= twoT
-    v = p - q
-    v *= 0.5
-    v *= v
-    v -= mu
-    v /= twoT
-    u += v
+    u = _uv(p + q, mu, twoT)
+    u += _uv(p - q, mu, twoT)
     np.abs(u, out=u)
     u *= 2.0
     np.divide(1.0, u, out=u)
@@ -249,12 +255,21 @@ def _B_closed(p, q, mu, twoT):
     return u
 
 
-def _closed_uv(p: float, q: float, mu: float, twoT: float) -> tuple:
-    """u and v of _B_block at one pair of momenta, with its roundings."""
-    p, q = float(p), float(q)
-    s = (p + q) * 0.5
-    d = (p - q) * 0.5
-    return (s * s - mu) / twoT, (d * d - mu) / twoT
+def _closed_columns(p_last, cols, right, mu, twoT) -> tuple[int, int]:
+    """(a, b): on the row p_last, cols[:a] are the leading columns with
+    u <= -_CLOSED_CUT and cols[b:], b >= right, the trailing columns past
+    cols[:right] with v >= _CLOSED_CUT; u and v are formed as in _B_block.
+
+    cols are sorted and p_last + cols >= 0, so u rises along cols, and v
+    rises along cols[right:] >= p_last (it is smallest at the diagonal
+    and rises again to its left, so only the columns past it count).
+    Rounding is monotone, so u and v are sorted, and a search finds
+    each range's end.
+    """
+    u = _uv(p_last + cols, mu, twoT)
+    v = _uv(p_last - cols[right:], mu, twoT)
+    a = np.searchsorted(u, -_CLOSED_CUT, side="right")
+    return int(a), right + int(np.searchsorted(v, _CLOSED_CUT))
 
 
 def _blocked(block, p, q, params: ModelParams):
@@ -314,6 +329,50 @@ def eval_B(p, q, params: ModelParams):
     half difference are formed block by block, inside the same pass as L.
     """
     return _blocked(_B_block, p, q, params)
+
+
+def _B_matrix(nodes: np.ndarray, params: ModelParams) -> np.ndarray:
+    """B(p_i, p_j) for every pair of the sorted nonnegative nodes.
+
+    B(p, q) and B(q, p) come out bit-identical (the kernel sees p + q and
+    the square of p - q), so B is evaluated on the upper triangle only,
+    one kernel block of rows at a time, and mirrored: rows i0:i1, as many
+    as fill a block at the row length n - i0, take columns i0: (their
+    diagonal block whole) and hand the part right of that block to the
+    rows below, transposed.
+
+    Inside a row block, the columns where every row's u and v (those of
+    _B_block) are both <= -_CLOSED_CUT, next to the diagonal, or both
+    >= _CLOSED_CUT, past the block, take the closed form _B_closed; the
+    columns between go through eval_B.  u and v are rounded monotone
+    functions of p + q and |p - q|, and v <= u.  A row p_i <= p_last of
+    the block has u at most the last row's at every column, and past the
+    block v at least the last row's, so the ranges that _closed_columns
+    finds exactly on the last row hold for every row of the block.
+    Where (max p^2 + |mu|)/T overflows, some u or v may be infinite
+    (_saturated_L), and every pair goes to eval_B.
+    """
+    p = nodes
+    n = p.size
+    mu, twoT = params.mu, 2.0 * params.T
+    K = np.empty((n, n))
+    closed = np.isfinite((float(p[-1]) ** 2 + abs(mu)) / params.T)
+    i0 = 0
+    while i0 < n:
+        i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)
+        rows, cols, block = p[i0:i1, None], p[i0:], K[i0:i1, i0:]
+        a, b = 0, n - i0
+        if closed:
+            a, b = _closed_columns(p[i1 - 1], cols, i1 - i0, mu, twoT)
+        if a > 0:
+            block[:, :a] = _B_closed(rows, cols[:a], mu, twoT)
+        if b > a:
+            block[:, a:b] = eval_B(rows, cols[a:b], params)
+        if b < n - i0:
+            block[:, b:] = _B_closed(rows, cols[b:], mu, twoT)
+        K[i1:, i0:i1] = K[i0:i1, i1:].T
+        i0 = i1
+    return K
 
 
 def _edge_sum(params: ModelParams, nodes, weights) -> float:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bs_operator import _kernel_matrix, eval_E
+from .bs_operator import eval_E
 from .kernels import (
     ModelParams,
+    _B_matrix,
     _tanh_over_x,
     _tanh_pair_ratio,
     eval_B,
@@ -274,7 +275,7 @@ def check_B_uniform_norm(
         params = ModelParams(T=float(T), mu=mu)
         g = build_grid(params, _B_GRID_TOL, knobs)
         sw = np.sqrt(g.weights)
-        mat = _kernel_matrix(params, g) * (sw[:, None] * sw[None, :])
+        mat = _B_matrix(g.nodes, params) * (sw[:, None] * sw[None, :])
         norms.append(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(mat)))))
     logger.info("B_uniform_norm(mu=%g): norms %s vs cap %.3f", mu, norms, cap)
     return _tally("B_uniform_norm", cap - np.asarray(norms), cap, 0)

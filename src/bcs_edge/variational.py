@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bs_operator import BoundaryCondition, _kernel_matrix, _top_value, assemble
+from .bs_operator import BoundaryCondition, _top_value, assemble
 from .errors import DenominatorNonnegative
-from .kernels import EULER_GAMMA, ModelParams, eval_B, eval_F, eval_a
+from .kernels import EULER_GAMMA, ModelParams, _B_matrix, eval_B, eval_F, eval_a
 from .quadrature import GridKnobs, _A_rows, build_grid
 
 __all__ = [
@@ -77,7 +77,7 @@ def _pieces(
     p, w = grid.nodes, grid.weights
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     a = float(eval_a(params, grid))
-    K = _kernel_matrix(params, grid)
+    K = _B_matrix(grid.nodes, params)
     diag, _ = _A_rows(params, grid, K)
     wg = w * gfold
     cross = wg @ K @ wg

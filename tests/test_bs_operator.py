@@ -7,7 +7,6 @@ assembly path.
 """
 
 import bisect
-import dataclasses
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +23,7 @@ from bcs_edge import (
     QuadratureUnderresolved,
     build_grid,
     eval_B,
+    eval_L,
     eval_a,
 )
 from bcs_edge.bs_operator import (
@@ -32,8 +32,8 @@ from bcs_edge.bs_operator import (
     spectral_gap,
     top_eigenpair,
 )
-from bcs_edge.bs_operator import _kernel_matrix, _top_value, eval_A
-from bcs_edge.kernels import _BLOCK
+from bcs_edge.bs_operator import _top_value, eval_A
+from bcs_edge.kernels import _BLOCK, _B_matrix
 from bcs_edge.quadrature import BETA, _panels_to_grid
 from test_kernels import _same_bits
 from test_quadrature import octave_twin, scalar_march
@@ -89,35 +89,35 @@ def test_kernel_matrix_is_B_on_every_pair_bitwise(mu, T, ppp):
     p = grid.nodes
     for at in (T, 1.07 * T):
         params = ModelParams(T=at, mu=mu)
-        K = _kernel_matrix(params, grid)
+        K = _B_matrix(p, params)
         assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
 
 
 def test_kernel_matrix_falls_back_where_u_may_overflow():
     # at T = 1e-300 (max p^2 + |mu|)/T overflows and some u = x/2T are
     # infinite (kernels._saturated_L): every pair goes through eval_B,
-    # whose sums u + v overflow on the way (hence the errstate)
+    # whose sums u + v overflow on the way without a warning, as do
+    # eval_L's
     grid = build_grid(ModelParams(T=1e-3, mu=1.0), 1e-6)
     p = grid.nodes
     params = ModelParams(T=1e-300, mu=1.0)
     assert np.isinf(float(p[-1]) ** 2 / (2.0 * params.T))
-    with np.errstate(over="ignore"):
-        K = _kernel_matrix(params, grid)
-        assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
+    K = _B_matrix(p, params)
+    assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
+    assert np.all(np.isfinite(eval_L(p[:, None], p[None, :], params)))
 
 
 def test_kernel_matrix_refuses_a_range_that_rounding_admits():
-    # at p = 2^34 a column is found past p_i + 2 sqrt(mu + 40T) = 2^34 + 2
-    # + 4e-8, which rounds to 2^34 + 2, where d = 1 and v = 0: the exact
-    # check of the block's innermost pair must send that range to eval_B.
-    # Rows 0-80 fill the first row block, which ends on the row at 2^34
+    # against the row at p = 2^34 the column 2^34 + 2 has d = 1 and v = 0,
+    # while the columns past it have v of order 1e10: the closed ranges of
+    # the block that ends on that row must leave it to eval_B.  Rows 0-80
+    # fill the first row block
     big = 2.0**34
     far = big + 2.0 + 10.0 * np.arange(1, 119)
     nodes = np.concatenate([np.linspace(0.1, 3.0, 80), [big, big + 2.0], far])
     assert max(1, _BLOCK // nodes.size) == 81
-    grid = dataclasses.replace(build_grid(ModelParams(T=1.0, mu=1.0), 1e-4), nodes=nodes)
     params = ModelParams(T=1e-9, mu=1.0)
-    K = _kernel_matrix(params, grid)
+    K = _B_matrix(nodes, params)
     assert _same_bits(K, eval_B(nodes[:, None], nodes[None, :], params))
 
 
@@ -217,7 +217,7 @@ def test_eval_A_is_the_operator_diagonal():
         grid = build_grid(params, 1e-8)
         op = assemble(params, grid, N)
         sw = np.sqrt(grid.weights)
-        K = _kernel_matrix(params, grid) * (sw[:, None] * sw[None, :])
+        K = _B_matrix(grid.nodes, params) * (sw[:, None] * sw[None, :])
         K *= N.sign / (2.0 * np.pi)
         diag = eval_A(grid.nodes, params, grid)
         assert np.array_equal(np.diagonal(op.matrix), (np.diagonal(K) + diag)[: op.n])
@@ -298,7 +298,7 @@ def uncut_matrix(params, grid, bc):
     """Reference: the Nystroem matrix on every grid node, as assemble
     builds it before the cut."""
     sw = np.sqrt(grid.weights)
-    M = _kernel_matrix(params, grid) * (sw[:, None] * sw[None, :])
+    M = _B_matrix(grid.nodes, params) * (sw[:, None] * sw[None, :])
     M *= bc.sign / (2.0 * np.pi)
     M[np.diag_indices_from(M)] += eval_A(grid.nodes, params, grid)
     return M
@@ -330,7 +330,9 @@ def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
 FIXED_T_LATTICE = [float(f"{1e-5 * 1e5 ** (k / 35):.6g}") for k in range(36)]
 
 
-def test_matrix_cut_drops_tail_panels_on_fixed_t_lattice():
+def test_top_eigenpair_matches_eigh_on_fixed_t_lattice():
+    # the matrix cut drops whole tail panels; eigvalsh plus inverse
+    # iteration against the full decomposition
     for T in FIXED_T_LATTICE:
         params = ModelParams(T=T, mu=1.0)
         grid = build_grid(params, 1e-8)
@@ -338,15 +340,6 @@ def test_matrix_cut_drops_tail_panels_on_fixed_t_lattice():
             op = assemble(params, grid, bc)
             assert op.n < grid.n
             assert op.n % grid.policy.points_per_panel == 0
-
-
-def test_top_eigenpair_matches_eigh_on_fixed_t_lattice():
-    # eigvalsh plus inverse iteration against the full decomposition
-    for T in FIXED_T_LATTICE:
-        params = ModelParams(T=T, mu=1.0)
-        grid = build_grid(params, 1e-8)
-        for bc in (D, N):
-            op = assemble(params, grid, bc)
             M = op.matrix
             scale = np.linalg.norm(M, np.inf)
             lam, x = top_eigenpair(op)

@@ -29,7 +29,9 @@ from bcs_edge import (
 )
 from bcs_edge.kernels import (
     _BLOCK,
+    _CLOSED_CUT,
     TANH_RATIO_SWITCH,
+    _closed_columns,
     _edge_log_slope,
     _exp,
     _tanh_over_x,
@@ -547,3 +549,40 @@ def test_eval_B_memory_is_output_plus_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + 8_000_000
+
+
+def _run(mask):
+    """Length of the leading run of True in a 1-d mask."""
+    return int(np.argmin(np.append(mask, False)))
+
+
+def test_closed_columns_are_the_exact_ranges_of_every_row_block():
+    # the row blocks of _B_matrix: on each, _closed_columns gives the
+    # longest prefix of the last row's lanes with u, v <= -cut and the
+    # longest suffix past the block with u, v >= cut, classified lane by
+    # lane with _B_block's roundings, and every row of the block
+    # qualifies on both ranges
+    closed = 0
+    for mu in (0.0, 1.0, 4.0):
+        for T in (1e-5, 1.3e-4, 5.7e-3, 2.6e-2, 1.0):
+            p = build_grid(ModelParams(T=T, mu=mu), 1e-8).nodes
+            n, twoT = p.size, 2.0 * T
+            i0 = 0
+            while i0 < n:
+                i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)
+                s = p[i0:i1, None] + p[i0:]
+                s *= 0.5
+                d = p[i0:i1, None] - p[i0:]
+                d *= 0.5
+                u = (s * s - mu) / twoT
+                v = (d * d - mu) / twoT
+                neg = (u <= -_CLOSED_CUT) & (v <= -_CLOSED_CUT)
+                pos = (u >= _CLOSED_CUT) & (v >= _CLOSED_CUT)
+                right = i1 - i0
+                a = _run(neg[-1])
+                b = n - i0 - _run(pos[-1, right:][::-1])
+                assert _closed_columns(p[i1 - 1], p[i0:], right, mu, twoT) == (a, b)
+                assert neg[:, :a].all() and pos[:, b:].all()
+                closed += a + n - i0 - b
+                i0 = i1
+    assert closed > 0
