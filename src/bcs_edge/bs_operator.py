@@ -96,10 +96,13 @@ class DiscretizedOperator:
 
 def eval_A(p, params: ModelParams, grid: MomentumGrid):
     """A(p) = A(|p|) = (1/4pi) * integral_R B(p,q) dq, by _A_rows on grid;
-    on the grid's nodes it is the operator's diagonal, bit for bit.  Raises
+    on the grid's nodes it is the operator's diagonal, bit for bit, and it
+    is 0.0 where p^2 overflows.  Raises ValueError for a NaN momentum and
     what grid.certify(params) raises."""
     grid.certify(params)
     p, scalar = _wrap(p)
+    if np.isnan(p).any():
+        raise ValueError("momentum must not be NaN")
     order = np.argsort(np.abs(p))
     s = np.abs(p)[order]
     out = np.empty(p.size)

@@ -10,7 +10,8 @@ and p^2 + q^2 = 2*mu (for L), so results stay finite for any finite input.
 eval_L and eval_B run one pipeline, p, q -> (p +/- q)/2 -> u, v -> L,
 over the broadcast of their arguments in blocks of _BLOCK elements, so a
 block's temporaries stay in cache and no broadcast input is copied at
-full size.  Inside it, exponentials whose argument is at or below
+full size; quadrature._A_rows enters it at x and y, which its meshes
+keep (_L_xy).  Inside it, exponentials whose argument is at or below
 _EXP_ZERO_CUT are written as the 0.0 that np.exp rounds them to, and
 1 + exp(x) is taken at x = _ONE_PLUS_EXP_CUT wherever x lies below it,
 where the sum is 1.0 either way.  The pair kernel runs its common branch
@@ -25,6 +26,7 @@ ranges where it holds (_closed_columns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,12 +194,9 @@ def _saturated_L(x, y, u, v):
     return out
 
 
-def _L_block(p, q, mu, twoT):
-    """L(p, q) on one block of equally shaped arrays."""
-    x = p * p
-    x -= mu
-    y = q * q
-    y -= mu
+def _L_xy(x, y, twoT):
+    """L on one block from x = p^2 - mu and y = q^2 - mu: the tail that
+    every pair kernel path shares."""
     with np.errstate(over="ignore"):  # overflowed lanes go to _saturated_L
         u = x / twoT
         v = y / twoT
@@ -209,22 +208,39 @@ def _L_block(p, q, mu, twoT):
     return out
 
 
+def _L_block(p, q, mu, twoT):
+    """L(p, q) on one block of equally shaped arrays.  A square that
+    overflows is inf, where L is 0.0 (_saturated_L)."""
+    with np.errstate(over="ignore"):
+        x = p * p
+        y = q * q
+    x -= mu
+    y -= mu
+    return _L_xy(x, y, twoT)
+
+
+def _xy(t, mu):
+    """x (t = p + q) or y (t = p - q) of _B_block, (t/2)^2 - mu, formed in
+    place in t (* 0.5 is / 2.0 bit for bit, and cheaper)."""
+    t *= 0.5
+    t *= t
+    t -= mu
+    return t
+
+
 def _B_block(p, q, mu, twoT):
-    """B(p, q) = L((p+q)/2, (p-q)/2) on one block (* 0.5 is / 2.0 bit for
-    bit, and cheaper)."""
-    s = p + q
-    s *= 0.5
-    d = p - q
-    d *= 0.5
-    return _L_block(s, d, mu, twoT)
+    """B(p, q) = L((p+q)/2, (p-q)/2) on one block.  A sum or square that
+    overflows is inf, where L is 0.0 (_saturated_L)."""
+    with np.errstate(over="ignore"):
+        x = _xy(p + q, mu)
+        y = _xy(p - q, mu)
+    return _L_xy(x, y, twoT)
 
 
 def _uv(t, mu, twoT):
     """u (t = p + q) or v (t = p - q) of _B_block, with its roundings,
     formed in place in t."""
-    t *= 0.5
-    t *= t
-    t -= mu
+    t = _xy(t, mu)
     t /= twoT
     return t
 
@@ -264,16 +280,37 @@ def _closed_columns(p_last, cols, right, mu, twoT) -> tuple[int, int]:
     rises along cols[right:] >= p_last (it is smallest at the diagonal
     and rises again to its left, so only the columns past it count).
     Rounding is monotone, so u and v are sorted, and a search finds
-    each range's end.
+    each range's end.  With h = _CLOSED_CUT 2T, u's range ends where x =
+    ((p_last + c)/2)^2 - mu crosses -h and v's where y crosses h.  Where
+    x or y lies more than band from that, rounding cannot change the
+    side, and the column ends of that band, padded by far more than
+    their own rounding, leave u and v to be formed only on the columns
+    between, which most rows leave empty.
     """
-    u = _uv(p_last + cols, mu, twoT)
-    v = _uv(p_last - cols[right:], mu, twoT)
-    a = np.searchsorted(u, -_CLOSED_CUT, side="right")
-    return int(a), right + int(np.searchsorted(v, _CLOSED_CUT))
+    p_last = float(p_last)
+    h = _CLOSED_CUT * twoT
+    band = 1e-9 * (abs(mu) + h)
+    pad = 1e-9 * (p_last + math.sqrt(abs(mu) + h))
+
+    def width(t):  # c - p_last or p_last + c where (c -/+ p_last)^2/4 = t
+        return 2.0 * math.sqrt(max(t, 0.0))
+
+    a, a_end, b, b_end = np.searchsorted(cols, (
+        width(mu - h - band) - p_last - pad, width(mu - h + band) - p_last + pad,
+        p_last + width(mu + h - band) - pad, p_last + width(mu + h + band) + pad,
+    )).tolist()
+    b, b_end = max(b, right), max(b_end, right)
+    if a_end > a:
+        u = _uv(p_last + cols[a:a_end], mu, twoT)
+        a += int(np.searchsorted(u, -_CLOSED_CUT, side="right"))
+    if b_end > b:
+        v = _uv(p_last - cols[b:b_end], mu, twoT)
+        b += int(np.searchsorted(v, _CLOSED_CUT))
+    return a, b
 
 
-def _blocked(block, p, q, params: ModelParams):
-    """block(p, q, mu, 2T) over the broadcast of p and q, _BLOCK elements
+def _blocked(block, p, q, *args):
+    """block(p, q, *args) over the broadcast of p and q, _BLOCK elements
     at a time; a float when both are scalars.
 
     np.nditer hands out aligned 1-d pieces of at most _BLOCK elements,
@@ -288,10 +325,9 @@ def _blocked(block, p, q, params: ModelParams):
         order="C",
         buffersize=_BLOCK,
     )
-    twoT = 2.0 * params.T
     with it:
         for pb, qb, out in it:
-            out[...] = block(pb, qb, params.mu, twoT)
+            out[...] = block(pb, qb, *args)
         result = it.operands[2]
     return float(result) if result.ndim == 0 else result
 
@@ -299,10 +335,12 @@ def _blocked(block, p, q, params: ModelParams):
 def eval_F(p, params: ModelParams):
     """Bulk kernel F(p) = tanh((p^2-mu)/(2T)) / (p^2-mu).
 
-    Value 1/(2T) at the removable singularity p^2 = mu.
+    Value 1/(2T) at the removable singularity p^2 = mu, and 0.0 where x
+    overflows.
     """
     p, scalar = _wrap(p)
-    x = (p * p - params.mu) / (2.0 * params.T)
+    with np.errstate(over="ignore"):  # tanh(inf)/inf is 0.0
+        x = (p * p - params.mu) / (2.0 * params.T)
     return _unwrap(_tanh_over_x(x) / (2.0 * params.T), scalar)
 
 
@@ -318,7 +356,7 @@ def eval_L(p, q, params: ModelParams):
     instead.  Symmetric in (p, q) and even in each argument by
     construction.  Evaluated in blocks (_blocked).
     """
-    return _blocked(_L_block, p, q, params)
+    return _blocked(_L_block, p, q, params.mu, 2.0 * params.T)
 
 
 def eval_B(p, q, params: ModelParams):
@@ -328,7 +366,7 @@ def eval_B(p, q, params: ModelParams):
     B(|p|,|q|) = B(q,p); B(0,q) collapses to F(q/2).  The half sum and
     half difference are formed block by block, inside the same pass as L.
     """
-    return _blocked(_B_block, p, q, params)
+    return _blocked(_B_block, p, q, params.mu, 2.0 * params.T)
 
 
 def _B_matrix(nodes: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -11,21 +11,24 @@ One marcher, _march_edges, lays out the graded panel edges of many
 spans in one lock-step numpy pass: build_grid marches its single mesh
 on [0, core_cutoff] with it, and _A_meshes, for _A_rows, the integrator
 of A(p), the short spans of grid panels around each momentum's two
-crossovers, each with its own ends and floor.  A grid keeps those of
-its own nodes, which do not depend on T.
+crossovers, each with its own ends and floor, as coarse as their Gauss
+rule allows at the build T.  A grid keeps those of its own nodes, as
+the kernel's x and y at each point, which do not depend on T.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import CutoffTooSmall, QuadratureUnderresolved
 from .errors import RefusedRegime, ToleranceUnreachable
-from .kernels import ModelParams, _edge_sum, eval_B
+from .kernels import ModelParams, _blocked, _edge_sum, _L_xy, _xy
 
 __all__ = [
     "GridKnobs",
@@ -40,6 +43,9 @@ __all__ = [
 # refinement center.  With 16-point panels this is far inside the
 # Bernstein-ellipse convergence region of the tanh crossovers.
 BETA = 2.0
+
+# A marched panel snaps onto a center up to this many floors away.
+SNAP = 1.5
 
 # Refuse T/mu below this; double-precision cancellation in the log-scale
 # quantities dominates beyond it and no supported use case needs it.
@@ -109,12 +115,12 @@ class GridPolicy:
 class MomentumGrid:
     """Quadrature nodes/weights on (0, Lambda] plus refinement metadata.
 
-    floor is the smallest panel width of the graded core [0,
-    core_cutoff]; panels beyond core_cutoff are the tail panels that
-    extend the cutoff to Lambda, each _tail_octaves(points_per_panel)
-    octaves wide but the last, which ends at Lambda.  self_convergence is
-    the B(0, .) probe at policy.T, the build's; certify re-takes it at any
-    other T.  Grids compare and hash by identity.
+    Panels beyond core_cutoff, the end of the graded core, are the tail
+    panels that extend the cutoff to Lambda, each
+    _tail_octaves(points_per_panel) octaves wide but the last, which ends
+    at Lambda.  self_convergence is the B(0, .) probe at policy.T, the
+    build's; certify re-takes it at any other T.  Grids compare and hash
+    by identity.
     """
 
     nodes: np.ndarray
@@ -123,7 +129,6 @@ class MomentumGrid:
     panel_edges: np.ndarray
     refinement_centers: tuple
     policy: GridPolicy
-    floor: float
     core_cutoff: float
     self_convergence: float
 
@@ -134,14 +139,22 @@ class MomentumGrid:
     def certify(self, params: ModelParams) -> None:
         """Refuse params at which this grid's integrals are not certified:
         ValueError for a mu other than the build's; at the build T the
-        build's probe stands, at any other T the B(0, .) probe is re-taken
-        on the core panels (QuadratureUnderresolved above tol) and the tail
-        re-checked (ToleranceUnreachable if tail_bound fails the cutoff)."""
+        build's probe stands.  At any other T, QuadratureUnderresolved
+        below the build T, where the pole of tanh(x/2T) lies nearer the
+        crossovers of B(p, .) than A(p)'s sub-meshes resolve
+        (_crossover_width), or where the B(0, .) probe, re-taken on the
+        core panels, exceeds tol; and ToleranceUnreachable if tail_bound
+        fails the cutoff."""
         pol = self.policy
         if params.mu != pol.mu:
             raise ValueError(f"grid built for mu={pol.mu:.6g} used at mu={params.mu:.6g}")
         moved = params.T != pol.T
         conv = self.self_convergence
+        if params.T < pol.T:
+            raise QuadratureUnderresolved(
+                f"A(p) sub-meshes laid out for T={pol.T:.6g} are too coarse "
+                f"at T={params.T:.6g}"
+            )
         if moved:
             core = np.searchsorted(self.panel_edges, self.core_cutoff) + 1
             conv = _probe(params, self.panel_edges[:core], pol.points_per_panel)
@@ -154,7 +167,7 @@ class MomentumGrid:
             raise ToleranceUnreachable(f"tail bound fails at T={params.T:.6g}")
 
     @cached_property
-    def _node_meshes(self) -> tuple:
+    def _node_meshes(self) -> _Meshes:
         """_A_meshes at the grid's own nodes, laid out on first use."""
         return _A_meshes(self, self.nodes)
 
@@ -179,6 +192,37 @@ def _tail_octaves(ppp: int) -> int:
         k += 1
 
 
+def _crossover_width(T: float, mu: float, ppp: int) -> float:
+    """Widest panel of ppp Gauss points that may end at a crossover of
+    B(p, .) at T.
+
+    tanh(x/2T) has a pole at x = i pi T, where s = (p+q)/2 (or d =
+    (p-q)/2) is sqrt(mu + i pi T), so in q the pole lies z = 2 (sqrt(mu
+    + i pi T) - sqrt(mu)) from the crossover, sqrt(mu) read as 0 for
+    mu <= 0: about i pi T / sqrt(mu) for T << mu, and |z| rises with T.
+    The widest panel is the one whose Bernstein ellipse through z is that
+    of a tail panel [c, r c] through its pole at 0, r =
+    2^_tail_octaves(ppp), so it meets TAIL_RESOLUTION too.
+
+    On the reference interval [-1, 1] the tail panel's pole sits at
+    -(r + 1)/(r - 1), the left vertex of the ellipse with semi-axes
+    a = (r + 1)/(r - 1) and b = 2 sqrt(r)/(r - 1) (a^2 - b^2 = 1).  A
+    panel of width h ending at the crossover maps z, turned into the
+    panel (the worse side), to -1 + e (cos t + i sin t) with e = 2|z|/h
+    and t its angle to the real axis; the ellipse passes there where
+    k e^2 - 2 (cos t / a^2) e - b^2/a^2 = 0, k = (cos t/a)^2 + (sin t/b)^2.
+    """
+    root = cmath.sqrt(complex(mu, math.pi * T))
+    # for mu > 0 this is z free of cancellation
+    z = 2j * math.pi * T / (root + math.sqrt(mu)) if mu > 0 else 2.0 * root
+    r = 2.0 ** _tail_octaves(ppp)
+    a, b = (r + 1.0) / (r - 1.0), 2.0 * math.sqrt(r) / (r - 1.0)
+    cos_t, sin_t = abs(z.real) / abs(z), abs(z.imag) / abs(z)
+    k = (cos_t / a) ** 2 + (sin_t / b) ** 2
+    e = (cos_t / a**2 + math.sqrt((cos_t / a**2) ** 2 + k * (b / a) ** 2)) / k
+    return 2.0 * abs(z) / e
+
+
 def _panels_to_grid(edges: np.ndarray, ppp: int):
     """Map reference Gauss-Legendre nodes onto every panel.
 
@@ -194,22 +238,23 @@ def _panels_to_grid(edges: np.ndarray, ppp: int):
     return nodes, weights
 
 
-def _march_edges(spans, centers, floor):
+def _march_edges(spans, centers, floor, beta=BETA):
     """Panel edges on each row's span [lo, hi], graded toward its centers.
 
-    Widths follow max(floor, min(BETA*d_behind, d_ahead*BETA/(1+BETA)))
+    Widths follow max(floor, min(beta*d_behind, d_ahead*beta/(1+beta)))
     where d_* are distances to the row's refinement centers in [lo, hi),
-    so panels approach and leave every center in geometric ladders and
-    land on the centers exactly.  spans holds one (lo, hi) per row,
-    centers one row of centers per row and floor one floor per row, each
-    of the three broadcast over the rows.  The rows march in lock-step,
+    so panels approach and leave every center in geometric ladders of
+    ratio 1 + beta and land on the centers exactly; a panel that ends on
+    a center is at most SNAP floors wide.  spans holds one (lo, hi) per
+    row, centers one row of centers per row and floor one floor per row,
+    each of the three broadcast over the rows.  The rows march in lock-step,
     each taking the same floating-point steps it would take alone, and
     the rows that reached hi drop out once they are half of those left.
     Returns (edges, sizes): row r's edges are edges[r, :sizes[r]], and
     the rest of the row repeats its hi.  A pass that moves no row short
     of hi, which a zero floor allows, raises ToleranceUnreachable.
     """
-    alpha = BETA / (1.0 + BETA)
+    alpha = beta / (1.0 + beta)
     cs = np.array(centers, dtype=float, ndmin=2)
     m, c = cs.shape
     lo, hi = np.broadcast_to(np.asarray(spans, dtype=float), (m, 2)).T
@@ -238,8 +283,8 @@ def _march_edges(spans, centers, floor):
         at = bl + np.count_nonzero(cl <= q[:, None], axis=1)
         ahead = ladder[at + 1]
         d_ahead = ahead - q
-        h = np.maximum(fl, np.minimum(BETA * (q - ladder[at]), alpha * d_ahead))
-        snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, 1.5 * fl))
+        h = np.maximum(fl, np.minimum(beta * (q - ladder[at]), alpha * d_ahead))
+        snap = (ahead < np.inf) & (d_ahead <= np.maximum(h, SNAP * fl))
         # a row that reached hi has nothing ahead and stays at hi
         step = np.where(snap, ahead, np.minimum(q + h, top))
         if not np.any(step > q):
@@ -255,7 +300,21 @@ def _march_edges(spans, centers, floor):
     return edges, sizes
 
 
-def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
+class _Meshes(NamedTuple):
+    """A(p)'s sub-meshes for some rows: the grid terms they replace, as
+    flat indices into the kernel rows and their weights, and the fresh
+    points' x, y and weights; flat_at and fresh_at start each row."""
+
+    flat: np.ndarray
+    w_flat: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    flat_at: np.ndarray
+    fresh_at: np.ndarray
+
+
+def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
     """The T-independent half of _A_rows for ascending momenta p >= 0.
 
     A(p_i) is the grid sum of the kernel row B(p_i, grid.nodes),
@@ -267,14 +326,21 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
     toward the crossovers and the grid centers inside it.  The panels
     left outside lie at least a neighbour's width away from the
     crossover, where 16-point panels have converged (8-point ones can
-    miss tol a few times over for T >~ mu).  Each row grades down to
-    max(grid.floor, tol p_i^2 / 2): the step there is about 2/p_i^2
-    high, so a panel that wide adds less than tol.  All spans are
-    marched in one lock-step pass.  Returns the arrays _A_rows unpacks.
+    miss tol a few times over for T >~ mu).
+
+    Sub-mesh panels are as wide as their Gauss rule allows.  They grow
+    away from a center by the tail panels' ratio 2^_tail_octaves(ppp),
+    and the floor is _crossover_width at the grid's build T over SNAP,
+    so a panel that ends on a center is at most that width; certify
+    refuses a lower T, whose pole lies nearer.  Each row's floor is at
+    least tol p_i^2 / 2: the step there is about 2/p_i^2 high, so a
+    panel that wide adds less than tol.  All spans are marched in one
+    lock-step pass.  Each fresh point keeps _B_block's x and y, which
+    do not depend on T, in place of its q.
     """
-    mu = grid.policy.mu
+    pol = grid.policy
+    mu, ppp = pol.mu, pol.points_per_panel
     smu = np.sqrt(mu) if mu > 0 else 0.0
-    ppp = grid.policy.points_per_panel
     edges = grid.panel_edges
     last = edges.size - 2
     cross = np.column_stack([np.abs(2.0 * smu - p), 2.0 * smu + p])
@@ -287,9 +353,12 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
     row = np.repeat(np.arange(p.size), per_row)
     first, stop = first[kept], stop[kept]
     centers = np.hstack([cross, np.tile(grid.refinement_centers, (p.size, 1))])
-    floor = np.maximum(grid.floor, grid.policy.tol * p * p / 2.0)
+    with np.errstate(over="ignore"):  # an inf floor marches one panel
+        cap = pol.tol * p * p / 2.0
+    floor = np.maximum(_crossover_width(pol.T, mu, ppp) / SNAP, cap)
     spans = np.column_stack([edges[first], edges[stop]])
-    sub, sizes = _march_edges(spans, centers[row], floor[row])
+    beta = 2.0 ** _tail_octaves(ppp) - 1.0
+    sub, sizes = _march_edges(spans, centers[row], floor[row], beta)
     live = np.arange(sub.shape[1] - 1) < sizes[:, None] - 1
     q, w = _panels_to_grid(np.stack([sub[:, :-1][live], sub[:, 1:][live]], axis=1), ppp)
     # span s drops grid nodes ppp*first[s] ... ppp*stop[s] - 1 of its row
@@ -300,21 +369,27 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> tuple:
     idx = np.arange(dropped.sum()) + np.repeat(ppp * first - at, dropped)
     fresh_at = np.cumsum(fresh) - fresh
     flat = np.repeat(row, dropped) * grid.n + idx
-    return p, flat, grid.weights[idx], q, w, at[head], fresh_at[head]
+    # x is a new array and y takes q's place: forming x in place of p_q
+    # too read about 15% more peak RSS on the threaded sweep benchmark
+    p_q = np.repeat(p[row], fresh)
+    with np.errstate(over="ignore"):  # an inf square gives L = 0.0
+        x = _xy(p_q + q, mu)
+        y = _xy(np.subtract(p_q, q, out=q), mu)
+    return _Meshes(flat, grid.weights[idx], x, y, w, at[head], fresh_at[head])
 
 
 def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
     """A(p_i) at params, for ascending p >= 0 (the grid's nodes if None, whose
     meshes the grid keeps) on a grid certified at params, and the fresh kernel
     evaluations spent; Kp holds the kernel rows B(p_i, grid.nodes).  Each row
-    is summed on its own, so A(p_i) does not depend on which momenta share it."""
-    meshes = grid._node_meshes if p is None else _A_meshes(grid, p)
-    p, flat, w_flat, q, w, flat_at, fresh_at = meshes
+    is summed on its own, so A(p_i) does not depend on which momenta share it.
+    The fresh points go through _L_xy, the tail of eval_B, which gives them
+    eval_B's bits."""
+    m = grid._node_meshes if p is None else _A_meshes(grid, p)
     out = np.vecdot(Kp, grid.weights)
-    out -= np.add.reduceat(Kp.ravel()[flat] * w_flat, flat_at)
-    p_q = np.repeat(p, np.diff(fresh_at, append=q.size))
-    out += np.add.reduceat(w * eval_B(p_q, q, params), fresh_at)
-    return out / (2.0 * np.pi), q.size
+    out -= np.add.reduceat(Kp.ravel()[m.flat] * m.w_flat, m.flat_at)
+    out += np.add.reduceat(m.w * _blocked(_L_xy, m.x, m.y, 2.0 * params.T), m.fresh_at)
+    return out / (2.0 * np.pi), m.x.size
 
 
 def _probe(params: ModelParams, edges: np.ndarray, ppp: int) -> float:
@@ -448,7 +523,6 @@ def build_grid(
         panel_edges=edges,
         refinement_centers=centers,
         policy=policy,
-        floor=float(floor),
         core_cutoff=float(lam0),
         self_convergence=float(conv),
     )

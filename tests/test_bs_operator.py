@@ -7,6 +7,8 @@ assembly path.
 """
 
 import bisect
+import cmath
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +25,8 @@ from bcs_edge import (
     QuadratureUnderresolved,
     build_grid,
     eval_B,
+    eval_E,
+    eval_F,
     eval_L,
     eval_a,
 )
@@ -34,7 +38,7 @@ from bcs_edge.bs_operator import (
 )
 from bcs_edge.bs_operator import _top_value, eval_A
 from bcs_edge.kernels import _BLOCK, _B_matrix
-from bcs_edge.quadrature import BETA, _panels_to_grid
+from bcs_edge.quadrature import _panels_to_grid
 from test_kernels import _same_bits
 from test_quadrature import octave_twin, scalar_march
 
@@ -121,6 +125,25 @@ def test_kernel_matrix_refuses_a_range_that_rounding_admits():
     assert _same_bits(K, eval_B(nodes[:, None], nodes[None, :], params))
 
 
+def test_nan_momenta_are_refused_and_huge_ones_give_zero():
+    # a NaN momentum used to stall A(p)'s panel marching
+    # (ToleranceUnreachable); a momentum whose square overflows gives the
+    # kernels' limit 0.0 with no RuntimeWarning, which the suite's filter
+    # turns into an error
+    params = ModelParams(T=1e-3, mu=1.0)
+    grid = build_grid(params, 1e-6)
+    for f in (eval_A, eval_E):
+        with pytest.raises(ValueError, match="NaN"):
+            f(np.array([0.5, np.nan]), params, grid)
+    huge = np.array([1e200, -1e300, 1e300])
+    for p in [*huge, huge]:
+        assert np.all(eval_F(p, params) == 0.0)
+        assert np.all(eval_L(p, 0.7, params) == 0.0)
+        assert np.all(eval_B(p, 0.7, params) == 0.0)
+        assert np.all(eval_B(p, p, params) == 0.0)
+        assert np.all(eval_A(p, params, grid) == 0.0)
+
+
 def test_diag_only_is_multiplication_by_A():
     # zero out the B block: what is left multiplies by A(p), whose max
     # sits at the node nearest 0 and stays below a_edge = A(0)
@@ -133,14 +156,46 @@ def test_diag_only_is_multiplication_by_A():
     assert op.a_edge == pytest.approx(eval_a(params, grid), rel=1e-15)
 
 
-def per_row_A(params, grid, p):
+# Tail-panel ratio r = 2^k at each points-per-panel count n: the largest
+# power of two with ((sqrt r - 1)/(sqrt r + 1))^(2n) <= 1e-15.
+TAIL_RATIO = {8: 2.0, 16: 4.0, 32: 8.0}
+
+
+def crossover_floor(grid):
+    """The floor of A(p)'s sub-meshes at the crossovers, written out.
+
+    At the build T the pole of tanh(x/2T) nearest a crossover of B(p, .)
+    lies z = 2 i pi T / (sqrt(mu + i pi T) + sqrt(mu)) away in q (2 sqrt(i
+    pi T + mu) for mu <= 0).  A panel of width h ending at the crossover
+    maps it to -1 + e (cos t + i sin t), e = 2|z|/h; the widest h puts that
+    point on the Bernstein ellipse of a tail panel [c, r c] through its
+    pole at 0, with semi-axes a = (r + 1)/(r - 1) and b = 2 sqrt(r)/(r - 1).
+    The marcher lets a panel end on a center up to 1.5 floors wide."""
+    pol = grid.policy
+    root = cmath.sqrt(complex(pol.mu, math.pi * pol.T))
+    if pol.mu > 0:
+        z = 2j * math.pi * pol.T / (root + math.sqrt(pol.mu))
+    else:
+        z = 2.0 * root
+    r = TAIL_RATIO[pol.points_per_panel]
+    a, b = (r + 1.0) / (r - 1.0), 2.0 * math.sqrt(r) / (r - 1.0)
+    c, s = abs(z.real) / abs(z), abs(z.imag) / abs(z)
+    k = (c / a) ** 2 + (s / b) ** 2
+    e = (c / a**2 + math.sqrt((c / a**2) ** 2 + k * (b / a) ** 2)) / k
+    return 2.0 * abs(z) / e / 1.5
+
+
+def per_row_A(params, grid, p, refine=1.0, ratio=None):
     """Reference A(p) for one momentum p >= 0, built step by step: the grid
     sum of B(p, .), less the grid terms of the three panels around each
     crossover (two spans merged when they share a panel), plus B on a
-    scalar-marched sub-mesh of each span.  Sums take the integrator's
-    per-row reduction, np.add.reduceat over one segment."""
+    scalar-marched sub-mesh of each span.  The sub-mesh grades down to
+    max(crossover_floor, tol p^2 / 2) / refine in ladders of ratio (the tail
+    ratio if None).  Sums take the integrator's per-row reduction,
+    np.add.reduceat over one segment."""
     smu = np.sqrt(params.mu) if params.mu > 0 else 0.0
     ppp = grid.policy.points_per_panel
+    ratio = TAIL_RATIO[ppp] if ratio is None else ratio
     edges = grid.panel_edges.tolist()
     last = len(edges) - 2
     crossovers = (abs(2.0 * smu - p), 2.0 * smu + p)
@@ -152,14 +207,15 @@ def per_row_A(params, grid, p):
             spans[-1] = (spans[-1][0], stop)
         else:
             spans.append((first, stop))
-    floor = max(grid.floor, grid.policy.tol * p * p / 2.0)
+    floor = max(crossover_floor(grid), grid.policy.tol * p * p / 2.0) / refine
     row = eval_B(p, grid.nodes, params)
     old, new = [], []
     for first, stop in spans:
         on_grid = slice(first * ppp, stop * ppp)
         old.append(row[on_grid] * grid.weights[on_grid])
         sub = scalar_march(
-            edges[first], edges[stop], crossovers + grid.refinement_centers, floor, BETA
+            edges[first], edges[stop], crossovers + grid.refinement_centers, floor,
+            ratio - 1.0,
         )
         q, w = _panels_to_grid(sub, ppp)
         new.append(w * eval_B(p, q, params))
@@ -177,6 +233,34 @@ def test_diag_A_matches_per_node_meshes():
         diag = eval_A(grid.nodes, params, grid)
         ref = [per_row_A(params, grid, p) for p in grid.nodes]
         assert np.array_equal(diag, ref)
+
+
+A_MESH_LATTICE = [(T, mu) for mu in (0.0, 1.0) for T in (1e-5, 1e-3, 3e-2, 0.3, 3.0)]
+
+
+@pytest.mark.parametrize("T, mu", A_MESH_LATTICE)
+def test_diag_A_meets_tol_against_refined_meshes(T, mu):
+    # A(p)'s sub-meshes at their Gauss rule's resolution against meshes
+    # with a quarter of the floor and a ladder ratio of 2, at the build T
+    # and at 1.4 times it, where certify accepts the grid too
+    grid = build_grid(ModelParams(T=T, mu=mu), 1e-8)
+    for at in (T, 1.4 * T):
+        params = ModelParams(T=at, mu=mu)
+        diag = eval_A(grid.nodes, params, grid)
+        ref = [per_row_A(params, grid, p, refine=4.0, ratio=2.0) for p in grid.nodes]
+        assert np.max(np.abs(diag - ref)) <= grid.policy.tol / 100.0
+
+
+@pytest.mark.parametrize("T, mu", A_MESH_LATTICE)
+def test_certify_refuses_a_T_the_A_meshes_do_not_resolve(T, mu):
+    # below the build T the pole of tanh(x/2T) nears the crossovers of
+    # B(p, .) and the sub-meshes laid out for the build T miss A(p); the
+    # B(0, .) probe alone accepted every one of these grids at T/8
+    grid = build_grid(ModelParams(T=T, mu=mu), 1e-8)
+    with pytest.raises(QuadratureUnderresolved, match="sub-meshes"):
+        grid.certify(ModelParams(T=T / 8.0, mu=mu))
+    for at in (T, 1.4 * T):
+        grid.certify(ModelParams(T=at, mu=mu))
 
 
 @pytest.mark.parametrize(

@@ -284,10 +284,11 @@ def test_a_decreasing_in_T():
 
 @pytest.mark.parametrize("T", [1e-4, 2.6e-2, 3.0])
 def test_edge_log_slope_matches_central_difference(T):
-    # on one fixed grid, so only the kernel's T moves
+    # on one fixed grid, so only the kernel's T moves; built at the lowest
+    # T, as certify refuses a T below the build's
     params = ModelParams(T=T, mu=1.0)
-    grid = build_grid(params, tol=1e-8)
     d = 1e-4
+    grid = build_grid(ModelParams(T=T * np.exp(-d), mu=1.0), tol=1e-8)
     a_up = eval_a(ModelParams(T=T * np.exp(d), mu=1.0), grid)
     a_down = eval_a(ModelParams(T=T * np.exp(-d), mu=1.0), grid)
     slope = _edge_log_slope(params, grid)

@@ -26,7 +26,15 @@ One command per checkout:
     PYTHONPATH=src python3 tools/operator_digest.py
 
 Pass -v to print one line per operator point as well (matrix and
-integral hashes), and one line per inequality check.
+integral hashes, then the grid's order n, the matrix order m for each
+boundary condition, Dirichlet first, and the count of fresh kernel
+evaluations that A(p)'s sub-meshes take on the grid's nodes), and one
+line per inequality check.
+
+A change to A(p)'s sub-meshes alone moves the lines that integrate
+A(p): the matrices (1), the integrals (2), the solver results (3) and
+the off-node line (6), and the verify line (5) only where E(p) sets a
+check's worst margin.  The raw kernel line (4) must not move.
 """
 
 import dataclasses
@@ -88,17 +96,29 @@ def _attempt(call) -> bytes:
 
 
 def _pieces(params, tol, knobs):
-    """(matrix pieces, integral pieces, off-node pieces) of one point; a
-    failed grid build makes all three its error type's name."""
+    """(matrix pieces, integral pieces, off-node pieces, sizes) of one
+    point; sizes reads the grid's order n, the matrix order m of each
+    boundary condition and the fresh kernel evaluations of A(p)'s
+    sub-meshes on the grid's nodes.  A failed grid build makes the
+    pieces its error type's name, and so does a failed assemble its
+    matrix piece and its m."""
     try:
         grid = build_grid(params, tol, knobs)
     except Exception as exc:
         failed = [type(exc).__name__.encode()]
-        return failed, failed, failed
-    matrices = [
-        _attempt(lambda bc=bc: assemble(params, grid, bc).matrix.tobytes())
-        for bc in BoundaryCondition
-    ]
+        return failed, failed, failed, failed[0].decode()
+    matrices, orders = [], []
+    for bc in BoundaryCondition:
+        try:
+            op = assemble(params, grid, bc)
+        except Exception as exc:  # the error type is part of the digest
+            matrices.append(type(exc).__name__.encode())
+            orders.append(type(exc).__name__)
+        else:
+            matrices.append(op.matrix.tobytes())
+            orders.append(str(op.n))
+    fresh = _attempt(lambda: b"%d" % grid._node_meshes.x.size).decode()
+    sizes = f"n={grid.n} m={'/'.join(orders)} fresh={fresh}"
     integrals = [
         struct.pack("<q", grid.n),
         _attempt(lambda: struct.pack("<d", eval_a(params, grid))),
@@ -112,7 +132,7 @@ def _pieces(params, tol, knobs):
             _attempt(lambda f=f, p=p: struct.pack("<d", f(p, params, grid)))
             for p in OFF_NODE
         ]
-    return matrices, integrals, off_node
+    return matrices, integrals, off_node, sizes
 
 
 def _canon(x):
@@ -208,7 +228,7 @@ def main(argv) -> int:
             for mu in MUS:
                 for T in TS:
                     params = ModelParams(T=T, mu=mu)
-                    matrices, integrals, off_node = _pieces(params, tol, knobs)
+                    matrices, integrals, off_node, sizes = _pieces(params, tol, knobs)
                     m, i = _digest(matrices), _digest(integrals)
                     matrix_total.update(m.digest())
                     integral_total.update(i.digest())
@@ -218,7 +238,7 @@ def main(argv) -> int:
                         print(
                             f"T={T:g} mu={mu:g} tol={tol:g} "
                             f"knobs={knobs.points_per_panel}/{knobs.cutoff_factor:g} "
-                            f"{m.hexdigest()[:16]} {i.hexdigest()[:16]}"
+                            f"{m.hexdigest()[:16]} {i.hexdigest()[:16]} {sizes}"
                         )
     print(matrix_total.hexdigest())
     print(integral_total.hexdigest())
