@@ -14,7 +14,10 @@ whether the boundary binds a state at the given (T, mu).  The tail
 panels far beyond the core certify the integrals A(p_i) and a; the
 eigensolve sees only the leading principal block whose dropped
 off-diagonal block is certified to move the top eigenvalue by at most
-tol/2 (_matrix_cut).
+tol/2 (_matrix_cut).  A root find that needs only the sign and rough
+size of lambda_max - t takes _schur_gap instead: one LU solve of the
+nodes whose Gershgorin discs stay well below t, and an eigensolve of
+the rest.
 
 One kernel matrix B(p_i, p_j) per grid, kernels._B_matrix, serves the
 whole build: it feeds the perturbation, the diagonal A(p_i) and the
@@ -58,6 +61,14 @@ EIGEN_TOL = 1e-10
 # some twenty times that eigenvalue's rounding, while the residual of one
 # solve, which scales with the shift, stays near 5e-12 ||M||_inf.
 INVERSE_SHIFT = 1e-13
+
+# Margin of _schur_gap's split below its shift t, as a fraction of t:
+# every dropped node's Gershgorin reach lies below (1 - SCHUR_MARGIN) t,
+# so ||(tI - D)^-1|| <= 1 / (SCHUR_MARGIN t).  The kept block is about
+# as cheap at a third as at a quarter, and G then exceeds lambda_max - t
+# by less: the boundary root finds of the 24 edge-row rows take 110
+# solves at a third and 112 at a quarter.
+SCHUR_MARGIN = 1.0 / 3.0
 
 class BoundaryCondition(enum.Enum):
     """Half-line boundary condition; fixes the sign of the perturbation."""
@@ -118,7 +129,15 @@ def eval_E(p, params: ModelParams, grid: MomentumGrid):
     return _unwrap(4.0 * np.pi * (A[0] - A[1:]), scalar)
 
 
-def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
+def _gershgorin_reach(M: np.ndarray, sign: float) -> np.ndarray:
+    """d_i + sum_{j != i} |M_ij| for every row of the square M, whose
+    off-diagonal entries all carry sign: B >= 0, as tanh u + tanh v has
+    the sign of u + v, so sign * M_ij = |M_ij| and plain row sums give
+    the reach with no |M| temporary."""
+    return (1.0 - sign) * np.diagonal(M) + sign * M.sum(axis=1)
+
+
+def _matrix_cut(full: np.ndarray, grid: MomentumGrid, sign: float) -> tuple[int, float]:
     """Order m of the certified principal block of full, and its bound.
 
     For full = [[C, X], [X^T, D]] with C the leading m x m block, the
@@ -139,8 +158,7 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
     d = np.diagonal(full)
     n_core = int(np.count_nonzero(grid.nodes <= grid.core_cutoff))
     for m in range(n_core, grid.n, ppp):
-        D = full[m:, m:]
-        top_D = np.max(d[m:] - np.abs(d[m:]) + np.abs(D).sum(axis=1))
+        top_D = np.max(_gershgorin_reach(full[m:, m:], sign))
         eta = np.max(d[:m]) - top_D
         x2 = float(np.square(full[:m, m:]).sum())
         if eta > 0.0:
@@ -148,6 +166,31 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid) -> tuple[int, float]:
             if bound <= budget:
                 return m, float(bound)
     return grid.n, 0.0
+
+
+def _nystroem(
+    params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition
+) -> tuple[np.ndarray, int, float]:
+    """assemble's matrix before the cut: (full, m, cut_bound), with full
+    the Nystroem matrix on all grid.n nodes in a fresh n x n buffer that
+    the caller owns, m the order of its certified leading block and
+    cut_bound that block's bound (_matrix_cut)."""
+    grid.certify(params)
+    K = _B_matrix(grid.nodes, params)
+    diag, fresh = _A_rows(params, grid, K)
+    sw = np.sqrt(grid.weights)
+    scale = bc.sign / (2.0 * np.pi)
+    full = K  # scaled in place; _A_rows was K's last reader
+    rows = max(1, _BLOCK // grid.n)
+    for i0 in range(0, grid.n, rows):
+        block = full[i0:i0 + rows]
+        block *= sw[i0:i0 + rows, None] * sw
+        block *= scale
+    full[np.diag_indices_from(full)] += diag
+    m, cut_bound = _matrix_cut(full, grid, bc.sign)
+    logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
+                 "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)
+    return full, m, cut_bound
 
 
 def assemble(
@@ -170,21 +213,7 @@ def assemble(
     outer product, then by sign/(2 pi), so no n x n temporary is formed.
     Raises what grid.certify(params) raises.
     """
-    grid.certify(params)
-    K = _B_matrix(grid.nodes, params)
-    diag, fresh = _A_rows(params, grid, K)
-    sw = np.sqrt(grid.weights)
-    scale = bc.sign / (2.0 * np.pi)
-    full = K  # scaled in place; _A_rows was K's last reader
-    rows = max(1, _BLOCK // grid.n)
-    for i0 in range(0, grid.n, rows):
-        block = full[i0:i0 + rows]
-        block *= sw[i0:i0 + rows, None] * sw
-        block *= scale
-    full[np.diag_indices_from(full)] += diag
-    m, cut_bound = _matrix_cut(full, grid)
-    logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
-                 "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)
+    full, m, cut_bound = _nystroem(params, grid, bc)
     matrix = full[:m, :m].copy()
     matrix.setflags(write=False)
     return DiscretizedOperator(
@@ -194,6 +223,49 @@ def assemble(
         a_edge=_edge_sum(params, grid.nodes, grid.weights),  # eval_a, certified above
         cut_bound=cut_bound,
     )
+
+
+def _schur_gap(M: np.ndarray, sign: float, t: float) -> tuple[float, int]:
+    """(G, k): the sign of lambda_max(M) - t, from an eigensolve of order k.
+
+    M is a writable operator matrix, every off-diagonal entry of the sign
+    sign (_gershgorin_reach).  Split M = [[C, X], [X^T, D]] after the
+    last node whose Gershgorin reach is at least t - SCHUR_MARGIN * t,
+    keeping at least one, so D < (1 - SCHUR_MARGIN) t I.  By Haynsworth's
+    inertia additivity (E. V. Haynsworth, Linear Algebra Appl. 1 (1968)
+    73-81) M - tI then has as many positive eigenvalues as the Schur
+    complement C - tI + X (tI - D)^-1 X^T, so
+
+        G = lambda_max(C + X (tI - D)^-1 X^T) - t
+
+    has the sign of lambda_max(M) - t and vanishes where it does.  As
+    f(mu) = lambda_max(C + X (mu I - D)^-1 X^T) - mu falls with slope at
+    most -1 on mu > lambda_max(D) and f(lambda_max(M)) = 0, |G| = |f(t)|
+    >= |lambda_max(M) - t|.  One LU solve of the dropped block replaces
+    the eigensolve of M: D - tI is formed on M's diagonal, whose entries
+    are put back afterwards, bit for bit, so LAPACK's copy is the only
+    new array of D's size.  A non-finite entry raises NoConvergence.
+    """
+    reach = _gershgorin_reach(M, sign)
+    if not np.isfinite(reach).all():
+        raise NoConvergence(f"operator matrix has a non-finite entry (n={M.shape[0]})")
+    margin = SCHUR_MARGIN * t
+    reached = np.flatnonzero(reach >= t - margin)
+    k = int(reached[-1]) + 1 if reached.size else 1
+    C, X, D = M[:k, :k], M[:k, k:], M[k:, k:]
+    if k < M.shape[0]:
+        diagonal = np.diag_indices_from(D)
+        d = D[diagonal]
+        D[diagonal] -= t
+        try:
+            Y = np.linalg.solve(D, X.T)  # D - tI is negative definite
+        finally:
+            D[diagonal] = d
+        C = C - X @ Y
+    value = float(np.linalg.eigvalsh(C)[-1] - t)
+    logger.debug("Schur split at t=%.12e: kept %d, dropped %d, margin %.3e, G %+.6e",
+                 t, k, M.shape[0] - k, margin, value)
+    return value, k
 
 
 def _top_value(op: DiscretizedOperator) -> float:

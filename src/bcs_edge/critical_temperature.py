@@ -3,8 +3,10 @@
 The bulk temperature solves a_{T,mu} = 1/v (the essential-spectrum edge
 crosses the coupling threshold); the half-line temperature solves the
 same equation for the top eigenvalue of the discretized boundary
-operator.  Both functions are strictly decreasing in T, and both are
-solved by one search in log T, _root_decreasing.  It starts from one
+operator, through a function with the same sign and root that one LU
+solve gives (bs_operator._schur_gap).  Both functions are strictly
+decreasing in T, and both are solved by one search in log T,
+_root_decreasing.  It starts from one
 point (the weak-coupling closed form for the bulk, tc_bulk for the half
 line) and steps toward the sign change, predicted from the closed-form
 slope of the essential edge there and then from secants; once both
@@ -25,10 +27,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bs_operator import EIGEN_TOL, BoundaryCondition, _top_value, assemble
+from .bs_operator import (
+    EIGEN_TOL,
+    BoundaryCondition,
+    DiscretizedOperator,
+    _nystroem,
+    _schur_gap,
+    _top_value,
+    assemble,
+)
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
-from .quadrature import GridKnobs, MomentumGrid, build_grid
+from .quadrature import GridKnobs, build_grid
 
 __all__ = [
     "TcResult",
@@ -67,7 +77,14 @@ def _grid_tol(tol: float) -> float:
 
 @dataclass(frozen=True)
 class TcResult:
-    """One solved critical temperature with its convergence record."""
+    """One solved critical temperature with its convergence record.
+
+    residual is the value of the root find's function at tc: a_{T,mu} -
+    1/v for tc_bulk.  For tc_boundary it is G(tc) of _schur_gap at t =
+    1/v on the grid built at tc_bulk, which has the sign of lambda_max -
+    1/v and at least its size; where the operator sits at or below 1/v
+    at tc_bulk already, it is lambda_max - 1/v there.
+    """
 
     tc: float
     residual: float
@@ -92,10 +109,13 @@ class RatioRow:
     is about 7e-16 tc_bulk (1.7e-17 at v=0.6, mu=1, tol 1e-4), while the
     top eigenvalue moves when the grid is refined, so t_noise bounds no
     error of either temperature.  The two evaluation counts are the
-    solves each root find took, bracketing included.  grid_nodes counts
-    the nodes of the grid at tc_bulk that every boundary solve used and
-    matrix_nodes the cut matrix order there.  A failed row leaves every
-    result field at its default: NaN, and 0 for the counts.
+    solves each root find took, bracketing included; of the boundary
+    solves, only the one at tc_bulk takes the full eigensolve, which
+    gives gap_at_tc_bulk, and every later one a Schur split
+    (_tc_boundary_above).  grid_nodes counts the nodes of the grid at
+    tc_bulk that every boundary solve used and matrix_nodes the cut
+    matrix order there.  A failed row leaves every result field at its
+    default: NaN, and 0 for the counts.
     """
 
     v: float
@@ -278,14 +298,13 @@ def _tc_bulk(v, mu, tol, knobs):
 
 
 class _Solve(NamedTuple):
-    """One half-line operator solve: the top eigenvalue's gap to the
-    essential edge a_edge, the grid it was solved on, the order of the
-    cut matrix and the cut's eigenvalue bound."""
+    """One half-line operator solve on the root find's grid: the order of
+    the cut matrix, the cut's eigenvalue bound and the kept order of the
+    Schur split (_schur_gap)."""
 
-    gap: float
-    grid: MomentumGrid
     matrix_nodes: int
     cut_bound: float
+    schur_nodes: int
 
 
 def tc_boundary(
@@ -309,26 +328,49 @@ def tc_boundary(
 
 def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
     """tc_boundary from a solved bulk TcResult and the grid its root find
-    built at bulk.tc.  Every T is solved for the top eigenvalue on that
-    one grid, built at the lowest T, so the finest (grading scales with
-    T); assemble certifies it at each T, and the grid lays out A(p)'s
-    sub-meshes once.  Returns (TcResult, _Solve at bulk.tc), whose gap is
-    spectral_gap(assemble(...)) there."""
+    built at bulk.tc.  Every T is solved on that one grid, built at the
+    lowest T, so the finest (grading scales with T); the matrix is
+    assembled and certified at each T, and the grid lays out A(p)'s
+    sub-meshes once.
+
+    The solve at bulk.tc takes the top eigenvalue lambda_max by the full
+    eigensolve, for the gap and to decide whether there is a root above.
+    From there the root find runs on G(T) of _schur_gap at t = 1/v: it
+    has the sign of lambda_max - 1/v, so the same root and a bracket of
+    lambda_max's crossing, and it costs one LU solve of the dropped block
+    and an eigensolve of the kept one, about 40% of the full eigensolve.
+    G is taken at bulk.tc too, so that every value the search sees comes
+    from G, and the first step's slope, the essential edge's, is scaled
+    by G / (lambda_max - 1/v) there.  numerics["schur_nodes"] is the kept
+    order at the returned root (matrix_nodes where no search ran).
+    Returns (TcResult, spectral_gap of assemble(...) at bulk.tc, _Solve
+    there)."""
     gtol = _grid_tol(tol)
+    t = 1.0 / v
 
     def g(T):
-        op = assemble(ModelParams(T=T, mu=mu), grid, bc)
-        value = _top_value(op)
-        return value - 1.0 / v, _Solve(value - op.a_edge, op.grid, op.n, op.cut_bound)
+        full, m, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+        value, kept = _schur_gap(full[:m, :m], bc.sign, t)
+        return value, _Solve(m, cut_bound, kept)
 
-    at_lo = g(bulk.tc)
-    g_lo, at_bulk = at_lo
-    if g_lo <= 0.0:
-        tc, resid, bracket, steps, solve = bulk.tc, g_lo, bulk.bracket, 0, at_bulk
+    params = ModelParams(T=bulk.tc, mu=mu)
+    full, m, cut_bound = _nystroem(params, grid, bc)
+    # assemble(params, grid, bc) but for the copy: its matrix views full
+    op = DiscretizedOperator(full[:m, :m], grid, bc, eval_a(params, grid), cut_bound)
+    top = _top_value(op)
+    gap = top - op.a_edge
+    value, kept = top - t, m
+    if value > 0.0:
+        value, kept = _schur_gap(full[:m, :m], bc.sign, t)
+    del full, op  # n x n; the root find builds its own at each T
+    at_bulk = _Solve(m, cut_bound, kept)
+    if value <= 0.0:
+        tc, resid, bracket, steps, solve = bulk.tc, value, bulk.bracket, 0, at_bulk
     else:
-        slope = _edge_log_slope(ModelParams(T=bulk.tc, mu=mu), at_bulk.grid)
+        # G falls faster than lambda_max by about their ratio at bulk.tc
+        slope = _edge_log_slope(params, grid) * value / (top - t)
         tc, resid, bracket, steps, solve = _root_decreasing(
-            g, [(bulk.tc, at_lo)], slope, tol, "tc_boundary"
+            g, [(bulk.tc, (value, at_bulk))], slope, tol, "tc_boundary"
         )
     result = TcResult(
         tc=float(tc),
@@ -339,12 +381,13 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
             "grid_tol": gtol,
             "eigen_tol": EIGEN_TOL,
             "bulk_evaluations": bulk.evaluations,
-            "grid_nodes": solve.grid.n,
+            "grid_nodes": grid.n,
             "matrix_nodes": solve.matrix_nodes,
             "cut_bound": solve.cut_bound,
+            "schur_nodes": solve.schur_nodes,
         },
     )
-    return result, at_bulk
+    return result, gap, at_bulk
 
 
 def v_of_T(
@@ -363,7 +406,7 @@ def v_of_T(
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:
     bulk, grid = _tc_bulk(v, mu, tol, knobs)
-    bound, at_bulk = _tc_boundary_above(bulk, grid, v, mu, bc, tol)
+    bound, gap, at_bulk = _tc_boundary_above(bulk, grid, v, mu, bc, tol)
     # the slope of a_{T,mu} in T turns the probe into a T-units noise floor
     slope = abs(_edge_log_slope(ModelParams(T=bulk.tc, mu=mu), grid)) / bulk.tc
     t_noise = grid.self_convergence / slope if slope > 0 else np.inf
@@ -374,7 +417,7 @@ def _row(v, mu, bc, tol, knobs) -> RatioRow:
         tc_bulk=bulk.tc,
         tc_boundary=bound.tc,
         relative_shift=(bound.tc - bulk.tc) / bulk.tc,
-        gap_at_tc_bulk=at_bulk.gap,
+        gap_at_tc_bulk=gap,
         grid_nodes=grid.n,
         t_noise=t_noise,
         tc_bulk_evaluations=bulk.evaluations,

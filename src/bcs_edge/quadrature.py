@@ -387,8 +387,13 @@ def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
     eval_B's bits."""
     m = grid._node_meshes if p is None else _A_meshes(grid, p)
     out = np.vecdot(Kp, grid.weights)
-    out -= np.add.reduceat(Kp.ravel()[m.flat] * m.w_flat, m.flat_at)
-    out += np.add.reduceat(m.w * _blocked(_L_xy, m.x, m.y, 2.0 * params.T), m.fresh_at)
+    replaced = Kp.ravel()[m.flat]
+    replaced *= m.w_flat  # products in place, here and below: one temporary each
+    out -= np.add.reduceat(replaced, m.flat_at)
+    del replaced
+    fresh = _blocked(_L_xy, m.x, m.y, 2.0 * params.T)
+    fresh *= m.w
+    out += np.add.reduceat(fresh, m.fresh_at)
     return out / (2.0 * np.pi), m.x.size
 
 

@@ -16,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bcs_edge.bs_operator as bso
 from bcs_edge import (
     GridKnobs,
     ModelParams,
     NoConvergence,
+    NumericsError,
     QuadratureUnderresolved,
     build_grid,
     eval_B,
@@ -408,6 +411,104 @@ def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
     lam_cut = np.linalg.eigvalsh(op.matrix)[-1]
     lam_full = np.linalg.eigvalsh(full)[-1]
     assert abs(lam_cut - lam_full) <= op.cut_bound <= tol / 2.0
+
+
+# the operator points of tools/operator_digest.py
+DIGEST_POINTS = [
+    (ModelParams(T=T, mu=mu), tol, knobs)
+    for knobs in (GridKnobs(16, 3.0), GridKnobs(8, 2.0))
+    for tol in (1e-8, 1e-5)
+    for mu in (-0.5, 0.0, 0.3, 1.0, 4.0)
+    for T in (1e-5, 7.8e-3, 1.0, 20.0)
+]
+
+
+def test_off_diagonal_entries_carry_the_boundary_sign_on_the_digest_battery():
+    # the Gershgorin reach comes from plain row sums because B >= 0: tanh u
+    # + tanh v has the sign of u + v.  At T = 1e-5 both tanh factors
+    # saturate on whole ranges, where B is the closed form or exactly 0
+    zeros = 0
+    for params, tol, knobs in DIGEST_POINTS:
+        try:
+            grid = build_grid(params, tol, knobs)
+        except NumericsError:
+            continue
+        K = _B_matrix(grid.nodes, params)
+        assert (K >= 0.0).all()
+        zeros += np.count_nonzero(K == 0.0)
+        for bc in (D, N):
+            full, m, _ = bso._nystroem(params, grid, bc)
+            d = np.diagonal(full).copy()
+            off = bc.sign * full
+            off[np.diag_indices_from(off)] = 0.0
+            assert (off >= 0.0).all()
+            reach = d + off.sum(axis=1)
+            for M, r in ((full, reach), (full[:m, :m], d[:m] + off[:m, :m].sum(axis=1))):
+                assert np.allclose(bso._gershgorin_reach(M, bc.sign), r, rtol=1e-13, atol=0)
+    assert zeros > 0
+
+
+@st.composite
+def sign_carrying_matrices(draw):
+    """(M, sign, t): symmetric M whose off-diagonal entries all carry sign,
+    as an operator matrix's do, and a shift t > 0."""
+    n = draw(st.integers(1, 9))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    entries = st.floats(0.0, 1.0) | st.just(0.0)
+    upper = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    B = np.triu(upper.reshape(n, n), 1)
+    M = sign * (B + B.T)
+    M[np.diag_indices(n)] = draw(st.lists(st.floats(-2.0, 3.0), min_size=n, max_size=n))
+    return M, sign, draw(st.floats(0.1, 4.0))
+
+
+@given(sign_carrying_matrices())
+def test_schur_gap_has_the_sign_and_at_least_the_size_of_the_top_gap(case):
+    M, sign, t = case
+    n = M.shape[0]
+    before = M.copy()
+    G, k = bso._schur_gap(M, sign, t)
+    assert np.array_equal(M, before)  # its diagonal is put back bit for bit
+    gap = np.linalg.eigvalsh(M)[-1] - t
+    slack = 1e-12 * (1.0 + np.abs(M).sum(axis=1).max())
+    assert abs(G) >= abs(gap) - slack
+    if abs(gap) > slack:
+        assert np.sign(G) == np.sign(gap)
+    # the kept prefix ends on the last node that reaches t - margin, or is
+    # the first node alone; every dropped row certifies D < (t - margin) I
+    edge = t - bso.SCHUR_MARGIN * t
+    reach = np.diagonal(M) + np.abs(M).sum(axis=1) - np.abs(np.diagonal(M))
+    assert 1 <= k <= n
+    assert k == 1 or reach[k - 1] >= edge - slack
+    assert (reach[k:] < edge + slack).all()
+    Dk = M[k:, k:]
+    if k < n:
+        disc = np.diagonal(Dk) + np.abs(Dk).sum(axis=1) - np.abs(np.diagonal(Dk))
+        assert disc.max() < edge + slack
+    else:
+        assert G == gap  # nothing dropped: the plain eigensolve
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_schur_gap_keeps_one_row_when_none_reaches(sign):
+    # no Gershgorin disc reaches t - margin: the first node is kept alone,
+    # and G < 0 as lambda_max < t
+    M = np.diag([0.3, 0.2, 0.1, 0.05]) + sign * 0.02 * (1.0 - np.eye(4))
+    G, k = bso._schur_gap(M, sign, 1.0)
+    assert k == 1
+    gap = np.linalg.eigvalsh(M)[-1] - 1.0
+    assert G <= gap < 0.0
+    # a last node that reaches keeps the whole matrix
+    M[3, 3] = 2.0
+    G, k = bso._schur_gap(M, sign, 1.0)
+    assert k == 4 and G == np.linalg.eigvalsh(M)[-1] - 1.0 > 0.0
+
+
+def test_schur_gap_refuses_a_non_finite_matrix():
+    M = np.eye(3)
+    M[2, 1] = M[1, 2] = np.nan
+    with pytest.raises(NoConvergence, match="non-finite entry"):
+        bso._schur_gap(M, 1.0, 0.5)
 
 
 # the fixed-T solves of the benchmark: 36 log-spaced T/mu in [1e-5, 1]

@@ -1,5 +1,6 @@
 """Root-finders for the bulk and half-line critical temperatures."""
 
+import logging
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
-from bcs_edge.bs_operator import BoundaryCondition, _top_value, assemble, spectral_gap
+from bcs_edge.bs_operator import (
+    BoundaryCondition,
+    _nystroem,
+    _schur_gap,
+    _top_value,
+    assemble,
+    spectral_gap,
+)
 from bcs_edge.critical_temperature import (
     _MAX_STEPS,
     BRACKET_STEP,
@@ -356,6 +364,12 @@ def test_tc_boundary_neumann_enhancement():
     assert res.tc > bulk.tc
 
 
+def _schur_at(T, mu, grid, bc, v):
+    """(G, kept order) of _schur_gap at t = 1/v for the matrix at (T, mu)."""
+    full, m, _ = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+    return _schur_gap(full[:m, :m], bc.sign, 1.0 / v)
+
+
 @pytest.mark.parametrize("bc", [D, N])
 def test_tc_boundary_solves_every_temperature_on_the_grid_at_tc_bulk(bc):
     v, mu, tol = 0.5, 1.0, 1e-4
@@ -363,13 +377,40 @@ def test_tc_boundary_solves_every_temperature_on_the_grid_at_tc_bulk(bc):
     bulk = tc_bulk(v, mu, tol)
     assert res.tc > bulk.tc
     grid = build_grid(ModelParams(T=bulk.tc, mu=mu), _grid_tol(tol))
-    params = ModelParams(T=res.tc, mu=mu)
-    value = _top_value(assemble(params, grid, bc))
-    assert res.residual == value - 1.0 / v
+    # the residual is the root find's G at the root, on the grid at tc_bulk
+    G, kept = _schur_at(res.tc, mu, grid, bc, v)
+    assert (res.residual, res.numerics["schur_nodes"]) == (G, kept)
+    top = _top_value(assemble(ModelParams(T=res.tc, mu=mu), grid, bc))
+    assert np.sign(res.residual) == np.sign(top - 1.0 / v) != 0.0
     # the grid built at the root itself gives other bits
-    own = _top_value(assemble(params, build_grid(params, _grid_tol(tol)), bc))
-    assert res.residual != own - 1.0 / v
+    own = build_grid(ModelParams(T=res.tc, mu=mu), _grid_tol(tol))
+    assert res.residual != _schur_at(res.tc, mu, own, bc, v)[0]
     assert res.numerics["grid_nodes"] == grid.n
+
+
+@pytest.mark.parametrize("v, bc", [(0.49, D), (0.86, N)])
+def test_tc_boundary_brackets_the_top_eigenvalue_at_tight_tol(v, bc):
+    # G has the sign of lambda_max - 1/v, so the bracket of its root find
+    # brackets the top eigenvalue's crossing too
+    tol = 1e-8
+    res = tc_boundary(v, 1.0, bc, tol)
+    grid = build_grid(ModelParams(T=tc_bulk(v, 1.0, tol).tc, mu=1.0), _grid_tol(tol))
+    lo, hi = res.bracket
+    top_lo, top_hi = (_top_value(assemble(ModelParams(T=T, mu=1.0), grid, bc)) for T in (lo, hi))
+    assert top_lo > 1.0 / v >= top_hi
+    assert hi - lo <= tol * lo
+
+
+def test_tc_boundary_logs_one_schur_split_per_solve(caplog):
+    # the solve at tc_bulk takes the full eigensolve and the split, every
+    # later solve the split alone
+    with caplog.at_level(logging.DEBUG, logger="bcs_edge"):
+        res = tc_boundary(0.5, 1.0, N, 1e-4)
+    splits = [r.getMessage() for r in caplog.records if "Schur split" in r.getMessage()]
+    assert len(splits) == res.evaluations > 1
+    for line in splits:
+        assert all(word in line for word in ("kept", "dropped", "margin", "G "))
+    assert 0 < res.numerics["schur_nodes"] < res.numerics["matrix_nodes"]
 
 
 def test_tc_boundary_strong_coupling_dirichlet_clamps_to_bulk():

@@ -34,7 +34,11 @@ line per inequality check.
 A change to A(p)'s sub-meshes alone moves the lines that integrate
 A(p): the matrices (1), the integrals (2), the solver results (3) and
 the off-node line (6), and the verify line (5) only where E(p) sets a
-check's worst margin.  The raw kernel line (4) must not move.
+check's worst margin.  The raw kernel line (4) must not move.  A change
+to the root finder alone, such as the function tc_boundary's search
+runs on, moves the solver line (3) and no other: the operators, the
+integrals, the kernels, the checks and A(p) off the nodes keep their
+bits.
 """
 
 import dataclasses
