@@ -14,10 +14,11 @@ whether the boundary binds a state at the given (T, mu).  The tail
 panels far beyond the core certify the integrals A(p_i) and a; the
 eigensolve sees only the leading principal block whose dropped
 off-diagonal block is certified to move the top eigenvalue by at most
-tol/2 (_matrix_cut).  A root find that needs only the sign and rough
-size of lambda_max - t takes _schur_gap instead: one LU solve of the
-nodes whose Gershgorin discs stay well below t, and an eigensolve of
-the rest.
+tol/2 (_matrix_cut), a view that _nystroem cuts from its n x n buffer:
+assemble copies it, and the boundary root find reads it.  A root find
+that needs only the sign and rough size of lambda_max - t takes
+_schur_gap instead: one LU solve of the nodes whose Gershgorin discs
+stay well below t, and an eigensolve of the rest.
 
 One kernel matrix B(p_i, p_j) per grid, kernels._B_matrix, serves the
 whole build: it feeds the perturbation, the diagonal A(p_i) and the
@@ -170,11 +171,11 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid, sign: float) -> tuple[int,
 
 def _nystroem(
     params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition
-) -> tuple[np.ndarray, int, float]:
-    """assemble's matrix before the cut: (full, m, cut_bound), with full
-    the Nystroem matrix on all grid.n nodes in a fresh n x n buffer that
-    the caller owns, m the order of its certified leading block and
-    cut_bound that block's bound (_matrix_cut)."""
+) -> tuple[np.ndarray, float]:
+    """assemble's matrix before the copy: (block, cut_bound), with block
+    the writable leading m x m view of the Nystroem matrix on all grid.n
+    nodes, in a fresh n x n buffer that the caller owns through it, and
+    cut_bound its bound (_matrix_cut)."""
     grid.certify(params)
     K = _B_matrix(grid.nodes, params)
     diag, fresh = _A_rows(params, grid, K)
@@ -190,7 +191,7 @@ def _nystroem(
     m, cut_bound = _matrix_cut(full, grid, bc.sign)
     logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
                  "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)
-    return full, m, cut_bound
+    return full[:m, :m], cut_bound
 
 
 def assemble(
@@ -213,8 +214,8 @@ def assemble(
     outer product, then by sign/(2 pi), so no n x n temporary is formed.
     Raises what grid.certify(params) raises.
     """
-    full, m, cut_bound = _nystroem(params, grid, bc)
-    matrix = full[:m, :m].copy()
+    block, cut_bound = _nystroem(params, grid, bc)
+    matrix = block.copy()
     matrix.setflags(write=False)
     return DiscretizedOperator(
         matrix=matrix,
@@ -268,20 +269,17 @@ def _schur_gap(M: np.ndarray, sign: float, t: float) -> tuple[float, int]:
     return value, k
 
 
-def _top_value(op: DiscretizedOperator) -> float:
-    """Largest eigenvalue of op.matrix by eigvalsh, good to its backward
-    error, far below EIGEN_TOL; the second-largest is logged, as nothing
-    guarantees the top one is isolated.  eigvalsh may return NaN or finite
-    nonsense for a NaN entry, so a non-finite matrix raises NoConvergence."""
-    if not np.isfinite(op.matrix.sum()):
-        raise NoConvergence(f"operator matrix has a non-finite entry (n={op.n})")
-    vals = np.linalg.eigvalsh(op.matrix)
-    lam = vals[-1]
-    logger.debug(
-        "top eigenvalue %.12e (second %.12e, n=%d of %d, cut bound %.2e, bc=%s)",
-        lam, vals[-2] if op.n > 1 else np.nan, op.n, op.grid.n, op.cut_bound, op.bc.value,
-    )
-    return float(lam)
+def _top_value(M: np.ndarray) -> float:
+    """Largest eigenvalue of the operator matrix M by eigvalsh, good to its
+    backward error, far below EIGEN_TOL; the second-largest is logged, as
+    nothing guarantees the top one is isolated.  eigvalsh may return NaN or
+    finite nonsense for a NaN entry, so a non-finite M raises NoConvergence."""
+    if not np.isfinite(M.sum()):
+        raise NoConvergence(f"operator matrix has a non-finite entry (n={len(M)})")
+    vals = np.linalg.eigvalsh(M)
+    logger.debug("top eigenvalue %.12e (second %.12e, n=%d)",
+                 vals[-1], vals[-2] if len(M) > 1 else np.nan, len(M))
+    return float(vals[-1])
 
 
 def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
@@ -298,7 +296,7 @@ def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:
     """
     M = op.matrix
     n = M.shape[0]
-    lam = _top_value(op)
+    lam = _top_value(M)
     scale = np.linalg.norm(M, np.inf)
     shifted = -M
     shifted[np.diag_indices(n)] += lam + INVERSE_SHIFT * scale
@@ -331,4 +329,4 @@ def spectral_gap(op: DiscretizedOperator) -> float:
     the eigenvalue moves by 2-9e-8 when points per panel double at grid
     tol 1e-8 (ROADMAP.md, "Make the discretisation error bar real").
     """
-    return _top_value(op) - op.a_edge
+    return _top_value(op.matrix) - op.a_edge

@@ -497,7 +497,7 @@ _COMMANDS = {
             _OUT,
             _FORMAT,
         ],
-        "sign-definite lower bound witness for the boundary gap",
+        "trial-state witness whose sign certifies a boundary gap",
     ),
     "asymptotics": (
         cmd_asymptotics,

@@ -30,7 +30,6 @@ import numpy as np
 from .bs_operator import (
     EIGEN_TOL,
     BoundaryCondition,
-    DiscretizedOperator,
     _nystroem,
     _schur_gap,
     _top_value,
@@ -329,9 +328,9 @@ def tc_boundary(
 def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
     """tc_boundary from a solved bulk TcResult and the grid its root find
     built at bulk.tc.  Every T is solved on that one grid, built at the
-    lowest T, so the finest (grading scales with T); the matrix is
-    assembled and certified at each T, and the grid lays out A(p)'s
-    sub-meshes once.
+    lowest T, so the finest (grading scales with T); each solve reads
+    _nystroem's certified block at its T in place, and the grid lays out
+    A(p)'s sub-meshes once.
 
     The solve at bulk.tc takes the top eigenvalue lambda_max by the full
     eigensolve, for the gap and to decide whether there is a root above.
@@ -349,21 +348,19 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
     t = 1.0 / v
 
     def g(T):
-        full, m, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
-        value, kept = _schur_gap(full[:m, :m], bc.sign, t)
-        return value, _Solve(m, cut_bound, kept)
+        block, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+        value, kept = _schur_gap(block, bc.sign, t)
+        return value, _Solve(len(block), cut_bound, kept)
 
     params = ModelParams(T=bulk.tc, mu=mu)
-    full, m, cut_bound = _nystroem(params, grid, bc)
-    # assemble(params, grid, bc) but for the copy: its matrix views full
-    op = DiscretizedOperator(full[:m, :m], grid, bc, eval_a(params, grid), cut_bound)
-    top = _top_value(op)
-    gap = top - op.a_edge
-    value, kept = top - t, m
+    block, cut_bound = _nystroem(params, grid, bc)
+    top = _top_value(block)
+    gap = top - eval_a(params, grid)
+    value, kept = top - t, len(block)
     if value > 0.0:
-        value, kept = _schur_gap(full[:m, :m], bc.sign, t)
-    del full, op  # n x n; the root find builds its own at each T
-    at_bulk = _Solve(m, cut_bound, kept)
+        value, kept = _schur_gap(block, bc.sign, t)
+    at_bulk = _Solve(len(block), cut_bound, kept)
+    del block  # views an n x n buffer; the root find builds its own at each T
     if value <= 0.0:
         tc, resid, bracket, steps, solve = bulk.tc, value, bulk.bracket, 0, at_bulk
     else:
@@ -401,7 +398,7 @@ def v_of_T(
     supremum of the half-line spectrum, max(top eigenvalue, a_edge)."""
     params = ModelParams(T=T, mu=mu)
     op = assemble(params, build_grid(params, _grid_tol(tol), knobs), bc)
-    return 1.0 / max(_top_value(op), op.a_edge)
+    return 1.0 / max(_top_value(op.matrix), op.a_edge)
 
 
 def _row(v, mu, bc, tol, knobs) -> RatioRow:

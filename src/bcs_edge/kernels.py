@@ -182,15 +182,16 @@ def _saturated_L(x, y, u, v):
 
     With a the infinite one and b the other, tanh(a) is s = sign(a), and
     s + tanh(b) = 2s / (1 + exp(-2 s b)) holds without cancellation.  A
-    zero numerator (opposite signs, both saturated) gives 0.0.
+    zero numerator (opposite signs, both saturated) gives 0.0, and so
+    does x + y overflowing to infinity, which finite x and y may do.
     """
     a_inf = np.isinf(u)
     s = np.sign(np.where(a_inf, u, v))
     b = np.where(a_inf, v, u)
     with np.errstate(over="ignore"):
         num = 2.0 * s / (1.0 + np.exp(-2.0 * s * b))
-    out = np.zeros_like(num)
-    np.divide(num, x + y, out=out, where=num != 0.0)
+        out = np.zeros_like(num)
+        np.divide(num, x + y, out=out, where=num != 0.0)
     return out
 
 
@@ -394,7 +395,8 @@ def _B_matrix(nodes: np.ndarray, params: ModelParams) -> np.ndarray:
     n = p.size
     mu, twoT = params.mu, 2.0 * params.T
     K = np.empty((n, n))
-    closed = np.isfinite((float(p[-1]) ** 2 + abs(mu)) / params.T)
+    top = float(p[-1])  # top * top is inf where float ** 2 raises OverflowError
+    closed = np.isfinite((top * top + abs(mu)) / params.T)
     i0 = 0
     while i0 < n:
         i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)

@@ -83,10 +83,9 @@ class GridKnobs:
     cutoff_factor: float = 3.0
 
     def __post_init__(self):
-        if self.points_per_panel < 2:
-            raise ValueError(
-                f"points_per_panel must be at least 2, got {self.points_per_panel}"
-            )
+        ppp = self.points_per_panel
+        if not isinstance(ppp, (int, np.integer)) or ppp < 2:
+            raise ValueError(f"points_per_panel must be an integer of at least 2, got {ppp!r}")
         if not (self.cutoff_factor > 0 and np.isfinite(self.cutoff_factor)):
             raise ValueError(
                 f"cutoff_factor must be positive and finite, got {self.cutoff_factor}"

@@ -112,6 +112,11 @@ def test_kernel_matrix_falls_back_where_u_may_overflow():
     K = _B_matrix(p, params)
     assert _same_bits(K, eval_B(p[:, None], p[None, :], params))
     assert np.all(np.isfinite(eval_L(p[:, None], p[None, :], params)))
+    # a node whose square overflows, where Python's float ** 2 would raise
+    # OverflowError before the guard sends the block to eval_B
+    p = np.array([0.5, 1.0, 2e154])
+    params = ModelParams(T=1e-3, mu=1.0)
+    assert _same_bits(_B_matrix(p, params), eval_B(p[:, None], p[None, :], params))
 
 
 def test_kernel_matrix_refuses_a_range_that_rounding_admits():
@@ -132,7 +137,9 @@ def test_nan_momenta_are_refused_and_huge_ones_give_zero():
     # a NaN momentum used to stall A(p)'s panel marching
     # (ToleranceUnreachable); a momentum whose square overflows gives the
     # kernels' limit 0.0 with no RuntimeWarning, which the suite's filter
-    # turns into an error
+    # turns into an error, and so does one whose squares stay finite while
+    # x + y overflows: B(p, 0.7) for |p| in about 1.9e154 to 2.7e154 and
+    # L(p, p) for |p| in about 0.95e154 to 1.34e154
     params = ModelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, 1e-6)
     for f in (eval_A, eval_E):
@@ -145,6 +152,11 @@ def test_nan_momenta_are_refused_and_huge_ones_give_zero():
         assert np.all(eval_B(p, 0.7, params) == 0.0)
         assert np.all(eval_B(p, p, params) == 0.0)
         assert np.all(eval_A(p, params, grid) == 0.0)
+    for p in (2e154, -2.5e154, np.array([1.9e154, 2.7e154])):
+        assert np.all(eval_B(p, 0.7, params) == 0.0)
+        assert np.all(eval_A(p, params, grid) == 0.0)
+    for p in (1e154, 1.3e154):
+        assert eval_L(p, p, params) == 0.0
 
 
 def test_diag_only_is_multiplication_by_A():
@@ -437,7 +449,8 @@ def test_off_diagonal_entries_carry_the_boundary_sign_on_the_digest_battery():
         assert (K >= 0.0).all()
         zeros += np.count_nonzero(K == 0.0)
         for bc in (D, N):
-            full, m, _ = bso._nystroem(params, grid, bc)
+            block, _ = bso._nystroem(params, grid, bc)
+            full, m = block.base, block.shape[0]
             d = np.diagonal(full).copy()
             off = bc.sign * full
             off[np.diag_indices_from(off)] = 0.0
@@ -549,7 +562,7 @@ def test_tail_panels_move_the_top_eigenvalue_within_the_cut_bound(T, ppp):
     for bc in (D, N):
         op, op_twin = assemble(params, grid, bc), assemble(params, twin, bc)
         assert op.a_edge == pytest.approx(op_twin.a_edge, rel=1e-14, abs=0)
-        move = abs(_top_value(op) - _top_value(op_twin))
+        move = abs(_top_value(op.matrix) - _top_value(op_twin.matrix))
         assert move <= max(op.cut_bound, op_twin.cut_bound) + 1e-13
 
 
@@ -606,7 +619,7 @@ def test_top_value_refuses_a_nan_matrix():
             cut_bound=0.0,
         )
         with pytest.raises(NoConvergence, match="non-finite entry"):
-            _top_value(op)
+            _top_value(M)
         with pytest.raises(NoConvergence):
             top_eigenpair(op)
 
@@ -614,9 +627,14 @@ def test_top_value_refuses_a_nan_matrix():
 def test_top_value_is_top_eigenpairs_value():
     params = ModelParams(T=1e-2, mu=1.0)
     grid = build_grid(params, 1e-8)
+    # the root find reads the top eigenvalue from _nystroem's block, every
+    # other caller from assemble's copy of it: the same bits
     for bc in (D, N):
         op = assemble(params, grid, bc)
-        assert _top_value(op) == top_eigenpair(op)[0] == spectral_gap(op) + op.a_edge
+        block, cut_bound = bso._nystroem(params, grid, bc)
+        assert block.flags.writeable and cut_bound == op.cut_bound
+        top = top_eigenpair(op)[0]
+        assert _top_value(block) == _top_value(op.matrix) == top == spectral_gap(op) + op.a_edge
 
 
 def test_top_eigenpair_turns_the_largest_entry_positive():

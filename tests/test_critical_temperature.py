@@ -366,8 +366,8 @@ def test_tc_boundary_neumann_enhancement():
 
 def _schur_at(T, mu, grid, bc, v):
     """(G, kept order) of _schur_gap at t = 1/v for the matrix at (T, mu)."""
-    full, m, _ = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
-    return _schur_gap(full[:m, :m], bc.sign, 1.0 / v)
+    block, _ = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+    return _schur_gap(block, bc.sign, 1.0 / v)
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -380,7 +380,7 @@ def test_tc_boundary_solves_every_temperature_on_the_grid_at_tc_bulk(bc):
     # the residual is the root find's G at the root, on the grid at tc_bulk
     G, kept = _schur_at(res.tc, mu, grid, bc, v)
     assert (res.residual, res.numerics["schur_nodes"]) == (G, kept)
-    top = _top_value(assemble(ModelParams(T=res.tc, mu=mu), grid, bc))
+    top = _top_value(assemble(ModelParams(T=res.tc, mu=mu), grid, bc).matrix)
     assert np.sign(res.residual) == np.sign(top - 1.0 / v) != 0.0
     # the grid built at the root itself gives other bits
     own = build_grid(ModelParams(T=res.tc, mu=mu), _grid_tol(tol))
@@ -396,7 +396,8 @@ def test_tc_boundary_brackets_the_top_eigenvalue_at_tight_tol(v, bc):
     res = tc_boundary(v, 1.0, bc, tol)
     grid = build_grid(ModelParams(T=tc_bulk(v, 1.0, tol).tc, mu=1.0), _grid_tol(tol))
     lo, hi = res.bracket
-    top_lo, top_hi = (_top_value(assemble(ModelParams(T=T, mu=1.0), grid, bc)) for T in (lo, hi))
+    top_lo, top_hi = (_top_value(assemble(ModelParams(T=T, mu=1.0), grid, bc).matrix)
+                      for T in (lo, hi))
     assert top_lo > 1.0 / v >= top_hi
     assert hi - lo <= tol * lo
 

@@ -108,6 +108,14 @@ def test_infinite_tolerance_rejected():
         build_grid(ModelParams(T=1.0, mu=1.0), tol=np.inf)
 
 
+def test_knobs_refuse_a_non_integer_panel_order():
+    # leggauss would raise TypeError at the first build_grid instead
+    for ppp in (16.0, 16.5, 1, np.float64(16.0)):
+        with pytest.raises(ValueError, match="points_per_panel must be an integer"):
+            GridKnobs(points_per_panel=ppp)
+    assert GridKnobs(points_per_panel=np.int64(8)).points_per_panel == 8
+
+
 def test_tail_bound_oracle():
     got = tail_bound(ModelParams(T=1.0, mu=1.0), 50.0)
     assert got == pytest.approx(TAIL_BOUND_MU1_L50, rel=1e-13)
