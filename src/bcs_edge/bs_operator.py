@@ -25,10 +25,11 @@ whole build: it feeds the perturbation, the diagonal A(p_i) and the
 trial-state cross term.  quadrature._A_rows, the one integrator of A(p)
 (the diagonal, the trial state, eval_A and eval_E), sums each kernel row
 on the grid and evaluates B(p, .) afresh only on short sub-meshes around
-the row's two crossovers, which replace the grid panels there; a grid
-keeps those of its own nodes, so a root find that solves several T on
-one grid lays them out once.  assemble and eval_A first certify the
-grid at their params (MomentumGrid.certify).
+the row's two crossovers, which replace the grid panels there.  A root
+find that solves several T on one grid lays out those of its nodes once
+and passes them to _nystroem; every other caller lays out its own per
+call.  assemble and eval_A first certify the grid at their params
+(MomentumGrid.certify).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import NoConvergence
 from .kernels import _BLOCK, ModelParams, _B_matrix, _edge_sum, _unwrap, _wrap, eval_B
-from .quadrature import MomentumGrid, _A_rows
+from .quadrature import MomentumGrid, _A_meshes, _A_rows, _Meshes
 
 __all__ = [
     "BoundaryCondition",
@@ -119,7 +120,7 @@ def eval_A(p, params: ModelParams, grid: MomentumGrid):
     s = np.abs(p)[order]
     out = np.empty(p.size)
     Kp = eval_B(s[:, None], grid.nodes, params)
-    out[order] = _A_rows(params, grid, Kp, s)[0]
+    out[order] = _A_rows(params, grid, Kp, _A_meshes(grid, s))[0]
     return _unwrap(out, scalar)
 
 
@@ -170,15 +171,15 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid, sign: float) -> tuple[int,
 
 
 def _nystroem(
-    params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition
+    params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition, meshes: _Meshes
 ) -> tuple[np.ndarray, float]:
     """assemble's matrix before the copy: (block, cut_bound), with block
     the writable leading m x m view of the Nystroem matrix on all grid.n
     nodes, in a fresh n x n buffer that the caller owns through it, and
-    cut_bound its bound (_matrix_cut)."""
+    cut_bound its bound (_matrix_cut); meshes is _A_meshes(grid, grid.nodes)."""
     grid.certify(params)
     K = _B_matrix(grid.nodes, params)
-    diag, fresh = _A_rows(params, grid, K)
+    diag, fresh = _A_rows(params, grid, K, meshes)
     sw = np.sqrt(grid.weights)
     scale = bc.sign / (2.0 * np.pi)
     full = K  # scaled in place; _A_rows was K's last reader
@@ -214,7 +215,7 @@ def assemble(
     outer product, then by sign/(2 pi), so no n x n temporary is formed.
     Raises what grid.certify(params) raises.
     """
-    block, cut_bound = _nystroem(params, grid, bc)
+    block, cut_bound = _nystroem(params, grid, bc, _A_meshes(grid, grid.nodes))
     matrix = block.copy()
     matrix.setflags(write=False)
     return DiscretizedOperator(

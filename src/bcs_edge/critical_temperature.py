@@ -37,7 +37,7 @@ from .bs_operator import (
 )
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
-from .quadrature import GridKnobs, build_grid
+from .quadrature import GridKnobs, _A_meshes, build_grid
 
 __all__ = [
     "TcResult",
@@ -329,8 +329,8 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
     """tc_boundary from a solved bulk TcResult and the grid its root find
     built at bulk.tc.  Every T is solved on that one grid, built at the
     lowest T, so the finest (grading scales with T); each solve reads
-    _nystroem's certified block at its T in place, and the grid lays out
-    A(p)'s sub-meshes once.
+    _nystroem's certified block at its T in place, and A(p)'s sub-meshes
+    on the grid's nodes are laid out once, before the first solve.
 
     The solve at bulk.tc takes the top eigenvalue lambda_max by the full
     eigensolve, for the gap and to decide whether there is a root above.
@@ -347,13 +347,15 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
     gtol = _grid_tol(tol)
     t = 1.0 / v
 
+    meshes = _A_meshes(grid, grid.nodes)  # T-independent: one for every solve
+
     def g(T):
-        block, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+        block, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc, meshes)
         value, kept = _schur_gap(block, bc.sign, t)
         return value, _Solve(len(block), cut_bound, kept)
 
     params = ModelParams(T=bulk.tc, mu=mu)
-    block, cut_bound = _nystroem(params, grid, bc)
+    block, cut_bound = _nystroem(params, grid, bc, meshes)
     top = _top_value(block)
     gap = top - eval_a(params, grid)
     value, kept = top - t, len(block)

@@ -12,8 +12,10 @@ spans in one lock-step numpy pass: build_grid marches its single mesh
 on [0, core_cutoff] with it, and _A_meshes, for _A_rows, the integrator
 of A(p), the short spans of grid panels around each momentum's two
 crossovers, each with its own ends and floor, as coarse as their Gauss
-rule allows at the build T.  A grid keeps those of its own nodes, as
-the kernel's x and y at each point, which do not depend on T.
+rule allows at the build T, keeping at each fresh point the kernel's x
+and y, which do not depend on T.  A grid keeps no sub-meshes: a caller
+that integrates A(p) at several T on one grid lays them out once and
+passes them to every call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -164,11 +166,6 @@ class MomentumGrid:
             )
         if moved and tail_bound(params, self.cutoff) / (4.0 * np.pi) > pol.tol / 2.0:
             raise ToleranceUnreachable(f"tail bound fails at T={params.T:.6g}")
-
-    @cached_property
-    def _node_meshes(self) -> _Meshes:
-        """_A_meshes at the grid's own nodes, laid out on first use."""
-        return _A_meshes(self, self.nodes)
 
 
 @lru_cache(maxsize=None)
@@ -377,14 +374,13 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
     return _Meshes(flat, grid.weights[idx], x, y, w, at[head], fresh_at[head])
 
 
-def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, p=None):
-    """A(p_i) at params, for ascending p >= 0 (the grid's nodes if None, whose
-    meshes the grid keeps) on a grid certified at params, and the fresh kernel
-    evaluations spent; Kp holds the kernel rows B(p_i, grid.nodes).  Each row
-    is summed on its own, so A(p_i) does not depend on which momenta share it.
-    The fresh points go through _L_xy, the tail of eval_B, which gives them
-    eval_B's bits."""
-    m = grid._node_meshes if p is None else _A_meshes(grid, p)
+def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, m: _Meshes):
+    """A(p_i) at params on a grid certified at params, and the fresh kernel
+    evaluations spent; Kp holds the kernel rows B(p_i, grid.nodes) and m is
+    _A_meshes(grid, p) for the same ascending p >= 0.  Each row is summed on
+    its own, so A(p_i) does not depend on which momenta share it.  The fresh
+    points go through _L_xy, the tail of eval_B, which gives them eval_B's
+    bits."""
     out = np.vecdot(Kp, grid.weights)
     replaced = Kp.ravel()[m.flat]
     replaced *= m.w_flat  # products in place, here and below: one temporary each

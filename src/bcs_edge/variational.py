@@ -25,7 +25,7 @@ import numpy as np
 from .bs_operator import BoundaryCondition, _top_value, assemble
 from .errors import DenominatorNonnegative
 from .kernels import EULER_GAMMA, ModelParams, _B_matrix, eval_B, eval_F, eval_a
-from .quadrature import GridKnobs, _A_rows, build_grid
+from .quadrature import GridKnobs, _A_meshes, _A_rows, build_grid
 
 __all__ = [
     "TrialConfig",
@@ -79,7 +79,7 @@ def _pieces(
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     a = float(eval_a(params, grid))
     K = _B_matrix(grid.nodes, params)
-    diag, _ = _A_rows(params, grid, K)
+    diag, _ = _A_rows(params, grid, K, _A_meshes(grid, p))
     wg = w * gfold
     cross = wg @ K @ wg
     denom = float(w @ (gsq * (diag - a)) - cross / (4.0 * np.pi))

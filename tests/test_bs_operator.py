@@ -41,7 +41,7 @@ from bcs_edge.bs_operator import (
 )
 from bcs_edge.bs_operator import _top_value, eval_A
 from bcs_edge.kernels import _BLOCK, _B_matrix
-from bcs_edge.quadrature import _panels_to_grid
+from bcs_edge.quadrature import _A_meshes, _panels_to_grid
 from test_kernels import _same_bits
 from test_quadrature import octave_twin, scalar_march
 
@@ -241,7 +241,7 @@ def per_row_A(params, grid, p, refine=1.0, ratio=None):
     return (row @ grid.weights - total(old) + total(new)) / (2.0 * np.pi)
 
 
-def test_diag_A_matches_per_node_meshes():
+def test_diag_A_matches_per_row_meshes():
     for T, mu in ((1e-4, 1.0), (7.8e-3, 1.0), (1.0, 1.0), (1.0, 0.0), (0.5, -0.5)):
         params = ModelParams(T=T, mu=mu)
         grid = build_grid(params, 1e-8)
@@ -448,8 +448,9 @@ def test_off_diagonal_entries_carry_the_boundary_sign_on_the_digest_battery():
         K = _B_matrix(grid.nodes, params)
         assert (K >= 0.0).all()
         zeros += np.count_nonzero(K == 0.0)
+        meshes = _A_meshes(grid, grid.nodes)
         for bc in (D, N):
-            block, _ = bso._nystroem(params, grid, bc)
+            block, _ = bso._nystroem(params, grid, bc, meshes)
             full, m = block.base, block.shape[0]
             d = np.diagonal(full).copy()
             off = bc.sign * full
@@ -567,19 +568,22 @@ def test_tail_panels_move_the_top_eigenvalue_within_the_cut_bound(T, ppp):
 
 
 def test_assemble_peak_memory():
-    # tracemalloc peak of one assemble at n=896 reads 22.0 MB: the kernel
+    # tracemalloc peak of one assemble at n=896 reads 16.6 MB: the kernel
     # matrix (6.4 MB) plus A(p)'s sub-meshes.  It read 62.8 MB (at n=1,056)
-    # while every momentum had its own full mesh, 1.15M points in all
+    # while every momentum had its own full mesh, 1.15M points in all.
+    # Once assemble returns, only the operator's matrix is left: the
+    # sub-meshes (7 MB here) are laid out per call, not kept on the grid
     params = ModelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, 1e-8)
     tracemalloc.start()
     try:
-        assemble(params, grid, D)
-        _, peak = tracemalloc.get_traced_memory()
+        op = assemble(params, grid, D)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert grid.n == 896
     assert peak < 32e6
+    assert held <= op.matrix.nbytes + 1e6
 
 
 def test_top_eigenpair_trivial_matrices():
@@ -629,9 +633,10 @@ def test_top_value_is_top_eigenpairs_value():
     grid = build_grid(params, 1e-8)
     # the root find reads the top eigenvalue from _nystroem's block, every
     # other caller from assemble's copy of it: the same bits
+    meshes = _A_meshes(grid, grid.nodes)
     for bc in (D, N):
         op = assemble(params, grid, bc)
-        block, cut_bound = bso._nystroem(params, grid, bc)
+        block, cut_bound = bso._nystroem(params, grid, bc, meshes)
         assert block.flags.writeable and cut_bound == op.cut_bound
         top = top_eigenpair(op)[0]
         assert _top_value(block) == _top_value(op.matrix) == top == spectral_gap(op) + op.a_edge

@@ -31,6 +31,7 @@ from bcs_edge.critical_temperature import (
     v_of_T,
 )
 from bcs_edge.errors import BracketFailure, ToleranceUnreachable
+from bcs_edge.quadrature import _A_meshes
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -366,7 +367,7 @@ def test_tc_boundary_neumann_enhancement():
 
 def _schur_at(T, mu, grid, bc, v):
     """(G, kept order) of _schur_gap at t = 1/v for the matrix at (T, mu)."""
-    block, _ = _nystroem(ModelParams(T=T, mu=mu), grid, bc)
+    block, _ = _nystroem(ModelParams(T=T, mu=mu), grid, bc, _A_meshes(grid, grid.nodes))
     return _schur_gap(block, bc.sign, 1.0 / v)
 
 

@@ -66,6 +66,7 @@ from bcs_edge import (
 )
 from bcs_edge.bs_operator import BoundaryCondition, assemble
 from bcs_edge.cli import cmd_verify
+from bcs_edge.quadrature import _A_meshes
 
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
 MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
@@ -121,7 +122,7 @@ def _pieces(params, tol, knobs):
         else:
             matrices.append(op.matrix.tobytes())
             orders.append(str(op.n))
-    fresh = _attempt(lambda: b"%d" % grid._node_meshes.x.size).decode()
+    fresh = _attempt(lambda: b"%d" % _A_meshes(grid, grid.nodes).x.size).decode()
     sizes = f"n={grid.n} m={'/'.join(orders)} fresh={fresh}"
     integrals = [
         struct.pack("<q", grid.n),
