@@ -571,8 +571,8 @@ def test_assemble_peak_memory():
     # tracemalloc peak of one assemble at n=896 reads 16.6 MB: the kernel
     # matrix (6.4 MB) plus A(p)'s sub-meshes.  It read 62.8 MB (at n=1,056)
     # while every momentum had its own full mesh, 1.15M points in all.
-    # Once assemble returns, only the operator's matrix is left: the
-    # sub-meshes (7 MB here) are laid out per call, not kept on the grid
+    # Once assemble returns, only the operator's matrix is left: the grid
+    # holds none of A(p)'s sub-meshes (7 MB here)
     params = ModelParams(T=1e-3, mu=1.0)
     grid = build_grid(params, 1e-8)
     tracemalloc.start()
