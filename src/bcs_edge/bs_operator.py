@@ -120,7 +120,7 @@ def eval_A(p, params: ModelParams, grid: MomentumGrid):
     s = np.abs(p)[order]
     out = np.empty(p.size)
     Kp = eval_B(s[:, None], grid.nodes, params)
-    out[order] = _A_rows(params, grid, Kp, _A_meshes(grid, s))[0]
+    out[order] = _A_rows(params, grid, Kp, _A_meshes(grid, s))
     return _unwrap(out, scalar)
 
 
@@ -179,7 +179,7 @@ def _nystroem(
     cut_bound its bound (_matrix_cut); meshes is _A_meshes(grid, grid.nodes)."""
     grid.certify(params)
     K = _B_matrix(grid.nodes, params)
-    diag, fresh = _A_rows(params, grid, K, meshes)
+    diag = _A_rows(params, grid, K, meshes)
     sw = np.sqrt(grid.weights)
     scale = bc.sign / (2.0 * np.pi)
     full = K  # scaled in place; _A_rows was K's last reader
@@ -190,8 +190,8 @@ def _nystroem(
         block *= scale
     full[np.diag_indices_from(full)] += diag
     m, cut_bound = _matrix_cut(full, grid, bc.sign)
-    logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d "
-                 "fresh kernel evaluations", m, grid.n, cut_bound, bc.value, fresh)
+    logger.debug("assembled n=%d of %d (cut bound %.2e, bc=%s); A(p) took %d fresh "
+                 "kernel evaluations", m, grid.n, cut_bound, bc.value, meshes.x.size)
     return full[:m, :m], cut_bound
 
 

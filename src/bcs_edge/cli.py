@@ -105,31 +105,23 @@ def _read_config(parser, path: str) -> dict:
 
 
 def _resolve(parser, ns) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    opts = ns._opts
+    """Merge flag values over config-file values over defaults.  Config
+    values go through the flags' own parser as --flag=value tokens, one
+    per comma-separated item of a repeat option."""
+    opts = {o.dest: o for o in ns._opts}
     config = _read_config(parser, ns.config) if ns.config else {}
-    known = {o.dest for o in opts}
-    for key in config:
-        if key not in known:
+    tokens = []
+    for key, raw in config.items():
+        if key not in opts:
             parser.error(f"unknown config key: {key}")
+        items = [x for x in raw.split(",") if x.strip()] if opts[key].repeat else [raw]
+        tokens += [f"{opts[key].flag}={item}" for item in items]
+    from_config = parser.parse_args(tokens)
     cfg = {"config": ns.config}
-    for opt in opts:
+    for opt in opts.values():
         value = getattr(ns, opt.dest)
-        if value is None and opt.dest in config:
-            raw = config[opt.dest]
-            try:
-                if opt.repeat:
-                    value = [opt.conv(x) for x in raw.split(",") if x.strip()]
-                elif opt.choices:
-                    if raw not in opt.choices:
-                        parser.error(
-                            f"config {opt.dest}: {raw!r} not in {opt.choices}"
-                        )
-                    value = raw
-                else:
-                    value = opt.conv(raw)
-            except ValueError:
-                parser.error(f"config {opt.dest}: cannot parse {raw!r}")
+        if value is None:
+            value = getattr(from_config, opt.dest)
         if value is None:
             value = opt.default
         if opt.required and (value is None or (opt.repeat and not value)):

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bs_operator import (
-    EIGEN_TOL,
     BoundaryCondition,
     _nystroem,
     _schur_gap,
@@ -291,7 +290,7 @@ def _tc_bulk(v, mu, tol, knobs):
         residual=float(resid),
         bracket=bracket,
         evaluations=1 + evals,
-        numerics={"grid_tol": gtol, "eigen_tol": None, "grid_nodes": grid.n},
+        numerics={"grid_tol": gtol, "grid_nodes": grid.n},
     )
     return result, grid
 
@@ -378,7 +377,6 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
         evaluations=1 + steps,
         numerics={
             "grid_tol": gtol,
-            "eigen_tol": EIGEN_TOL,
             "bulk_evaluations": bulk.evaluations,
             "grid_nodes": grid.n,
             "matrix_nodes": solve.matrix_nodes,

@@ -26,7 +26,6 @@ ranges where it holds (_closed_columns).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,9 +240,7 @@ def _B_block(p, q, mu, twoT):
 def _uv(t, mu, twoT):
     """u (t = p + q) or v (t = p - q) of _B_block, with its roundings,
     formed in place in t."""
-    t = _xy(t, mu)
-    t /= twoT
-    return t
+    return np.divide(_xy(t, mu), twoT, out=t)
 
 
 def _B_closed(p, q, mu, twoT):
@@ -275,39 +272,16 @@ def _B_closed(p, q, mu, twoT):
 def _closed_columns(p_last, cols, right, mu, twoT) -> tuple[int, int]:
     """(a, b): on the row p_last, cols[:a] are the leading columns with
     u <= -_CLOSED_CUT and cols[b:], b >= right, the trailing columns past
-    cols[:right] with v >= _CLOSED_CUT; u and v are formed as in _B_block.
+    cols[:right] with v >= _CLOSED_CUT, u and v as _uv forms them.
 
     cols are sorted and p_last + cols >= 0, so u rises along cols, and v
-    rises along cols[right:] >= p_last (it is smallest at the diagonal
-    and rises again to its left, so only the columns past it count).
-    Rounding is monotone, so u and v are sorted, and a search finds
-    each range's end.  With h = _CLOSED_CUT 2T, u's range ends where x =
-    ((p_last + c)/2)^2 - mu crosses -h and v's where y crosses h.  Where
-    x or y lies more than band from that, rounding cannot change the
-    side, and the column ends of that band, padded by far more than
-    their own rounding, leave u and v to be formed only on the columns
-    between, which most rows leave empty.
+    rises along cols[right:] >= p_last (it is smallest at the diagonal and
+    rises again to its left, so only the columns past it count).  Rounding
+    is monotone, so u and v are sorted and a search finds each range's end.
     """
-    p_last = float(p_last)
-    h = _CLOSED_CUT * twoT
-    band = 1e-9 * (abs(mu) + h)
-    pad = 1e-9 * (p_last + math.sqrt(abs(mu) + h))
-
-    def width(t):  # c - p_last or p_last + c where (c -/+ p_last)^2/4 = t
-        return 2.0 * math.sqrt(max(t, 0.0))
-
-    a, a_end, b, b_end = np.searchsorted(cols, (
-        width(mu - h - band) - p_last - pad, width(mu - h + band) - p_last + pad,
-        p_last + width(mu + h - band) - pad, p_last + width(mu + h + band) + pad,
-    )).tolist()
-    b, b_end = max(b, right), max(b_end, right)
-    if a_end > a:
-        u = _uv(p_last + cols[a:a_end], mu, twoT)
-        a += int(np.searchsorted(u, -_CLOSED_CUT, side="right"))
-    if b_end > b:
-        v = _uv(p_last - cols[b:b_end], mu, twoT)
-        b += int(np.searchsorted(v, _CLOSED_CUT))
-    return a, b
+    a = np.searchsorted(_uv(p_last + cols, mu, twoT), -_CLOSED_CUT, side="right")
+    b = np.searchsorted(_uv(p_last - cols[right:], mu, twoT), _CLOSED_CUT)
+    return int(a), right + int(b)
 
 
 def _blocked(block, p, q, *args):

@@ -105,8 +105,8 @@ class GridPolicy:
     T: float
     mu: float
     tol: float
-    points_per_panel: int = 16
-    cutoff_factor: float = 3.0
+    points_per_panel: int
+    cutoff_factor: float
     tail_k: ClassVar[float] = TAIL_K
     extend_tail: ClassVar[bool] = True
     extra_centers: ClassVar[tuple] = ()
@@ -375,12 +375,11 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
 
 
 def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, m: _Meshes):
-    """A(p_i) at params on a grid certified at params, and the fresh kernel
-    evaluations spent; Kp holds the kernel rows B(p_i, grid.nodes) and m is
-    _A_meshes(grid, p) for the same ascending p >= 0.  Each row is summed on
-    its own, so A(p_i) does not depend on which momenta share it.  The fresh
-    points go through _L_xy, the tail of eval_B, which gives them eval_B's
-    bits."""
+    """A(p_i) at params on a grid certified at params; Kp holds the kernel
+    rows B(p_i, grid.nodes) and m is _A_meshes(grid, p) for the same
+    ascending p >= 0.  Each row is summed on its own, so A(p_i) does not
+    depend on which momenta share it.  The fresh points go through _L_xy,
+    the tail of eval_B, which gives them eval_B's bits."""
     out = np.vecdot(Kp, grid.weights)
     replaced = Kp.ravel()[m.flat]
     replaced *= m.w_flat  # products in place, here and below: one temporary each
@@ -389,7 +388,7 @@ def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, m: _Meshes)
     fresh = _blocked(_L_xy, m.x, m.y, 2.0 * params.T)
     fresh *= m.w
     out += np.add.reduceat(fresh, m.fresh_at)
-    return out / (2.0 * np.pi), m.x.size
+    return out / (2.0 * np.pi)
 
 
 def _probe(params: ModelParams, edges: np.ndarray, ppp: int) -> float:

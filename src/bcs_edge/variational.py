@@ -79,7 +79,7 @@ def _pieces(
     gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
     a = float(eval_a(params, grid))
     K = _B_matrix(grid.nodes, params)
-    diag, _ = _A_rows(params, grid, K, _A_meshes(grid, p))
+    diag = _A_rows(params, grid, K, _A_meshes(grid, p))
     wg = w * gfold
     cross = wg @ K @ wg
     denom = float(w @ (gsq * (diag - a)) - cross / (4.0 * np.pi))

@@ -425,6 +425,19 @@ def test_matrix_cut_certificate_bounds_the_move(mu, T, bc, tol):
     assert abs(lam_cut - lam_full) <= op.cut_bound <= tol / 2.0
 
 
+def test_matrix_cut_keeps_every_node_when_the_tail_couples_at_order_one():
+    # a synthetic matrix of a grid's shape: diagonal 2 on the core and 1 on
+    # the tail, every core node coupled to every tail node at 1.  Each
+    # leading block's bound is about ||X||_F, far above tol/2, so no cut
+    # qualifies and the matrix keeps every node
+    grid = build_grid(ModelParams(T=1.0, mu=1.0), 1e-8)
+    core = int(np.count_nonzero(grid.nodes <= grid.core_cutoff))
+    assert core < grid.n
+    full = np.diag(np.where(np.arange(grid.n) < core, 2.0, 1.0))
+    full[:core, core:] = full[core:, :core] = 1.0
+    assert bso._matrix_cut(full, grid, 1.0) == (grid.n, 0.0)
+
+
 # the operator points of tools/operator_digest.py
 DIGEST_POINTS = [
     (ModelParams(T=T, mu=mu), tol, knobs)

@@ -56,6 +56,9 @@ def test_usage_errors_exit_one(capsys):
         == 1
     )
     capsys.readouterr()
+    assert cli.main(["ratio-curve", "--mu", "1", "--v-min", "2", "--v-max", "1",
+                     "--v-count", "2"]) == 1
+    assert "--v-max must be >= --v-min" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -518,6 +521,14 @@ def test_config_file_precedence(tmp_path, capsys):
     assert cli.main(["asymptotics", "--config", str(config), "--mu", "1",
                      "--v", "0.4"]) == 1
     assert "unknown config key: seed" in capsys.readouterr().err
+    # a line without '=', and a value outside its option's choices
+    config.write_text("mu = 1\nv 0.4\n")
+    assert cli.main(["asymptotics", "--config", str(config)]) == 1
+    assert "expected key=value" in capsys.readouterr().err
+    config.write_text("bc = sideways\n")
+    assert cli.main(["tc-boundary", "--config", str(config), "--mu", "1",
+                     "--v", "0.4"]) == 1
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
 
 
 def test_thread_pool_preserves_row_order(capsys):

@@ -22,6 +22,7 @@ from bcs_edge.critical_temperature import (
     BRACKET_STEP,
     RatioCurve,
     RatioRow,
+    TcResult,
     _grid_tol,
     _root_decreasing,
     ratio_curve,
@@ -497,6 +498,14 @@ def test_ratio_curve_rejects_unsorted():
         ratio_curve([1.0, 0.5], 1.0, D)
     with pytest.raises(ValueError):
         ratio_curve([-1.0, 0.5], 1.0, D)
+    rows = (RatioRow(v=1.0, mu=1.0, bc=D), RatioRow(v=0.5, mu=1.0, bc=D))
+    with pytest.raises(ValueError, match="sorted by v"):
+        RatioCurve(rows=rows)
+
+
+def test_tc_result_refuses_tc_outside_its_bracket():
+    with pytest.raises(ValueError, match="outside bracket"):
+        TcResult(tc=2.0, residual=0.0, bracket=(0.5, 1.0), evaluations=1, numerics={})
 
 
 def test_ratio_curve_validation():

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Six sha256 lines: operator matrices, integrals, solver outputs, raw
-kernel values, the inequality checks, then A(p) and E(p) off the nodes.
+"""Seven sha256 lines: operator matrices, integrals, solver outputs, raw
+kernel values, the inequality checks, A(p) and E(p) off the nodes, then
+the edge-row RatioRows.
 
 First line: for every (T, mu, tol, knobs) point of a fixed battery, the
 raw bytes of assemble(...).matrix for both boundary conditions.  Second
@@ -17,10 +18,13 @@ worst_margin of each of the eight CheckReports of the verify battery at
 mu = 1, seed 0 and 10,000 samples.  Sixth line: on the battery's mu > 0
 points, eval_A and eval_E at the OFF_NODE momenta (zero, negative, and
 far past the grid's core at tol 1e-5 and 1e-8), as one vector call and
-one scalar call per momentum.  Two checkouts that print the
+one scalar call per momentum.  Seventh line: every field of the 24
+ratio_curve rows at EDGE_VS, both boundary conditions, mu = 1 and tol
+1e-6, the inputs of the edge-row benchmark.  Two checkouts that print the
 same lines build bit-identical operators and solve to bit-identical
 temperatures on the batteries; a change meant to alter the matrix alone
-shows as a change of the first and third lines with the second kept.
+shows as a change of the first, third and seventh lines with the second
+kept.
 One command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
@@ -32,12 +36,12 @@ evaluations that A(p)'s sub-meshes take on the grid's nodes), and one
 line per inequality check.
 
 A change to A(p)'s sub-meshes alone moves the lines that integrate
-A(p): the matrices (1), the integrals (2), the solver results (3) and
-the off-node line (6), and the verify line (5) only where E(p) sets a
+A(p): the matrices (1), the integrals (2), the solver results (3 and 7)
+and the off-node line (6), and the verify line (5) only where E(p) sets a
 check's worst margin.  The raw kernel line (4) must not move.  A change
 to the root finder alone, such as the function tc_boundary's search
-runs on, moves the solver line (3) and no other: the operators, the
-integrals, the kernels, the checks and A(p) off the nodes keep their
+runs on, moves the solver lines (3 and 7) and no other: the operators,
+the integrals, the kernels, the checks and A(p) off the nodes keep their
 bits.
 """
 
@@ -77,6 +81,9 @@ SOLVER_TOL = 1e-4
 SOLVER_MU = 1.0
 SOLVER_V = 0.5
 SOLVER_T = 1e-2
+
+EDGE_VS = (0.45, 0.47, 0.49, 0.51, 0.60, 0.61, 0.62, 0.63, 0.80, 0.83, 0.86, 0.89)
+EDGE_TOL = 1e-6
 
 KERNEL_MU = 1.0
 KERNEL_TS = tuple(10.0**k for k in range(-8, 4))  # T/mu from 1e-8 to 1e3
@@ -169,6 +176,16 @@ def _solver_pieces():
     return [_attempt(call) for call in calls]
 
 
+def _edge_row_pieces():
+    """Byte strings of the edge-row RatioRows, every field of each."""
+    return [
+        _attempt(lambda v=v, bc=bc: _result_bytes(
+            ratio_curve([v], SOLVER_MU, bc, EDGE_TOL).rows[0]))
+        for v in EDGE_VS
+        for bc in BoundaryCondition
+    ]
+
+
 def _kernel_pieces():
     """Byte strings of the kernel battery; an error becomes its type's name.
 
@@ -257,6 +274,7 @@ def main(argv) -> int:
             print(f"check {name} {h.hexdigest()[:16]}")
     print(check_total.hexdigest())
     print(off_node_total.hexdigest())
+    print(_digest(_edge_row_pieces()).hexdigest())
     return 0
 
 
