@@ -32,7 +32,6 @@ from . import __version__, lemma_suite
 from .bs_operator import BoundaryCondition, assemble, top_eigenpair
 from .critical_temperature import (
     TOL_DEFAULT,
-    RatioCurve,
     ratio_curve,
     tc_boundary,
     tc_bulk,
@@ -222,7 +221,6 @@ def _emit(command, cfg, opts, header, rows, provenance, started) -> None:
         "grid_policy": {
             "tol": cfg.get("tol"),
             "points_per_panel": cfg.get("grid_points"),
-            "cutoff_factor": cfg.get("cutoff_factor"),
         },
         "argv": _replay_argv(command, cfg, opts),
         "rows": _jsonable(provenance),
@@ -299,10 +297,9 @@ def cmd_ratio_curve(parser, cfg, knobs):
     vs = np.geomspace(cfg["v_min"], cfg["v_max"], cfg["v_count"])
     single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], knobs=knobs).rows[0]
     rows = _pmap(single, vs, cfg["threads"])
-    curve = RatioCurve(tuple(rows), tol=cfg["tol"])
     table = [
         {column: getattr(row, column) for column in _CURVE_COLUMNS}
-        for row in curve.rows
+        for row in rows
     ]
     provenance = [
         {
@@ -314,9 +311,9 @@ def cmd_ratio_curve(parser, cfg, knobs):
             "tc_boundary_evaluations": row.tc_boundary_evaluations,
             "error": row.error,
         }
-        for row in curve.rows
+        for row in rows
     ]
-    failed = any(row.error is not None for row in curve.rows)
+    failed = any(row.error is not None for row in rows)
     return _CURVE_COLUMNS, table, provenance, (
         EXIT_PARTIAL if failed else EXIT_OK
     )
@@ -394,12 +391,12 @@ def cmd_verify(parser, cfg, knobs):
         lambda: lemma_suite.check_tanh_diff(n, seed),
         lambda: lemma_suite.check_mean_bound(n, seed),
         lambda: lemma_suite.check_concavity_bound(n, seed),
-        lambda: lemma_suite.check_K_majorant(seed, knobs),
+        lambda: lemma_suite.check_K_majorant(seed),
         lambda: lemma_suite.check_E_log_growth(
-            mu, 0.5 * smu, (1e-2 * mu, 1e-3 * mu, 1e-4 * mu), knobs=knobs
+            mu, 0.5 * smu, (1e-2 * mu, 1e-3 * mu, 1e-4 * mu)
         ),
         lambda: lemma_suite.check_B_uniform_norm(
-            mu, (1e-3 * mu, 1e-1 * mu, 1e1 * mu, 1e3 * mu), knobs=knobs
+            mu, (1e-3 * mu, 1e-1 * mu, 1e1 * mu, 1e3 * mu)
         ),
         lambda: lemma_suite.check_L_sandwich(mu, mu, n, seed),
     )
@@ -429,12 +426,6 @@ _GRID_POINTS = _Opt(
     GridKnobs.points_per_panel,
     help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
 )
-_CUTOFF_FACTOR = _Opt(
-    "--cutoff-factor",
-    float,
-    GridKnobs.cutoff_factor,
-    help=f"momentum cutoff multiplier (default {GridKnobs.cutoff_factor})",
-)
 _THREADS = _Opt(
     "--threads",
     int,
@@ -446,13 +437,12 @@ _FORMAT = _Opt("--format", str, "csv", choices=("csv", "json"), help="output for
 _COMMANDS = {
     "tc-bulk": (
         cmd_tc,
-        [_MU, _V, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _THREADS, _OUT, _FORMAT],
+        [_MU, _V, _TOL, _GRID_POINTS, _THREADS, _OUT, _FORMAT],
         "critical temperature of the translation-invariant problem",
     ),
     "tc-boundary": (
         cmd_tc,
-        [_MU, _V, _BC, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _THREADS, _OUT,
-         _FORMAT],
+        [_MU, _V, _BC, _TOL, _GRID_POINTS, _THREADS, _OUT, _FORMAT],
         "critical temperature of the half-line problem",
     ),
     "ratio-curve": (
@@ -465,7 +455,6 @@ _COMMANDS = {
             _Opt("--v-count", int, required=True, help="points, log-spaced"),
             _TOL,
             _GRID_POINTS,
-            _CUTOFF_FACTOR,
             _THREADS,
             _OUT,
             _FORMAT,
@@ -474,7 +463,7 @@ _COMMANDS = {
     ),
     "spectrum": (
         cmd_spectrum,
-        [_T_ARG, _MU, _BC, _TOL, _GRID_POINTS, _CUTOFF_FACTOR, _OUT, _FORMAT],
+        [_T_ARG, _MU, _BC, _TOL, _GRID_POINTS, _OUT, _FORMAT],
         "top eigenpair and edge of the discretized half-line operator",
     ),
     "trial-gap": (
@@ -485,7 +474,6 @@ _COMMANDS = {
             _Opt("--b", float, help="trial-state width (default: mu)"),
             _TOL,
             _GRID_POINTS,
-            _CUTOFF_FACTOR,
             _OUT,
             _FORMAT,
         ],
@@ -501,8 +489,6 @@ _COMMANDS = {
         [
             _Opt("--mu", float, 1.0, help="chemical potential (default 1)"),
             _Opt("--samples", int, 100_000, help="samples per randomized check"),
-            _GRID_POINTS,
-            _CUTOFF_FACTOR,
             _OUT,
             _Opt("--seed", int, 0, help="seed for randomized checks (default 0)"),
             _Opt("--format", str, "json", choices=("csv", "json"), help="output format"),
@@ -540,11 +526,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         cfg = _resolve(ns._sub, ns)
         started = time.monotonic()
-        knobs = (
-            GridKnobs(cfg["grid_points"], cfg["cutoff_factor"])
-            if "grid_points" in cfg
-            else None
-        )
+        knobs = GridKnobs(cfg["grid_points"]) if "grid_points" in cfg else None
         header, rows, provenance, code = ns._fn(ns._sub, cfg, knobs)
         _emit(ns.command, cfg, ns._opts, header, rows, provenance, started)
         return code

@@ -27,7 +27,7 @@ from .kernels import (
     eval_B,
     eval_L,
 )
-from .quadrature import GridKnobs, build_grid
+from .quadrature import build_grid
 
 __all__ = [
     "CheckReport",
@@ -193,14 +193,15 @@ def check_concavity_bound(n_samples: int = 100_000, seed: int = 0) -> CheckRepor
     return _tally("concavity_bound", rhs - lhs, rhs, seed)
 
 
-def check_K_majorant(seed: int = 0, knobs: GridKnobs = GridKnobs()) -> CheckReport:
+def check_K_majorant(seed: int = 0) -> CheckReport:
     """min-kernel majorant K(p,q) = min{B_{1,0}(p,0), B_{1,0}(q,0)}.
 
     On 50 random nodes, verifies (i) B_{1,0} <= K entrywise, (ii) K
     symmetric, (iii) the Gram matrix [K(p_i,p_j)] has smallest
     eigenvalue >= -1e-10 (K factors as an integral of products, so it
     is positive semidefinite up to rounding), (iv) the row integral of
-    K is maximal at p = 0, and (v) K(p,0) = B_{1,0}(p,0).
+    K, taken on the default grid at tol 1e-8, is maximal at p = 0, and
+    (v) K(p,0) = B_{1,0}(p,0).
     """
     rng = np.random.default_rng(seed)
     p = rng.uniform(-_BOX, _BOX, _K_NODES)
@@ -215,7 +216,7 @@ def check_K_majorant(seed: int = 0, knobs: GridKnobs = GridKnobs()) -> CheckRepo
     lam_min = float(np.linalg.eigvalsh(K)[0])
     m_gram = np.array([lam_min - _GRAM_FLOOR])
 
-    qgrid = build_grid(params, 1e-8, knobs)
+    qgrid = build_grid(params, 1e-8)
     bq0 = eval_B(qgrid.nodes, 0.0, params)
     rows = 2.0 * (np.minimum(bp0[:, None], bq0[None, :]) @ qgrid.weights)
     row0 = 2.0 * float(bq0 @ qgrid.weights)
@@ -230,16 +231,15 @@ def check_K_majorant(seed: int = 0, knobs: GridKnobs = GridKnobs()) -> CheckRepo
     return _tally("K_majorant", margins, scale, seed)
 
 
-def check_E_log_growth(
-    mu: float, eps: float, T_list, knobs: GridKnobs = GridKnobs()
-) -> CheckReport:
+def check_E_log_growth(mu: float, eps: float, T_list) -> CheckReport:
     """E(p) / ln(mu/T) stays positive away from p = 0 as T decreases.
 
     E(p) = 4 pi (a - A(p)) grows like a log in 1/T for |p| >= eps while
     A(p) itself stays bounded there; the check computes m(T) = min over
-    24 log-spaced |p| in [eps, 5 sqrt(mu)] of that ratio for each T and
-    counts nonpositive values.  The m(T) ladder is logged; its limiting
-    constant is observed, not asserted.
+    24 log-spaced |p| in [eps, 5 sqrt(mu)] of that ratio for each T, on
+    the default grid at tol _E_GRID_TOL, and counts nonpositive values.
+    The m(T) ladder is logged; its limiting constant is observed, not
+    asserted.
     """
     if not (mu > 0 and 0 < eps < 5.0 * np.sqrt(mu)):
         raise ValueError(f"need mu > 0 and 0 < eps < 5 sqrt(mu), got {mu}, {eps}")
@@ -250,22 +250,21 @@ def check_E_log_growth(
     ms = []
     for T in sorted(T_list, reverse=True):
         params = ModelParams(T=float(T), mu=mu)
-        grid = build_grid(params, _E_GRID_TOL, knobs)
+        grid = build_grid(params, _E_GRID_TOL)
         ms.append(float(np.min(eval_E(ps, params, grid)) / np.log(mu / T)))
     logger.info("E_log_growth(mu=%g, eps=%g): m(T) ladder %s", mu, eps, ms)
     report = _tally("E_log_growth", np.asarray(ms), 1.0, 0)
     return replace(report, samples=len(ms) * _E_MOMENTA)
 
 
-def check_B_uniform_norm(
-    mu: float, T_list, knobs: GridKnobs = GridKnobs()
-) -> CheckReport:
+def check_B_uniform_norm(mu: float, T_list) -> CheckReport:
     """Discretized operator norm of the bare B kernel is bounded in T.
 
     B(+-p, +-q) = B(p, q), so the full-line matrix B(p_i, p_j) sqrt(w_i w_j)
     on a mirrored grid is U S U^T, S its half-line block, U = [R; I] and
     R the node reversal; U^T U = 2I makes its norm 2 ||S||, held on each
-    T's certified grid against the stored cap, which scales as 1/sqrt(mu).
+    T's default grid at tol _B_GRID_TOL against the stored cap, which
+    scales as 1/sqrt(mu).
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
@@ -273,7 +272,7 @@ def check_B_uniform_norm(
     norms = []
     for T in T_list:
         params = ModelParams(T=float(T), mu=mu)
-        g = build_grid(params, _B_GRID_TOL, knobs)
+        g = build_grid(params, _B_GRID_TOL)
         sw = np.sqrt(g.weights)
         mat = _B_matrix(g.nodes, params) * (sw[:, None] * sw[None, :])
         norms.append(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(mat)))))

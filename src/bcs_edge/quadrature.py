@@ -60,8 +60,9 @@ _TOL_FLOOR = 1e-14
 
 _DEPTH_CAP = 8
 
-# Core cutoff, before the certified tail: cutoff_factor * (2 sqrt(mu) +
+# Core cutoff, before the certified tail: CUTOFF_FACTOR * (2 sqrt(mu) +
 # TAIL_K sqrt(max(T, mu, 1))).
+CUTOFF_FACTOR = 3.0
 TAIL_K = 20.0
 
 # Past the core, B(p, q) <= 4/|p^2 + q^2 - 4 mu| is smooth in q on the
@@ -75,23 +76,19 @@ TAIL_RESOLUTION = 1e-15
 
 @dataclass(frozen=True)
 class GridKnobs:
-    """The two discretization knobs a caller may choose for its grids.
+    """The discretization knob a caller may choose for its grids: the
+    Gauss-Legendre points on every panel.
 
     Solvers take one record and pass it to every grid they build, so a
-    front end fixes the knobs once per run.
+    front end fixes the knob once per run.
     """
 
     points_per_panel: int = 16
-    cutoff_factor: float = 3.0
 
     def __post_init__(self):
         ppp = self.points_per_panel
         if not isinstance(ppp, (int, np.integer)) or ppp < 2:
             raise ValueError(f"points_per_panel must be an integer of at least 2, got {ppp!r}")
-        if not (self.cutoff_factor > 0 and np.isfinite(self.cutoff_factor)):
-            raise ValueError(
-                f"cutoff_factor must be positive and finite, got {self.cutoff_factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class GridPolicy:
     mu: float
     tol: float
     points_per_panel: int
-    cutoff_factor: float
+    cutoff_factor: ClassVar[float] = CUTOFF_FACTOR
     tail_k: ClassVar[float] = TAIL_K
     extend_tail: ClassVar[bool] = True
     extra_centers: ClassVar[tuple] = ()
@@ -336,10 +333,10 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
     """
     pol = grid.policy
     mu, ppp = pol.mu, pol.points_per_panel
-    smu = np.sqrt(mu) if mu > 0 else 0.0
+    two_smu = grid.refinement_centers[-1]  # 2 sqrt(mu), or 0 for mu <= 0
     edges = grid.panel_edges
     last = edges.size - 2
-    cross = np.column_stack([np.abs(2.0 * smu - p), 2.0 * smu + p])
+    cross = np.column_stack([np.abs(two_smu - p), two_smu + p])
     held = np.minimum(np.searchsorted(edges, cross, side="right") - 1, last)
     first, stop = np.maximum(held - 1, 0), np.minimum(held + 2, last + 1)
     merged = first[:, 1] < stop[:, 0]
@@ -436,7 +433,7 @@ def build_grid(
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
-    Lambda starts at knobs.cutoff_factor*(2*sqrt(max(mu,0)) + TAIL_K*
+    Lambda starts at CUTOFF_FACTOR*(2*sqrt(max(mu,0)) + TAIL_K*
     sqrt(max(T,mu,1))), the core cutoff, and doubles until the analytic
     tail_bound certifies a truncation error below tol/2 in the units
     of a = (1/4pi) integral B(0,q) dq.  Core panels refine
@@ -476,7 +473,7 @@ def build_grid(
     else:
         centers = (0.0,)
         floor0 = base / 4.0
-    lam0 = knobs.cutoff_factor * (2.0 * smu + TAIL_K * np.sqrt(max(T, mu, 1.0)))
+    lam0 = CUTOFF_FACTOR * (2.0 * smu + TAIL_K * np.sqrt(max(T, mu, 1.0)))
 
     conv = None
     edges = None
@@ -513,7 +510,6 @@ def build_grid(
         mu=mu,
         tol=tol,
         points_per_panel=points_per_panel,
-        cutoff_factor=knobs.cutoff_factor,
     )
     return MomentumGrid(
         nodes=nodes,

@@ -20,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bcs_edge.bs_operator as bso
+import bcs_edge.quadrature as quadrature
 from bcs_edge import (
     GridKnobs,
     ModelParams,
@@ -441,7 +442,7 @@ def test_matrix_cut_keeps_every_node_when_the_tail_couples_at_order_one():
 # the operator points of tools/operator_digest.py
 DIGEST_POINTS = [
     (ModelParams(T=T, mu=mu), tol, knobs)
-    for knobs in (GridKnobs(16, 3.0), GridKnobs(8, 2.0))
+    for knobs in (GridKnobs(16), GridKnobs(8))
     for tol in (1e-8, 1e-5)
     for mu in (-0.5, 0.0, 0.3, 1.0, 4.0)
     for T in (1e-5, 7.8e-3, 1.0, 20.0)
@@ -695,16 +696,13 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_eigenvalue_stable_under_refinement():
+def test_eigenvalue_stable_under_refinement(monkeypatch):
     params = ModelParams(T=1e-3, mu=1.0)
     tol = 1e-7
     lam = {}
-    for key, kw in {
-        "base": {},
-        "ppp": {"points_per_panel": 32},
-        "lam15": {"cutoff_factor": 4.5},
-    }.items():
-        grid = build_grid(params, tol, GridKnobs(**kw))
+    for key, ppp, factor in (("base", 16, 3.0), ("ppp", 32, 3.0), ("lam15", 16, 4.5)):
+        monkeypatch.setattr(quadrature, "CUTOFF_FACTOR", factor)
+        grid = build_grid(params, tol, GridKnobs(ppp))
         lam[key], _ = top_eigenpair(assemble(params, grid, D))
     assert abs(lam["ppp"] - lam["base"]) < tol
     assert abs(lam["lam15"] - lam["base"]) < tol

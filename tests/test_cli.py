@@ -71,7 +71,6 @@ def test_usage_errors_exit_one(capsys):
         (["ratio-curve", "--mu", "1", "--bc", "dirichlet", "--v-min", "1",
           "--v-max", "inf", "--v-count", "2"], "--v-max"),
         (["trial-gap", "--T", "0.1", "--mu", "1", "--b", "inf"], "--b"),
-        (["spectrum", "--T", "1", "--mu", "1", "--cutoff-factor", "inf"], "cutoff_factor"),
     ],
 )
 def test_non_finite_values_exit_one(capsys, argv, flag):
@@ -128,19 +127,15 @@ def test_pyproject_version_matches_package():
 
 
 _FLAGS = {
-    "tc-bulk": {"mu", "v", "tol", "grid-points", "cutoff-factor", "threads",
-                "out", "format"},
-    "tc-boundary": {"mu", "v", "bc", "tol", "grid-points", "cutoff-factor",
-                    "threads", "out", "format"},
+    "tc-bulk": {"mu", "v", "tol", "grid-points", "threads", "out", "format"},
+    "tc-boundary": {"mu", "v", "bc", "tol", "grid-points", "threads", "out",
+                    "format"},
     "ratio-curve": {"mu", "bc", "v-min", "v-max", "v-count", "tol",
-                    "grid-points", "cutoff-factor", "threads", "out", "format"},
-    "spectrum": {"T", "mu", "bc", "tol", "grid-points", "cutoff-factor", "out",
-                 "format"},
-    "trial-gap": {"T", "mu", "b", "tol", "grid-points", "cutoff-factor", "out",
-                  "format"},
+                    "grid-points", "threads", "out", "format"},
+    "spectrum": {"T", "mu", "bc", "tol", "grid-points", "out", "format"},
+    "trial-gap": {"T", "mu", "b", "tol", "grid-points", "out", "format"},
     "asymptotics": {"mu", "v", "out", "format"},
-    "verify": {"mu", "samples", "grid-points", "cutoff-factor", "seed", "out",
-               "format"},
+    "verify": {"mu", "samples", "seed", "out", "format"},
 }
 
 
@@ -242,14 +237,13 @@ def test_manifest_replay(command, tmp_path, capsys):
         assert key in manifest
     assert manifest["command"] == command
     assert manifest["argv"][0] == command
-    # only what the command read: tol where it takes --tol, grid knobs
-    # where it builds grids, a seed for verify alone
+    # only what the command read: tol where it takes --tol, points per
+    # panel where it takes --grid-points, a seed for verify alone
     args = _REPLAY_RUNS[command]
-    builds_grids = command != "asymptotics"
+    takes_knob = command not in ("asymptotics", "verify")
     assert manifest["grid_policy"] == {
         "tol": float(args[args.index("--tol") + 1]) if "--tol" in args else None,
-        "points_per_panel": 16 if builds_grids else None,
-        "cutoff_factor": 3.0 if builds_grids else None,
+        "points_per_panel": 16 if takes_knob else None,
     }
     assert manifest["seeds"] == {"seed": 3 if command == "verify" else None}
 
@@ -281,7 +275,9 @@ def test_manifest_replay(command, tmp_path, capsys):
             assert 0 < row["matrix_nodes"] < row["grid_nodes"]
 
 
-# every (command, flag) pair that 0.1.0 accepted and then ignored
+# every (command, flag) pair that 0.1.0 accepted and then ignored, and
+# the grid settings that 0.6.0 dropped: the core cutoff is a constant,
+# and verify builds its grids at the default points per panel
 _DROPPED = [
     *[(command, "--seed") for command in
       ("tc-bulk", "tc-boundary", "ratio-curve", "spectrum", "trial-gap",
@@ -291,7 +287,8 @@ _DROPPED = [
     ("asymptotics", "--tol"),
     ("verify", "--tol"),
     ("asymptotics", "--grid-points"),
-    ("asymptotics", "--cutoff-factor"),
+    ("verify", "--grid-points"),
+    *[(command, "--cutoff-factor") for command in _REPLAY_RUNS],
 ]
 
 
@@ -390,7 +387,7 @@ def test_grid_knobs_change_discretization(tmp_path, capsys):
     code, out = run_cli(
         capsys,
         ["spectrum", "--T", "1.0", "--mu", "0.0", "--bc", "dirichlet",
-         "--grid-points", "8", "--cutoff-factor", "2.0", "--format", "json"],
+         "--grid-points", "8", "--format", "json"],
     )
     assert code == 0
     rows_coarse = json.loads(out)["rows"]

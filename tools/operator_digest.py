@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Seven sha256 lines: operator matrices, integrals, solver outputs, raw
-kernel values, the inequality checks, A(p) and E(p) off the nodes, then
-the edge-row RatioRows.
+"""Eight sha256 lines: operator matrices, integrals, solver outputs, raw
+kernel values, the inequality checks, A(p) and E(p) off the nodes, the
+edge-row RatioRows, then the solvers' numerics records.
 
 First line: for every (T, mu, tol, knobs) point of a fixed battery, the
 raw bytes of assemble(...).matrix for both boundary conditions.  Second
 line: for the same points, the grid size, the essential edge a_edge =
 eval_a, the diagonal eval_A(grid.nodes) and trial_gap.  Third line: the
 results of tc_bulk, tc_boundary (both boundary conditions), v_of_T
-(both) and one ratio_curve row (both), all at tol 1e-4.  Fourth line:
+(both) and one ratio_curve row (both), all at tol 1e-4: each TcResult's
+tc, residual, bracket and evaluations, the v_of_T values and every
+RatioRow field.  Fourth line:
 the raw outputs of eval_F, eval_L, eval_B and eval_a on a kernel battery
 (T/mu from 1e-8 to 1e3, momenta whose exponentials straddle the
 underflow band, array lengths around the 2**14-element kernel block,
@@ -20,7 +22,9 @@ points, eval_A and eval_E at the OFF_NODE momenta (zero, negative, and
 far past the grid's core at tol 1e-5 and 1e-8), as one vector call and
 one scalar call per momentum.  Seventh line: every field of the 24
 ratio_curve rows at EDGE_VS, both boundary conditions, mu = 1 and tol
-1e-6, the inputs of the edge-row benchmark.  Two checkouts that print the
+1e-6, the inputs of the edge-row benchmark.  Eighth line: the numerics
+record of each TcResult of the third line's battery, so a bookkeeping key
+added or dropped moves this line alone.  Two checkouts that print the
 same lines build bit-identical operators and solve to bit-identical
 temperatures on the batteries; a change meant to alter the matrix alone
 shows as a change of the first, third and seventh lines with the second
@@ -29,8 +33,8 @@ One command per checkout:
 
     PYTHONPATH=src python3 tools/operator_digest.py
 
-Pass -v to print one line per operator point as well (matrix and
-integral hashes, then the grid's order n, the matrix order m for each
+Pass -v to print one line per operator point as well (its points per
+panel ppp, matrix and integral hashes, then the grid's order n, the matrix order m for each
 boundary condition, Dirichlet first, and the count of fresh kernel
 evaluations that A(p)'s sub-meshes take on the grid's nodes), and one
 line per inequality check.
@@ -40,9 +44,9 @@ A(p): the matrices (1), the integrals (2), the solver results (3 and 7)
 and the off-node line (6), and the verify line (5) only where E(p) sets a
 check's worst margin.  The raw kernel line (4) must not move.  A change
 to the root finder alone, such as the function tc_boundary's search
-runs on, moves the solver lines (3 and 7) and no other: the operators,
-the integrals, the kernels, the checks and A(p) off the nodes keep their
-bits.
+runs on, moves the solver lines (3 and 7), and the records (8) where a
+solve count moves, and no other: the operators, the integrals, the
+kernels, the checks and A(p) off the nodes keep their bits.
 """
 
 import dataclasses
@@ -55,6 +59,7 @@ import numpy as np
 from bcs_edge import (
     GridKnobs,
     ModelParams,
+    TcResult,
     build_grid,
     eval_A,
     eval_B,
@@ -75,7 +80,7 @@ from bcs_edge.quadrature import _A_meshes
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
 MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
 TOLS = (1e-8, 1e-5)
-KNOBS = (GridKnobs(16, 3.0), GridKnobs(8, 2.0))
+KNOBS = (GridKnobs(16), GridKnobs(8))
 
 SOLVER_TOL = 1e-4
 SOLVER_MU = 1.0
@@ -160,20 +165,39 @@ def _canon(x):
 
 
 def _result_bytes(result):
-    return repr(_canon(dataclasses.astuple(result))).encode()
+    """Every field of a RatioRow or of a TcResult but its numerics."""
+    values = tuple(
+        getattr(result, f.name) for f in dataclasses.fields(result) if f.name != "numerics"
+    )
+    return repr(_canon(values)).encode()
 
 
 def _solver_pieces():
-    """Byte strings of the solver battery; an error becomes its type's name."""
+    """(results, records) of the solver battery: the bytes of each result
+    and the numerics record of each TcResult among them.  An error becomes
+    its type's name among the results."""
     v, mu, tol = SOLVER_V, SOLVER_MU, SOLVER_TOL
-    calls = [lambda: _result_bytes(tc_bulk(v, mu, tol))]
+    calls = [lambda: tc_bulk(v, mu, tol)]
     for bc in BoundaryCondition:
         calls += [
-            lambda bc=bc: _result_bytes(tc_boundary(v, mu, bc, tol)),
-            lambda bc=bc: struct.pack("<d", v_of_T(SOLVER_T, mu, bc, tol)),
-            lambda bc=bc: _result_bytes(ratio_curve([v], mu, bc, tol).rows[0]),
+            lambda bc=bc: tc_boundary(v, mu, bc, tol),
+            lambda bc=bc: v_of_T(SOLVER_T, mu, bc, tol),
+            lambda bc=bc: ratio_curve([v], mu, bc, tol).rows[0],
         ]
-    return [_attempt(call) for call in calls]
+    results, records = [], []
+    for call in calls:
+        try:
+            result = call()
+        except Exception as exc:  # the error type is part of the digest
+            results.append(type(exc).__name__.encode())
+            continue
+        if isinstance(result, float):
+            results.append(struct.pack("<d", result))
+            continue
+        results.append(_result_bytes(result))
+        if isinstance(result, TcResult):
+            records.append(repr(_canon(result.numerics)).encode())
+    return results, records
 
 
 def _edge_row_pieces():
@@ -259,12 +283,13 @@ def main(argv) -> int:
                     if verbose:
                         print(
                             f"T={T:g} mu={mu:g} tol={tol:g} "
-                            f"knobs={knobs.points_per_panel}/{knobs.cutoff_factor:g} "
+                            f"ppp={knobs.points_per_panel} "
                             f"{m.hexdigest()[:16]} {i.hexdigest()[:16]} {sizes}"
                         )
     print(matrix_total.hexdigest())
     print(integral_total.hexdigest())
-    print(_digest(_solver_pieces()).hexdigest())
+    results, records = _solver_pieces()
+    print(_digest(results).hexdigest())
     print(_digest(_kernel_pieces()).hexdigest())
     check_total = hashlib.sha256()
     for name, pieces in _check_pieces():
@@ -275,6 +300,7 @@ def main(argv) -> int:
     print(check_total.hexdigest())
     print(off_node_total.hexdigest())
     print(_digest(_edge_row_pieces()).hexdigest())
+    print(_digest(records).hexdigest())
     return 0
 
 
