@@ -15,10 +15,11 @@ panels far beyond the core certify the integrals A(p_i) and a; the
 eigensolve sees only the leading principal block whose dropped
 off-diagonal block is certified to move the top eigenvalue by at most
 tol/2 (_matrix_cut), a view that _nystroem cuts from its n x n buffer:
-assemble copies it, and the boundary root find reads it.  A root find
-that needs only the sign and rough size of lambda_max - t takes
-_schur_gap instead: one LU solve of the nodes whose Gershgorin discs
-stay well below t, and an eigensolve of the rest.
+assemble copies it, and _half_line_solve, the boundary root find's solve
+at one T against the shift t = 1/v, reads it in place.  That solve needs
+only the sign and rough size of lambda_max - t, which _schur_gap gives:
+one LU solve of the nodes whose Gershgorin discs stay well below t, and
+an eigensolve of the rest.
 
 One kernel matrix B(p_i, p_j) per grid, kernels._B_matrix, serves the
 whole build: it feeds the perturbation, the diagonal A(p_i) and the
@@ -37,6 +38,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,6 +283,37 @@ def _top_value(M: np.ndarray) -> float:
     logger.debug("top eigenvalue %.12e (second %.12e, n=%d)",
                  vals[-1], vals[-2] if len(M) > 1 else np.nan, len(M))
     return float(vals[-1])
+
+
+class _SolveRecord(NamedTuple):
+    """What one _half_line_solve read off its matrix: the order of the cut
+    matrix, the cut's eigenvalue bound, the kept order of the Schur split
+    (the matrix order where none was taken) and lambda_max (None unless
+    asked)."""
+
+    matrix_nodes: int
+    cut_bound: float
+    schur_nodes: int
+    lambda_max: float | None
+
+
+def _half_line_solve(
+    params: ModelParams, grid: MomentumGrid, bc: BoundaryCondition, meshes: _Meshes,
+    t: float, top: bool = False,
+) -> tuple[float, _SolveRecord]:
+    """(G, record): the half-line operator at params on grid against the
+    shift t.  G is _schur_gap's at t on _nystroem's block, with the sign of
+    lambda_max - t and at least its size.  With top, lambda_max comes first
+    from _top_value, and where lambda_max - t <= 0 that difference is G and
+    no split is taken.  The block's n x n buffer lives only for the call;
+    meshes is _A_meshes(grid, grid.nodes)."""
+    block, cut_bound = _nystroem(params, grid, bc, meshes)
+    lam = _top_value(block) if top else None
+    if top and lam - t <= 0.0:
+        value, kept = lam - t, len(block)
+    else:
+        value, kept = _schur_gap(block, bc.sign, t)
+    return value, _SolveRecord(len(block), cut_bound, kept, lam)
 
 
 def top_eigenpair(op: DiscretizedOperator) -> tuple[float, np.ndarray]:

@@ -372,7 +372,7 @@ def cmd_trial_gap(parser, cfg, knobs):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_asymptotics(parser, cfg, knobs):
+def cmd_asymptotics(parser, cfg):
     _positive(parser, cfg, "mu", "v")
     header = ["v", "mu", "tc_asymptotic"]
     rows = [
@@ -382,7 +382,7 @@ def cmd_asymptotics(parser, cfg, knobs):
     return header, rows, list(rows), EXIT_OK
 
 
-def cmd_verify(parser, cfg, knobs):
+def cmd_verify(parser, cfg):
     _positive(parser, cfg, "mu", "samples")
     n, seed, mu = cfg["samples"], cfg["seed"], cfg["mu"]
     smu = float(np.sqrt(mu))
@@ -526,8 +526,9 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         cfg = _resolve(ns._sub, ns)
         started = time.monotonic()
-        knobs = GridKnobs(cfg["grid_points"]) if "grid_points" in cfg else None
-        header, rows, provenance, code = ns._fn(ns._sub, cfg, knobs)
+        # only the commands that take --grid-points take knobs
+        knobs = (GridKnobs(cfg["grid_points"]),) if "grid_points" in cfg else ()
+        header, rows, provenance, code = ns._fn(ns._sub, cfg, *knobs)
         _emit(ns.command, cfg, ns._opts, header, rows, provenance, started)
         return code
     except SystemExit as exc:

@@ -4,7 +4,7 @@ The bulk temperature solves a_{T,mu} = 1/v (the essential-spectrum edge
 crosses the coupling threshold); the half-line temperature solves the
 same equation for the top eigenvalue of the discretized boundary
 operator, through a function with the same sign and root that one LU
-solve gives (bs_operator._schur_gap).  Both functions are strictly
+solve gives (bs_operator._half_line_solve).  Both functions are strictly
 decreasing in T, and both are solved by one search in log T,
 _root_decreasing.  It starts from one
 point (the weak-coupling closed form for the bulk, tc_bulk for the half
@@ -16,24 +16,18 @@ whenever the bracket stops halving.  The monotonicity is monitored
 rather than trusted: a value that lies outside the values at the known
 ends, or is not finite, raises BracketFailure instead of returning a
 plausible wrong root.  A half-line root find solves on one grid, the
-one its bulk root find built at tc_bulk.
+one its bulk root find built at tc_bulk, and the same search gives
+tc_boundary's result and ratio_curve's row (_tc_boundary_above).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .bs_operator import (
-    BoundaryCondition,
-    _nystroem,
-    _schur_gap,
-    _top_value,
-    assemble,
-)
+from .bs_operator import BoundaryCondition, _half_line_solve, _top_value, assemble
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
 from .quadrature import GridKnobs, _A_meshes, build_grid
@@ -110,9 +104,9 @@ class RatioRow:
     solves each root find took, bracketing included; of the boundary
     solves, only the one at tc_bulk takes the full eigensolve, which
     gives gap_at_tc_bulk, and every later one a Schur split
-    (_tc_boundary_above).  grid_nodes counts the nodes of the grid at
-    tc_bulk that every boundary solve used and matrix_nodes the cut
-    matrix order there.  A failed row leaves every result field at its
+    (bs_operator._half_line_solve).  grid_nodes counts the nodes of the
+    grid at tc_bulk that every boundary solve used and matrix_nodes the
+    cut matrix order there.  A failed row leaves every result field at its
     default: NaN, and 0 for the counts.
     """
 
@@ -295,16 +289,6 @@ def _tc_bulk(v, mu, tol, knobs):
     return result, grid
 
 
-class _Solve(NamedTuple):
-    """One half-line operator solve on the root find's grid: the order of
-    the cut matrix, the cut's eigenvalue bound and the kept order of the
-    Schur split (_schur_gap)."""
-
-    matrix_nodes: int
-    cut_bound: float
-    schur_nodes: int
-
-
 def tc_boundary(
     v: float,
     mu: float,
@@ -320,63 +304,46 @@ def tc_boundary(
     at this discretization), the bulk temperature is returned with the
     measured residual: the enhancement is zero at this tolerance.
     """
+    return _tc_boundary_above(v, mu, bc, tol, knobs)[0]
+
+
+def _tc_boundary_above(v, mu, bc, tol, knobs):
+    """(tc_boundary's TcResult, ratio_curve's RatioRow) from one bulk root
+    find and the half-line root find above it.  Every T is solved on the
+    grid the bulk root find built at tc_bulk, the lowest T, so the finest
+    (grading scales with T), and A(p)'s sub-meshes on its nodes are laid
+    out once, before the first solve.
+
+    The solve at tc_bulk takes lambda_max too, for the gap and to decide
+    whether there is a root above.  From there the root find runs on G of
+    _half_line_solve at t = 1/v: it has the sign of lambda_max - 1/v, so
+    the same root and a bracket of lambda_max's crossing, and it costs
+    about 40% of the full eigensolve.  The first step's slope, the
+    essential edge's, is scaled by G / (lambda_max - 1/v) at tc_bulk.
+    numerics["schur_nodes"] is the kept order at the returned root
+    (matrix_nodes where no search ran)."""
     bulk, grid = _tc_bulk(v, mu, tol, knobs)
-    return _tc_boundary_above(bulk, grid, v, mu, bc, tol)[0]
-
-
-def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
-    """tc_boundary from a solved bulk TcResult and the grid its root find
-    built at bulk.tc.  Every T is solved on that one grid, built at the
-    lowest T, so the finest (grading scales with T); each solve reads
-    _nystroem's certified block at its T in place, and A(p)'s sub-meshes
-    on the grid's nodes are laid out once, before the first solve.
-
-    The solve at bulk.tc takes the top eigenvalue lambda_max by the full
-    eigensolve, for the gap and to decide whether there is a root above.
-    From there the root find runs on G(T) of _schur_gap at t = 1/v: it
-    has the sign of lambda_max - 1/v, so the same root and a bracket of
-    lambda_max's crossing, and it costs one LU solve of the dropped block
-    and an eigensolve of the kept one, about 40% of the full eigensolve.
-    G is taken at bulk.tc too, so that every value the search sees comes
-    from G, and the first step's slope, the essential edge's, is scaled
-    by G / (lambda_max - 1/v) there.  numerics["schur_nodes"] is the kept
-    order at the returned root (matrix_nodes where no search ran).
-    Returns (TcResult, spectral_gap of assemble(...) at bulk.tc, _Solve
-    there)."""
-    gtol = _grid_tol(tol)
     t = 1.0 / v
-
-    meshes = _A_meshes(grid, grid.nodes)  # T-independent: one for every solve
-
-    def g(T):
-        block, cut_bound = _nystroem(ModelParams(T=T, mu=mu), grid, bc, meshes)
-        value, kept = _schur_gap(block, bc.sign, t)
-        return value, _Solve(len(block), cut_bound, kept)
-
     params = ModelParams(T=bulk.tc, mu=mu)
-    block, cut_bound = _nystroem(params, grid, bc, meshes)
-    top = _top_value(block)
-    gap = top - eval_a(params, grid)
-    value, kept = top - t, len(block)
-    if value > 0.0:
-        value, kept = _schur_gap(block, bc.sign, t)
-    at_bulk = _Solve(len(block), cut_bound, kept)
-    del block  # views an n x n buffer; the root find builds its own at each T
+    edge_slope = _edge_log_slope(params, grid)
+    meshes = _A_meshes(grid, grid.nodes)  # T-independent: one for every solve
+    value, at_bulk = _half_line_solve(params, grid, bc, meshes, t, top=True)
     if value <= 0.0:
         tc, resid, bracket, steps, solve = bulk.tc, value, bulk.bracket, 0, at_bulk
     else:
+        g = lambda T: _half_line_solve(ModelParams(T=T, mu=mu), grid, bc, meshes, t)
         # G falls faster than lambda_max by about their ratio at bulk.tc
-        slope = _edge_log_slope(params, grid) * value / (top - t)
+        slope = edge_slope * value / (at_bulk.lambda_max - t)
         tc, resid, bracket, steps, solve = _root_decreasing(
             g, [(bulk.tc, (value, at_bulk))], slope, tol, "tc_boundary"
         )
-    result = TcResult(
+    bound = TcResult(
         tc=float(tc),
         residual=float(resid),
         bracket=bracket,
         evaluations=1 + steps,
         numerics={
-            "grid_tol": gtol,
+            "grid_tol": grid.policy.tol,
             "bulk_evaluations": bulk.evaluations,
             "grid_nodes": grid.n,
             "matrix_nodes": solve.matrix_nodes,
@@ -384,7 +351,23 @@ def _tc_boundary_above(bulk, grid, v, mu, bc, tol):
             "schur_nodes": solve.schur_nodes,
         },
     )
-    return result, gap, at_bulk
+    # the slope of a_{T,mu} in T turns the probe into a T-units noise floor
+    dadT = abs(edge_slope) / bulk.tc
+    row = RatioRow(
+        v=v,
+        mu=mu,
+        bc=bc,
+        tc_bulk=bulk.tc,
+        tc_boundary=bound.tc,
+        relative_shift=(bound.tc - bulk.tc) / bulk.tc,
+        gap_at_tc_bulk=at_bulk.lambda_max - eval_a(params, grid),
+        grid_nodes=grid.n,
+        t_noise=grid.self_convergence / dadT if dadT > 0 else np.inf,
+        tc_bulk_evaluations=bulk.evaluations,
+        tc_boundary_evaluations=bound.evaluations,
+        matrix_nodes=at_bulk.matrix_nodes,
+    )
+    return bound, row
 
 
 def v_of_T(
@@ -399,28 +382,6 @@ def v_of_T(
     params = ModelParams(T=T, mu=mu)
     op = assemble(params, build_grid(params, _grid_tol(tol), knobs), bc)
     return 1.0 / max(_top_value(op.matrix), op.a_edge)
-
-
-def _row(v, mu, bc, tol, knobs) -> RatioRow:
-    bulk, grid = _tc_bulk(v, mu, tol, knobs)
-    bound, gap, at_bulk = _tc_boundary_above(bulk, grid, v, mu, bc, tol)
-    # the slope of a_{T,mu} in T turns the probe into a T-units noise floor
-    slope = abs(_edge_log_slope(ModelParams(T=bulk.tc, mu=mu), grid)) / bulk.tc
-    t_noise = grid.self_convergence / slope if slope > 0 else np.inf
-    return RatioRow(
-        v=v,
-        mu=mu,
-        bc=bc,
-        tc_bulk=bulk.tc,
-        tc_boundary=bound.tc,
-        relative_shift=(bound.tc - bulk.tc) / bulk.tc,
-        gap_at_tc_bulk=gap,
-        grid_nodes=grid.n,
-        t_noise=t_noise,
-        tc_bulk_evaluations=bulk.evaluations,
-        tc_boundary_evaluations=bound.evaluations,
-        matrix_nodes=at_bulk.matrix_nodes,
-    )
 
 
 def ratio_curve(
@@ -441,7 +402,7 @@ def ratio_curve(
     rows = []
     for v in vs:
         try:
-            rows.append(_row(v, mu, bc, tol, knobs))
+            rows.append(_tc_boundary_above(v, mu, bc, tol, knobs)[1])
         except NumericsError as err:
             logger.warning("ratio_curve row v=%g failed: %s", v, err)
             rows.append(RatioRow(v=v, mu=mu, bc=bc, error=str(err)))

@@ -654,6 +654,16 @@ def test_top_value_is_top_eigenpairs_value():
         assert block.flags.writeable and cut_bound == op.cut_bound
         top = top_eigenpair(op)[0]
         assert _top_value(block) == _top_value(op.matrix) == top == spectral_gap(op) + op.a_edge
+        # the half-line solve: _schur_gap on that block, or with lambda_max
+        # asked and t above it, lambda_max - t and no split
+        t = 0.9 * top
+        G, record = bso._half_line_solve(params, grid, bc, meshes, t)
+        assert (G, record.schur_nodes) == bso._schur_gap(block, bc.sign, t)
+        assert (record.matrix_nodes, record.cut_bound) == (op.n, op.cut_bound)
+        assert record.lambda_max is None
+        G, record = bso._half_line_solve(params, grid, bc, meshes, 1.1 * top, top=True)
+        assert (G, record.lambda_max) == (top - 1.1 * top, top)
+        assert record.schur_nodes == record.matrix_nodes == op.n
 
 
 def test_top_eigenpair_turns_the_largest_entry_positive():

@@ -485,10 +485,12 @@ def test_ratio_curve_rows_and_invariants():
         op = assemble(params, grid, D)
         assert row.gap_at_tc_bulk == spectral_gap(op)
         assert row.matrix_nodes == op.n < grid.n
-        assert row.tc_bulk_evaluations == tc_bulk(row.v, 1.0, curve.tol).evaluations
+        bulk = tc_bulk(row.v, 1.0, curve.tol)
+        assert (row.tc_bulk, row.tc_bulk_evaluations) == (bulk.tc, bulk.evaluations)
         bound = tc_boundary(row.v, 1.0, D, curve.tol)
-        assert row.tc_boundary_evaluations == bound.evaluations
+        assert (row.tc_boundary, row.tc_boundary_evaluations) == (bound.tc, bound.evaluations)
         numerics = bound.numerics
+        assert numerics["grid_tol"] == _grid_tol(curve.tol)
         assert 0 < numerics["matrix_nodes"] < numerics["grid_nodes"]
         assert 0.0 <= numerics["cut_bound"] <= numerics["grid_tol"] / 2.0
 
