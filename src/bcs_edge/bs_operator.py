@@ -118,19 +118,17 @@ def eval_A(p, params: ModelParams, grid: MomentumGrid):
     p, scalar = _wrap(p)
     if np.isnan(p).any():
         raise ValueError("momentum must not be NaN")
-    order = np.argsort(np.abs(p))
-    s = np.abs(p)[order]
-    out = np.empty(p.size)
+    s = np.abs(p).ravel()
     Kp = eval_B(s[:, None], grid.nodes, params)
-    out[order] = _A_rows(params, grid, Kp, _A_meshes(grid, s))
-    return _unwrap(out, scalar)
+    out = _A_rows(params, grid, Kp, _A_meshes(grid, s))
+    return _unwrap(out.reshape(p.shape), scalar)
 
 
 def eval_E(p, params: ModelParams, grid: MomentumGrid):
     """E(p) = 4*pi*(A(0) - A(p)), both from one call, so E(0) is exactly 0."""
     p, scalar = _wrap(p)
-    A = eval_A(np.concatenate([[0.0], p]), params, grid)
-    return _unwrap(4.0 * np.pi * (A[0] - A[1:]), scalar)
+    A = eval_A(np.concatenate([[0.0], p.ravel()]), params, grid)
+    return _unwrap(4.0 * np.pi * (A[0] - A[1:]).reshape(p.shape), scalar)
 
 
 def _gershgorin_reach(M: np.ndarray, sign: float) -> np.ndarray:

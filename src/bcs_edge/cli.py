@@ -8,6 +8,10 @@ records the resolved configuration, seeds, grid policy, and a replay
 argv; re-running that argv against a fresh output path reproduces the
 file byte for byte.
 
+Each option carries the bound its values must meet; a resolved value
+outside it, from a flag, a config file or a default, exits 1 with
+"<flag> must be <bound>".  Commands are plain functions of that config.
+
 Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 partial
 sweep (some rows failed and carry NaN cells).
 """
@@ -22,7 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -58,16 +62,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# the bounds an option may carry, keyed by the words of its refusal
+_BOUNDS = {
+    "positive and finite": lambda x: 0 < x < np.inf,
+    "nonnegative and finite": lambda x: 0 <= x < np.inf,
+    "at least 1": lambda x: x >= 1,
+    "at least 2": lambda x: x >= 2,
+}
+
+
 @dataclass(frozen=True)
 class _Opt:
-    """One CLI option: parsing, config-file fallback, and replay spec."""
+    """One CLI option: parsing, its bound, config-file fallback, and
+    replay spec."""
 
     flag: str
     conv: object
     default: object = None
     required: bool = False
     repeat: bool = False
-    choices: tuple = ()
+    choices: tuple | None = None
+    bound: str = ""
     help: str = ""
 
     @property
@@ -76,13 +91,9 @@ class _Opt:
 
 
 def _add_option(parser, opt: _Opt) -> None:
-    kwargs = {"dest": opt.dest, "default": None, "help": opt.help}
-    if opt.repeat:
-        parser.add_argument(opt.flag, action="append", type=opt.conv, **kwargs)
-    elif opt.choices:
-        parser.add_argument(opt.flag, choices=opt.choices, **kwargs)
-    else:
-        parser.add_argument(opt.flag, type=opt.conv, **kwargs)
+    action = "append" if opt.repeat else "store"
+    parser.add_argument(opt.flag, action=action, type=opt.conv, choices=opt.choices,
+                        dest=opt.dest, default=None, help=opt.help)
 
 
 def _read_config(parser, path: str) -> dict:
@@ -104,9 +115,10 @@ def _read_config(parser, path: str) -> dict:
 
 
 def _resolve(parser, ns) -> dict:
-    """Merge flag values over config-file values over defaults.  Config
-    values go through the flags' own parser as --flag=value tokens, one
-    per comma-separated item of a repeat option."""
+    """Merge flag values over config-file values over defaults, then
+    refuse any value outside its option's bound.  Config values go
+    through the flags' own parser as --flag=value tokens, one per
+    comma-separated item of a repeat option."""
     opts = {o.dest: o for o in ns._opts}
     config = _read_config(parser, ns.config) if ns.config else {}
     tokens = []
@@ -126,11 +138,11 @@ def _resolve(parser, ns) -> dict:
         if opt.required and (value is None or (opt.repeat and not value)):
             parser.error(f"{opt.flag} is required")
         cfg[opt.dest] = value
-
-    if "threads" in cfg:
-        if cfg["threads"] is None:
-            cfg["threads"] = os.cpu_count() or 1
-        _positive(parser, cfg, "threads")
+    for opt in opts.values():
+        value = cfg[opt.dest]
+        if opt.bound and value is not None:
+            if not all(map(_BOUNDS[opt.bound], value if opt.repeat else [value])):
+                parser.error(f"{opt.flag} must be {opt.bound}")
     return cfg
 
 
@@ -236,19 +248,9 @@ def _emit(command, cfg, opts, header, rows, provenance, started) -> None:
 # --- commands ----------------------------------------------------------
 
 
-def _positive(parser, cfg, *names) -> None:
-    for name in names:
-        value = cfg[name]
-        values = value if isinstance(value, list) else [value]
-        for item in values:
-            if not (item > 0 and np.isfinite(item)):
-                parser.error(f"--{name.replace('_', '-')} must be positive and finite")
-
-
-def cmd_tc(parser, cfg, knobs):
+def cmd_tc(cfg):
     """One solve per coupling: tc_bulk, or tc_boundary when --bc is an option."""
-    _positive(parser, cfg, "mu", "v", "tol")
-    mu, tol = cfg["mu"], cfg["tol"]
+    mu, tol, knobs = cfg["mu"], cfg["tol"], GridKnobs(cfg["grid_points"])
     if "bc" in cfg:
         bc = BoundaryCondition(cfg["bc"])
         fixed = {"mu": mu, "bc": bc}
@@ -287,13 +289,10 @@ _CURVE_COLUMNS = [
 ]
 
 
-def cmd_ratio_curve(parser, cfg, knobs):
-    if cfg["v_count"] < 1:
-        parser.error("--v-count must be at least 1")
-    _positive(parser, cfg, "mu", "v_min", "v_max", "tol")
+def cmd_ratio_curve(cfg):
     if cfg["v_max"] < cfg["v_min"]:
-        parser.error("--v-max must be >= --v-min")
-    bc = BoundaryCondition(cfg["bc"])
+        raise ValueError("--v-max must be >= --v-min")
+    bc, knobs = BoundaryCondition(cfg["bc"]), GridKnobs(cfg["grid_points"])
     vs = np.geomspace(cfg["v_min"], cfg["v_max"], cfg["v_count"])
     single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], knobs=knobs).rows[0]
     rows = _pmap(single, vs, cfg["threads"])
@@ -319,13 +318,10 @@ def cmd_ratio_curve(parser, cfg, knobs):
     )
 
 
-def cmd_spectrum(parser, cfg, knobs):
-    _positive(parser, cfg, "T", "tol")
-    if not (cfg["mu"] >= 0 and np.isfinite(cfg["mu"])):
-        parser.error("--mu must be nonnegative and finite")
+def cmd_spectrum(cfg):
     bc = BoundaryCondition(cfg["bc"])
     params = ModelParams(T=cfg["T"], mu=cfg["mu"])
-    grid = build_grid(params, cfg["tol"], knobs)
+    grid = build_grid(params, cfg["tol"], GridKnobs(cfg["grid_points"]))
     op = assemble(params, grid, bc)
     top, vec = top_eigenpair(op)
     gap = top - op.a_edge
@@ -356,15 +352,12 @@ def cmd_spectrum(parser, cfg, knobs):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_trial_gap(parser, cfg, knobs):
-    _positive(parser, cfg, "T", "mu", "tol")
+def cmd_trial_gap(cfg):
     b = cfg["b"] if cfg["b"] is not None else cfg["mu"]
-    if not (b > 0 and np.isfinite(b)):
-        parser.error("--b must be positive and finite")
     value = trial_gap(
         ModelParams(T=cfg["T"], mu=cfg["mu"]),
         TrialConfig(b=b, tol=cfg["tol"]),
-        knobs,
+        GridKnobs(cfg["grid_points"]),
     )
     header = ["T", "mu", "b", "trial_gap"]
     rows = [{"T": cfg["T"], "mu": cfg["mu"], "b": b, "trial_gap": value}]
@@ -372,8 +365,7 @@ def cmd_trial_gap(parser, cfg, knobs):
     return header, rows, provenance, EXIT_OK
 
 
-def cmd_asymptotics(parser, cfg):
-    _positive(parser, cfg, "mu", "v")
+def cmd_asymptotics(cfg):
     header = ["v", "mu", "tc_asymptotic"]
     rows = [
         {"v": v, "mu": cfg["mu"], "tc_asymptotic": tc_bulk_asymptotic(v, cfg["mu"])}
@@ -382,8 +374,7 @@ def cmd_asymptotics(parser, cfg):
     return header, rows, list(rows), EXIT_OK
 
 
-def cmd_verify(parser, cfg):
-    _positive(parser, cfg, "mu", "samples")
+def cmd_verify(cfg):
     n, seed, mu = cfg["samples"], cfg["seed"], cfg["mu"]
     smu = float(np.sqrt(mu))
     battery = (
@@ -409,8 +400,10 @@ def cmd_verify(parser, cfg):
 
 # --- wiring ------------------------------------------------------------
 
-_MU = _Opt("--mu", float, required=True, help="chemical potential")
-_V = _Opt("--v", float, required=True, repeat=True, help="coupling (repeatable)")
+_POS, _NONNEG = "positive and finite", "nonnegative and finite"
+_MU = _Opt("--mu", float, required=True, bound=_POS, help="chemical potential")
+_V = _Opt("--v", float, required=True, repeat=True, bound=_POS,
+          help="coupling (repeatable)")
 _BC = _Opt(
     "--bc",
     str,
@@ -418,17 +411,21 @@ _BC = _Opt(
     choices=("dirichlet", "neumann"),
     help="boundary condition (default dirichlet)",
 )
-_T_ARG = _Opt("--T", float, required=True, help="temperature")
-_TOL = _Opt("--tol", float, TOL_DEFAULT, help="target accuracy (default 1e-6)")
+_T_ARG = _Opt("--T", float, required=True, bound=_POS, help="temperature")
+_TOL = _Opt("--tol", float, TOL_DEFAULT, bound=_POS,
+            help="target accuracy (default 1e-6)")
 _GRID_POINTS = _Opt(
     "--grid-points",
     int,
     GridKnobs.points_per_panel,
+    bound="at least 2",
     help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
 )
 _THREADS = _Opt(
     "--threads",
     int,
+    os.cpu_count() or 1,
+    bound=_POS,
     help="worker pool size, at least 1 (default: logical cores)",
 )
 _OUT = _Opt("--out", str, help="output path; files get a .manifest.json sidecar")
@@ -450,9 +447,10 @@ _COMMANDS = {
         [
             _MU,
             _BC,
-            _Opt("--v-min", float, required=True, help="sweep start"),
-            _Opt("--v-max", float, required=True, help="sweep end"),
-            _Opt("--v-count", int, required=True, help="points, log-spaced"),
+            _Opt("--v-min", float, required=True, bound=_POS, help="sweep start"),
+            _Opt("--v-max", float, required=True, bound=_POS, help="sweep end"),
+            _Opt("--v-count", int, required=True, bound="at least 1",
+                 help="points, log-spaced"),
             _TOL,
             _GRID_POINTS,
             _THREADS,
@@ -463,7 +461,7 @@ _COMMANDS = {
     ),
     "spectrum": (
         cmd_spectrum,
-        [_T_ARG, _MU, _BC, _TOL, _GRID_POINTS, _OUT, _FORMAT],
+        [_T_ARG, replace(_MU, bound=_NONNEG), _BC, _TOL, _GRID_POINTS, _OUT, _FORMAT],
         "top eigenpair and edge of the discretized half-line operator",
     ),
     "trial-gap": (
@@ -471,7 +469,7 @@ _COMMANDS = {
         [
             _T_ARG,
             _MU,
-            _Opt("--b", float, help="trial-state width (default: mu)"),
+            _Opt("--b", float, bound=_POS, help="trial-state width (default: mu)"),
             _TOL,
             _GRID_POINTS,
             _OUT,
@@ -487,10 +485,12 @@ _COMMANDS = {
     "verify": (
         cmd_verify,
         [
-            _Opt("--mu", float, 1.0, help="chemical potential (default 1)"),
-            _Opt("--samples", int, 100_000, help="samples per randomized check"),
+            _Opt("--mu", float, 1.0, bound=_POS, help="chemical potential (default 1)"),
+            _Opt("--samples", int, 100_000, bound=_POS,
+                 help="samples per randomized check"),
             _OUT,
-            _Opt("--seed", int, 0, help="seed for randomized checks (default 0)"),
+            _Opt("--seed", int, 0, bound=_NONNEG,
+                 help="seed for randomized checks (default 0)"),
             _Opt("--format", str, "json", choices=("csv", "json"), help="output format"),
         ],
         "run every inequality check and report violations",
@@ -526,9 +526,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         cfg = _resolve(ns._sub, ns)
         started = time.monotonic()
-        # only the commands that take --grid-points take knobs
-        knobs = (GridKnobs(cfg["grid_points"]),) if "grid_points" in cfg else ()
-        header, rows, provenance, code = ns._fn(ns._sub, cfg, *knobs)
+        header, rows, provenance, code = ns._fn(cfg)
         _emit(ns.command, cfg, ns._opts, header, rows, provenance, started)
         return code
     except SystemExit as exc:

@@ -308,7 +308,7 @@ class _Meshes(NamedTuple):
 
 
 def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
-    """The T-independent half of _A_rows for ascending momenta p >= 0.
+    """The T-independent half of _A_rows for momenta p >= 0, in any order.
 
     A(p_i) is the grid sum of the kernel row B(p_i, grid.nodes),
     corrected where the grid does not resolve B(p_i, .): near its tanh
@@ -374,7 +374,7 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
 def _A_rows(params: ModelParams, grid: MomentumGrid, Kp: np.ndarray, m: _Meshes):
     """A(p_i) at params on a grid certified at params; Kp holds the kernel
     rows B(p_i, grid.nodes) and m is _A_meshes(grid, p) for the same
-    ascending p >= 0.  Each row is summed on its own, so A(p_i) does not
+    p >= 0, in any order.  Each row is summed on its own, so A(p_i) does not
     depend on which momenta share it.  The fresh points go through _L_xy,
     the tail of eval_B, which gives them eval_B's bits."""
     out = np.vecdot(Kp, grid.weights)

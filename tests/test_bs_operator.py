@@ -20,7 +20,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bcs_edge.bs_operator as bso
-import bcs_edge.quadrature as quadrature
 from bcs_edge import (
     GridKnobs,
     ModelParams,
@@ -706,16 +705,18 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_eigenvalue_stable_under_refinement(monkeypatch):
+def test_eigenvalue_stable_under_refinement():
     params = ModelParams(T=1e-3, mu=1.0)
     tol = 1e-7
-    lam = {}
-    for key, ppp, factor in (("base", 16, 3.0), ("ppp", 32, 3.0), ("lam15", 16, 4.5)):
-        monkeypatch.setattr(quadrature, "CUTOFF_FACTOR", factor)
-        grid = build_grid(params, tol, GridKnobs(ppp))
-        lam[key], _ = top_eigenpair(assemble(params, grid, D))
+    base = build_grid(params, tol)
+    # a core cut 4.5 rather than CUTOFF_FACTOR = 3 times 2 sqrt(mu) +
+    # TAIL_K sqrt(max(T, mu, 1)) = 22: one more core panel, 66 to 99
+    _, wide = octave_twin(params, base, 4.5 * 22.0)
+    assert base.core_cutoff == 66.0
+    grids = {"base": base, "ppp": build_grid(params, tol, GridKnobs(32)), "wide": wide}
+    lam = {key: top_eigenpair(assemble(params, g, D))[0] for key, g in grids.items()}
     assert abs(lam["ppp"] - lam["base"]) < tol
-    assert abs(lam["lam15"] - lam["base"]) < tol
+    assert abs(lam["wide"] - lam["base"]) < tol
 
 
 def test_perturbation_block_hilbert_schmidt_stable():

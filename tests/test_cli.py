@@ -34,7 +34,7 @@ def parse_csv(text):
     return header, rows
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
     assert cli.main([]) == 1
     assert cli.main(["tc-bulk", "--v", "0.4"]) == 1
     assert cli.main(["tc-bulk", "--mu", "1"]) == 1
@@ -56,9 +56,26 @@ def test_usage_errors_exit_one(capsys):
         == 1
     )
     capsys.readouterr()
-    assert cli.main(["ratio-curve", "--mu", "1", "--v-min", "2", "--v-max", "1",
-                     "--v-count", "2"]) == 1
-    assert "--v-max must be >= --v-min" in capsys.readouterr().err
+    # a value outside its option's bound names the flag, whether it came
+    # from the command line or a config file; --v-max below --v-min, the
+    # one rule across options, leaves through main's invalid-value branch
+    config = tmp_path / "run.cfg"
+    config.write_text("v_count = 0\n")
+    refusals = [
+        (["spectrum", "--T", "1", "--mu", "1", "--grid-points", "1"],
+         "bcs-edge spectrum: error: --grid-points must be at least 2\n"),
+        (["verify", "--seed", "-1"],
+         "bcs-edge verify: error: --seed must be nonnegative and finite\n"),
+        (["ratio-curve", "--config", str(config), "--mu", "1", "--v-min", "1",
+          "--v-max", "2"],
+         "bcs-edge ratio-curve: error: --v-count must be at least 1\n"),
+        (["ratio-curve", "--mu", "1", "--v-min", "2", "--v-max", "1", "--v-count", "2"],
+         "bcs-edge: invalid value: --v-max must be >= --v-min\n"),
+    ]
+    for argv, refusal in refusals:
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(refusal)
 
 
 @pytest.mark.parametrize(
@@ -71,6 +88,10 @@ def test_usage_errors_exit_one(capsys):
         (["ratio-curve", "--mu", "1", "--bc", "dirichlet", "--v-min", "1",
           "--v-max", "inf", "--v-count", "2"], "--v-max"),
         (["trial-gap", "--T", "0.1", "--mu", "1", "--b", "inf"], "--b"),
+        (["tc-boundary", "--mu", "1", "--v", "0.5", "--tol", "nan"], "--tol"),
+        (["ratio-curve", "--mu", "1", "--v-min", "nan", "--v-max", "1",
+          "--v-count", "2"], "--v-min"),
+        (["verify", "--mu", "inf"], "--mu"),
     ],
 )
 def test_non_finite_values_exit_one(capsys, argv, flag):

@@ -330,6 +330,12 @@ def test_A_vectorized_matches_scalar():
     for pi, vi in zip(ps, vec):
         assert eval_A(float(pi), params, grid) == vi
     assert vec[0] == pytest.approx(eval_a(params, grid), rel=1e-14)
+    # any shape, order and sign gives the flat call's bits, reshaped
+    block = np.array([[3.0, -0.9, 0.0], [-3.0, 17.5, 0.9]])
+    for f in (eval_A, eval_E):
+        shaped = f(block.ravel(), params, grid).reshape(block.shape)
+        assert np.array_equal(f(block, params, grid), shaped)
+        assert np.array_equal(f(block[:, ::-1], params, grid), shaped[:, ::-1])
 
 
 def test_A_off_node_matches_oracle():

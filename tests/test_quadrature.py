@@ -244,19 +244,25 @@ def test_recertify_rechecks_the_tail_certificate():
         eval_a(ModelParams(T=0.2, mu=1.0), short)
 
 
-def octave_twin(params, grid):
-    """(cutoff, twin): grid's core panels, then one panel per doubling of
-    the core cutoff until tail_bound certifies it, as 8-point grids lay
-    out their tail; cutoff comes from the twin's own doubling loop."""
+def octave_twin(params, grid, core_cutoff=None):
+    """(cutoff, twin): grid's core panels, one more core panel out to
+    core_cutoff when that is given, then one panel per doubling of the
+    core cutoff until tail_bound certifies it, as 8-point grids lay out
+    their tail; cutoff comes from the twin's own doubling loop."""
     pol = grid.policy
-    cutoff, octaves = grid.core_cutoff, 0
+    core = grid.panel_edges[grid.panel_edges <= grid.core_cutoff]
+    if core_cutoff is None:
+        core_cutoff = grid.core_cutoff
+    else:
+        core = np.append(core, core_cutoff)
+    cutoff, octaves = core_cutoff, 0
     while tail_bound(params, cutoff) / (4.0 * np.pi) > pol.tol / 2.0:
         cutoff *= 2.0
         octaves += 1
-    core = grid.panel_edges[grid.panel_edges <= grid.core_cutoff]
-    edges = np.append(core, grid.core_cutoff * 2.0 ** np.arange(1, octaves + 1))
+    edges = np.append(core, core_cutoff * 2.0 ** np.arange(1, octaves + 1))
     nodes, weights = _panels_to_grid(edges, pol.points_per_panel)
-    twin = dataclasses.replace(grid, nodes=nodes, weights=weights, panel_edges=edges)
+    twin = dataclasses.replace(grid, nodes=nodes, weights=weights, panel_edges=edges,
+                               core_cutoff=core_cutoff, cutoff=cutoff)
     return cutoff, twin
 
 

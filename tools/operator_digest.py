@@ -245,7 +245,7 @@ def _kernel_pieces():
 
 def _check_pieces():
     """(name, byte strings) of each report of the verify battery."""
-    _, rows, _, _ = cmd_verify(None, CHECK_CONFIG)
+    _, rows, _, _ = cmd_verify(CHECK_CONFIG)
     return [
         (row["name"], [
             row["name"].encode(),
