@@ -17,7 +17,7 @@ from .lemma_suite import *
 from .quadrature import *
 from .variational import *
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",

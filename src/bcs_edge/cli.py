@@ -43,8 +43,8 @@ from .critical_temperature import (
 )
 from .errors import NumericsError
 from .kernels import ModelParams
-from .quadrature import GridKnobs, build_grid
-from .variational import TrialConfig, trial_gap
+from .quadrature import POINTS_PER_PANEL, build_grid
+from .variational import trial_gap
 
 __all__ = ["main"]
 
@@ -250,14 +250,14 @@ def _emit(command, cfg, opts, header, rows, provenance, started) -> None:
 
 def cmd_tc(cfg):
     """One solve per coupling: tc_bulk, or tc_boundary when --bc is an option."""
-    mu, tol, knobs = cfg["mu"], cfg["tol"], GridKnobs(cfg["grid_points"])
+    mu, tol, ppp = cfg["mu"], cfg["tol"], cfg["grid_points"]
     if "bc" in cfg:
         bc = BoundaryCondition(cfg["bc"])
         fixed = {"mu": mu, "bc": bc}
-        solve = lambda v: tc_boundary(v, mu, bc, tol, knobs)
+        solve = lambda v: tc_boundary(v, mu, bc, tol, ppp)
     else:
         fixed = {"mu": mu}
-        solve = lambda v: tc_bulk(v, mu, tol, knobs)
+        solve = lambda v: tc_bulk(v, mu, tol, ppp)
     results = _pmap(solve, cfg["v"], cfg["threads"])
     header = ["v", *fixed, "tc", "residual", "evaluations"]
     rows = [
@@ -292,9 +292,9 @@ _CURVE_COLUMNS = [
 def cmd_ratio_curve(cfg):
     if cfg["v_max"] < cfg["v_min"]:
         raise ValueError("--v-max must be >= --v-min")
-    bc, knobs = BoundaryCondition(cfg["bc"]), GridKnobs(cfg["grid_points"])
+    bc, ppp = BoundaryCondition(cfg["bc"]), cfg["grid_points"]
     vs = np.geomspace(cfg["v_min"], cfg["v_max"], cfg["v_count"])
-    single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], knobs=knobs).rows[0]
+    single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], ppp).rows[0]
     rows = _pmap(single, vs, cfg["threads"])
     table = [
         {column: getattr(row, column) for column in _CURVE_COLUMNS}
@@ -321,7 +321,7 @@ def cmd_ratio_curve(cfg):
 def cmd_spectrum(cfg):
     bc = BoundaryCondition(cfg["bc"])
     params = ModelParams(T=cfg["T"], mu=cfg["mu"])
-    grid = build_grid(params, cfg["tol"], GridKnobs(cfg["grid_points"]))
+    grid = build_grid(params, cfg["tol"], cfg["grid_points"])
     op = assemble(params, grid, bc)
     top, vec = top_eigenpair(op)
     gap = top - op.a_edge
@@ -355,9 +355,7 @@ def cmd_spectrum(cfg):
 def cmd_trial_gap(cfg):
     b = cfg["b"] if cfg["b"] is not None else cfg["mu"]
     value = trial_gap(
-        ModelParams(T=cfg["T"], mu=cfg["mu"]),
-        TrialConfig(b=b, tol=cfg["tol"]),
-        GridKnobs(cfg["grid_points"]),
+        ModelParams(T=cfg["T"], mu=cfg["mu"]), b, cfg["tol"], cfg["grid_points"]
     )
     header = ["T", "mu", "b", "trial_gap"]
     rows = [{"T": cfg["T"], "mu": cfg["mu"], "b": b, "trial_gap": value}]
@@ -417,9 +415,9 @@ _TOL = _Opt("--tol", float, TOL_DEFAULT, bound=_POS,
 _GRID_POINTS = _Opt(
     "--grid-points",
     int,
-    GridKnobs.points_per_panel,
+    POINTS_PER_PANEL,
     bound="at least 2",
-    help=f"Gauss-Legendre points per panel (default {GridKnobs.points_per_panel})",
+    help=f"Gauss-Legendre points per panel (default {POINTS_PER_PANEL})",
 )
 _THREADS = _Opt(
     "--threads",

@@ -30,7 +30,7 @@ import numpy as np
 from .bs_operator import BoundaryCondition, _half_line_solve, _top_value, assemble
 from .errors import BracketFailure, NumericsError, ToleranceUnreachable
 from .kernels import EULER_GAMMA, ModelParams, _edge_log_slope, eval_a
-from .quadrature import GridKnobs, _A_meshes, build_grid
+from .quadrature import POINTS_PER_PANEL, _A_meshes, build_grid
 
 __all__ = [
     "TcResult",
@@ -249,7 +249,10 @@ def tc_bulk_asymptotic(v: float, mu: float) -> float:
 
 
 def tc_bulk(
-    v: float, mu: float, tol: float = TOL_DEFAULT, knobs: GridKnobs = GridKnobs()
+    v: float,
+    mu: float,
+    tol: float = TOL_DEFAULT,
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> TcResult:
     """Solve a_{T,mu} = 1/v for T by safeguarded regula falsi in log T.
 
@@ -257,12 +260,12 @@ def tc_bulk(
     is closed by steps from the weak-coupling closed form, predicted
     from the closed-form slope of a there and then from secants; strong
     couplings, where the closed form is far off, take longer steps.
-    Every grid is built with knobs.
+    Every grid carries points_per_panel Gauss-Legendre nodes per panel.
     """
-    return _tc_bulk(v, mu, tol, knobs)[0]
+    return _tc_bulk(v, mu, tol, points_per_panel)[0]
 
 
-def _tc_bulk(v, mu, tol, knobs):
+def _tc_bulk(v, mu, tol, points_per_panel):
     """tc_bulk's root find: (TcResult, the grid it built at tc), so that a
     boundary search at tc_bulk can solve on that grid."""
     seed = tc_bulk_asymptotic(v, mu)
@@ -271,7 +274,7 @@ def _tc_bulk(v, mu, tol, knobs):
 
     def h(T):
         params = ModelParams(T=T, mu=mu)
-        grid = build_grid(params, gtol, knobs)
+        grid = build_grid(params, gtol, points_per_panel)
         return eval_a(params, grid) - target, grid
 
     at_seed = h(seed)
@@ -294,7 +297,7 @@ def tc_boundary(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    knobs: GridKnobs = GridKnobs(),
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> TcResult:
     """Solve sup spectrum of the half-line operator = 1/v for T.
 
@@ -304,10 +307,10 @@ def tc_boundary(
     at this discretization), the bulk temperature is returned with the
     measured residual: the enhancement is zero at this tolerance.
     """
-    return _tc_boundary_above(v, mu, bc, tol, knobs)[0]
+    return _tc_boundary_above(v, mu, bc, tol, points_per_panel)[0]
 
 
-def _tc_boundary_above(v, mu, bc, tol, knobs):
+def _tc_boundary_above(v, mu, bc, tol, points_per_panel):
     """(tc_boundary's TcResult, ratio_curve's RatioRow) from one bulk root
     find and the half-line root find above it.  Every T is solved on the
     grid the bulk root find built at tc_bulk, the lowest T, so the finest
@@ -322,7 +325,7 @@ def _tc_boundary_above(v, mu, bc, tol, knobs):
     essential edge's, is scaled by G / (lambda_max - 1/v) at tc_bulk.
     numerics["schur_nodes"] is the kept order at the returned root
     (matrix_nodes where no search ran)."""
-    bulk, grid = _tc_bulk(v, mu, tol, knobs)
+    bulk, grid = _tc_bulk(v, mu, tol, points_per_panel)
     t = 1.0 / v
     params = ModelParams(T=bulk.tc, mu=mu)
     edge_slope = _edge_log_slope(params, grid)
@@ -375,12 +378,12 @@ def v_of_T(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    knobs: GridKnobs = GridKnobs(),
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> float:
     """Coupling at which T is the half-line critical temperature: 1 / the
     supremum of the half-line spectrum, max(top eigenvalue, a_edge)."""
     params = ModelParams(T=T, mu=mu)
-    op = assemble(params, build_grid(params, _grid_tol(tol), knobs), bc)
+    op = assemble(params, build_grid(params, _grid_tol(tol), points_per_panel), bc)
     return 1.0 / max(_top_value(op.matrix), op.a_edge)
 
 
@@ -389,7 +392,7 @@ def ratio_curve(
     mu: float,
     bc: BoundaryCondition,
     tol: float = TOL_DEFAULT,
-    knobs: GridKnobs = GridKnobs(),
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> RatioCurve:
     """Independent per-v solves; failures are recorded in-row.
 
@@ -402,7 +405,7 @@ def ratio_curve(
     rows = []
     for v in vs:
         try:
-            rows.append(_tc_boundary_above(v, mu, bc, tol, knobs)[1])
+            rows.append(_tc_boundary_above(v, mu, bc, tol, points_per_panel)[1])
         except NumericsError as err:
             logger.warning("ratio_curve row v=%g failed: %s", v, err)
             rows.append(RatioRow(v=v, mu=mu, bc=bc, error=str(err)))

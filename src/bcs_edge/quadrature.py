@@ -33,7 +33,6 @@ from .errors import RefusedRegime, ToleranceUnreachable
 from .kernels import ModelParams, _blocked, _edge_sum, _L_xy, _xy
 
 __all__ = [
-    "GridKnobs",
     "GridPolicy",
     "MomentumGrid",
     "build_grid",
@@ -65,6 +64,9 @@ _DEPTH_CAP = 8
 CUTOFF_FACTOR = 3.0
 TAIL_K = 20.0
 
+# Gauss-Legendre points on every panel unless a caller refines its grids.
+POINTS_PER_PANEL = 16
+
 # Past the core, B(p, q) <= 4/|p^2 + q^2 - 4 mu| is smooth in q on the
 # scale of q itself, so an n-point Gauss-Legendre panel [c, r c] resolves
 # it to about ((sqrt r - 1)/(sqrt r + 1))^(2n) (Bernstein-ellipse bound;
@@ -75,25 +77,8 @@ TAIL_RESOLUTION = 1e-15
 
 
 @dataclass(frozen=True)
-class GridKnobs:
-    """The discretization knob a caller may choose for its grids: the
-    Gauss-Legendre points on every panel.
-
-    Solvers take one record and pass it to every grid they build, so a
-    front end fixes the knob once per run.
-    """
-
-    points_per_panel: int = 16
-
-    def __post_init__(self):
-        ppp = self.points_per_panel
-        if not isinstance(ppp, (int, np.integer)) or ppp < 2:
-            raise ValueError(f"points_per_panel must be an integer of at least 2, got {ppp!r}")
-
-
-@dataclass(frozen=True)
 class GridPolicy:
-    """Construction record: the knobs that determine a grid bit-for-bit.
+    """Construction record: the settings that determine a grid bit-for-bit.
 
     The class constants are the same for every grid; they are kept on
     the record so that it still names everything the grid depends on.
@@ -429,7 +414,7 @@ def tail_bound(params: ModelParams, cutoff: float) -> float:
 def build_grid(
     params: ModelParams,
     tol: float = 1e-8,
-    knobs: GridKnobs = GridKnobs(),
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
@@ -445,12 +430,16 @@ def build_grid(
     the last one what is left; at 8 points they are the octaves
     themselves.
 
-    Every panel carries knobs.points_per_panel Gauss-Legendre nodes.
+    Every panel carries points_per_panel Gauss-Legendre nodes, an
+    integer of at least 2 (ValueError otherwise).
 
     Raises RefusedRegime for T/mu < 1e-8 and ToleranceUnreachable if the
     depth cap is hit first.
     """
-    points_per_panel = knobs.points_per_panel
+    if not isinstance(points_per_panel, (int, np.integer)) or points_per_panel < 2:
+        raise ValueError(
+            f"points_per_panel must be an integer of at least 2, got {points_per_panel!r}"
+        )
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol < _TOL_FLOOR:

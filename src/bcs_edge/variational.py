@@ -18,40 +18,21 @@ as T -> infinity.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bs_operator import BoundaryCondition, _top_value, assemble
 from .errors import DenominatorNonnegative
 from .kernels import EULER_GAMMA, ModelParams, _B_matrix, eval_B, eval_F, eval_a
-from .quadrature import GridKnobs, _A_meshes, _A_rows, build_grid
+from .quadrature import POINTS_PER_PANEL, _A_meshes, _A_rows, build_grid
 
 __all__ = [
-    "TrialConfig",
     "trial_gap",
     "int_F_residual",
     "scaled_sup",
 ]
 
 logger = logging.getLogger(__name__)
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Gaussian trial state ghat(p) = exp(-(p - 2 sqrt(mu))**2 / b).
-
-    b is the squared momentum-space width; tol is the quadrature
-    tolerance used for every integral the witness needs.
-    """
-
-    b: float
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if not (self.tol > 0 and np.isfinite(self.tol)):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 def _gauss_fold(p: np.ndarray, mu: float, b: float):
@@ -62,10 +43,9 @@ def _gauss_fold(p: np.ndarray, mu: float, b: float):
     return gp + gm, gp * gp + gm * gm
 
 
-def _pieces(
-    params: ModelParams, cfg: TrialConfig, knobs: GridKnobs = GridKnobs()
-):
-    """(B(0,0), I0, <g|A-a|g>) behind trial_gap.
+def _pieces(params: ModelParams, b: float, tol: float, points_per_panel: int):
+    """(B(0,0), I0, <g|A-a|g>) behind trial_gap, for the Gaussian trial
+    state ghat(p) = exp(-(p - 2 sqrt(mu))**2 / b) of squared width b.
 
     I0 = integral_R B(0,q) ghat(q) dq and
     <g|A-a|g> = integral ghat(p)^2 (A(p)-a) dp
@@ -74,9 +54,9 @@ def _pieces(
     momentum separately, so they fold onto the half-line grid with
     ghat(p) + ghat(-p) (squares of ghat fold as the sum of squares).
     """
-    grid = build_grid(params, cfg.tol, knobs)
+    grid = build_grid(params, tol, points_per_panel)
     p, w = grid.nodes, grid.weights
-    gfold, gsq = _gauss_fold(p, params.mu, cfg.b)
+    gfold, gsq = _gauss_fold(p, params.mu, b)
     a = float(eval_a(params, grid))
     K = _B_matrix(grid.nodes, params)
     diag = _A_rows(params, grid, K, _A_meshes(grid, p))
@@ -90,8 +70,9 @@ def _pieces(
 
 def trial_gap(
     params: ModelParams,
-    cfg: TrialConfig | None = None,
-    knobs: GridKnobs = GridKnobs(),
+    b: float | None = None,
+    tol: float = 1e-9,
+    points_per_panel: int = POINTS_PER_PANEL,
 ) -> float:
     """Witness -B(0,0)/4 - I0^2 / (16 pi <g|A-a|g>) for the Dirichlet gap.
 
@@ -102,29 +83,33 @@ def trial_gap(
     bound on the gap that spectral_gap reports.  At mu = 1 it reads
     2.354, 0.982 and 0.0864 at T = 1e-6, 1e-3 and 0.1, where the
     Dirichlet gap on a grid of tol 1e-8 is 0.00284, 0.00923 and 0.0178.
-    cfg defaults to TrialConfig(b=params.mu), which keeps the trial
-    width tied to the Fermi momentum; the quadrature grid is built with
-    knobs.
+    The trial state is ghat(p) = exp(-(p - 2 sqrt(mu))**2 / b); b
+    defaults to mu, which keeps its width tied to the Fermi momentum,
+    and must be positive (ValueError).  Every integral is taken on one
+    build_grid(params, tol, points_per_panel), which refuses a tol or a
+    points_per_panel it cannot build with.
 
     Raises DenominatorNonnegative when <g|A-a|g> >= 0 numerically,
     which signals an unresolved grid rather than physics.
     """
     if not params.mu > 0:
         raise ValueError(f"mu must be positive, got {params.mu}")
-    if cfg is None:
-        cfg = TrialConfig(b=params.mu)
-    b00, i0, denom = _pieces(params, cfg, knobs)
+    if b is None:
+        b = params.mu
+    if not b > 0:
+        raise ValueError(f"b must be positive, got {b}")
+    b00, i0, denom = _pieces(params, b, tol, points_per_panel)
     if denom >= 0.0:
         raise DenominatorNonnegative(
             f"<g|A-a|g> = {denom:.3e} >= 0 at T={params.T:g}, "
-            f"mu={params.mu:g}, b={cfg.b:g}; grid failed to resolve the kernel"
+            f"mu={params.mu:g}, b={b:g}; grid failed to resolve the kernel"
         )
     value = -0.25 * b00 - i0 * i0 / (16.0 * np.pi * denom)
     logger.debug(
         "trial_gap(T=%g, mu=%g, b=%g): B00=%.6g I0=%.6g denom=%.6g -> %.6g",
         params.T,
         params.mu,
-        cfg.b,
+        b,
         b00,
         i0,
         denom,

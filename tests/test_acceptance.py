@@ -12,9 +12,7 @@ import numpy as np
 import bcs_edge.cli as cli
 from bcs_edge import (
     BoundaryCondition,
-    GridKnobs,
     ModelParams,
-    TrialConfig,
     assemble,
     build_grid,
     check_K_majorant,
@@ -51,7 +49,7 @@ def test_c01_bulk_equation_residual(acceptance):
             params = ModelParams(T=result.tc, mu=1.0)
             lhs = float(eval_a(params, build_grid(params, 1e-9)))
             assert abs(lhs - 1.0 / v) <= 1e-6
-            doubled = build_grid(params, 1e-9, GridKnobs(points_per_panel=32))
+            doubled = build_grid(params, 1e-9, points_per_panel=32)
             assert abs(float(eval_a(params, doubled)) - 1.0 / v) <= 1e-5
 
 
@@ -124,15 +122,13 @@ def test_c06_strong_coupling_collapse(acceptance):
 
 def test_c07_trial_state_certificate(acceptance):
     with acceptance(7, "trial-state-certificate"):
-        witness = trial_gap(
-            ModelParams(T=1e-4, mu=1.0), TrialConfig(b=1.0, tol=1e-8)
-        )
+        witness = trial_gap(ModelParams(T=1e-4, mu=1.0), b=1.0, tol=1e-8)
         assert witness > 0.0
         # positive witness must imply a positive eigensolver gap; the
         # last pair has a negative witness and exercises the vacuous arm
         for T, mu in ((1e-4, 1.0), (1e-2, 1.0), (0.05, 2.0), (0.5, 1.0)):
             params = ModelParams(T=T, mu=mu)
-            value = trial_gap(params, TrialConfig(b=mu, tol=1e-8))
+            value = trial_gap(params, b=mu, tol=1e-8)
             if value > 0.0:
                 grid = build_grid(params, 1e-8)
                 assert spectral_gap(assemble(params, grid, DIRICHLET)) > 0.0

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import bcs_edge.bs_operator as bso
 from bcs_edge import (
-    GridKnobs,
     ModelParams,
     NoConvergence,
     NumericsError,
@@ -92,7 +91,7 @@ def test_kernel_matrix_is_B_on_every_pair_bitwise(mu, T, ppp):
     # closed-form ranges, eval_B between them and the mirrored lower
     # triangle must give the very bits of one full evaluation, at the
     # build T and off it (the ranges move with T, the nodes do not)
-    grid = build_grid(ModelParams(T=T, mu=mu), 1e-6, GridKnobs(points_per_panel=ppp))
+    grid = build_grid(ModelParams(T=T, mu=mu), 1e-6, points_per_panel=ppp)
     p = grid.nodes
     for at in (T, 1.07 * T):
         params = ModelParams(T=at, mu=mu)
@@ -301,8 +300,8 @@ def test_diag_A_meets_tol_against_ppp32(T, mu, ppp):
     # every node, tail nodes included: the crossovers of B(p, .) past
     # the core lie in tail panels the grid does not resolve
     params = ModelParams(T=T, mu=mu)
-    grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=ppp))
-    fine = build_grid(params, 1e-8, GridKnobs(points_per_panel=32))
+    grid = build_grid(params, 1e-8, points_per_panel=ppp)
+    fine = build_grid(params, 1e-8, points_per_panel=32)
     diff = eval_A(grid.nodes, params, grid) - eval_A(grid.nodes, params, fine)
     assert np.all(np.abs(diff) <= grid.policy.tol)
 
@@ -440,8 +439,8 @@ def test_matrix_cut_keeps_every_node_when_the_tail_couples_at_order_one():
 
 # the operator points of tools/operator_digest.py
 DIGEST_POINTS = [
-    (ModelParams(T=T, mu=mu), tol, knobs)
-    for knobs in (GridKnobs(16), GridKnobs(8))
+    (ModelParams(T=T, mu=mu), tol, ppp)
+    for ppp in (16, 8)
     for tol in (1e-8, 1e-5)
     for mu in (-0.5, 0.0, 0.3, 1.0, 4.0)
     for T in (1e-5, 7.8e-3, 1.0, 20.0)
@@ -453,9 +452,9 @@ def test_off_diagonal_entries_carry_the_boundary_sign_on_the_digest_battery():
     # + tanh v has the sign of u + v.  At T = 1e-5 both tanh factors
     # saturate on whole ranges, where B is the closed form or exactly 0
     zeros = 0
-    for params, tol, knobs in DIGEST_POINTS:
+    for params, tol, ppp in DIGEST_POINTS:
         try:
-            grid = build_grid(params, tol, knobs)
+            grid = build_grid(params, tol, ppp)
         except NumericsError:
             continue
         K = _B_matrix(grid.nodes, params)
@@ -571,7 +570,7 @@ def test_tail_panels_move_the_top_eigenvalue_within_the_cut_bound(T, ppp):
     # falls on other edges, and the top eigenvalue moves by no more than
     # the larger of the two cut bounds
     params = ModelParams(T=T, mu=1.0)
-    grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=ppp))
+    grid = build_grid(params, 1e-8, points_per_panel=ppp)
     _, twin = octave_twin(params, grid)
     for bc in (D, N):
         op, op_twin = assemble(params, grid, bc), assemble(params, twin, bc)
@@ -713,7 +712,7 @@ def test_eigenvalue_stable_under_refinement():
     # TAIL_K sqrt(max(T, mu, 1)) = 22: one more core panel, 66 to 99
     _, wide = octave_twin(params, base, 4.5 * 22.0)
     assert base.core_cutoff == 66.0
-    grids = {"base": base, "ppp": build_grid(params, tol, GridKnobs(32)), "wide": wide}
+    grids = {"base": base, "ppp": build_grid(params, tol, 32), "wide": wide}
     lam = {key: top_eigenpair(assemble(params, g, D))[0] for key, g in grids.items()}
     assert abs(lam["ppp"] - lam["base"]) < tol
     assert abs(lam["wide"] - lam["base"]) < tol
@@ -736,7 +735,7 @@ def test_perturbation_block_hilbert_schmidt_stable():
         return np.linalg.norm(block)
 
     g1 = build_grid(params, 1e-8)
-    g2 = build_grid(params, 1e-8, GridKnobs(points_per_panel=32))
+    g2 = build_grid(params, 1e-8, points_per_panel=32)
     n1, n2 = hs(g1), hs(g2)
     assert n1 == pytest.approx(0.4475322903, rel=1e-4)
     assert n2 == pytest.approx(n1, rel=1e-5)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bcs_edge import GridKnobs, ModelParams, build_grid, eval_a
+from bcs_edge import ModelParams, build_grid, eval_a
 from bcs_edge.bs_operator import (
     BoundaryCondition,
     _nystroem,
@@ -33,6 +33,7 @@ from bcs_edge.critical_temperature import (
 )
 from bcs_edge.errors import BracketFailure, ToleranceUnreachable
 from bcs_edge.quadrature import _A_meshes
+from bcs_edge.variational import _pieces, trial_gap
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -257,7 +258,7 @@ def test_tc_bulk_solves_the_equation():
     assert lo < res.tc < hi or lo <= res.tc <= hi
     # residual re-evaluated on a twice-refined grid stays small
     params = ModelParams(T=res.tc, mu=1.0)
-    grid = build_grid(params, 1e-8, GridKnobs(points_per_panel=32))
+    grid = build_grid(params, 1e-8, points_per_panel=32)
     assert abs(eval_a(params, grid) - 2.0) <= 1e-5
 
 
@@ -297,9 +298,9 @@ def test_tc_bulk_solves_across_the_edge_row_range():
 
 
 def test_concurrent_tc_bulk_keeps_each_callers_knobs():
-    # overlapping solves with different knob records must not see each
-    # other's grids; a short switch interval makes them interleave often
-    knobs = (GridKnobs(), GridKnobs(points_per_panel=32))
+    # overlapping solves with different points per panel must not see
+    # each other's grids; a short switch interval makes them interleave often
+    knobs = (16, 32)
     expected = {k: tc_bulk(1.0, 1.0, 1e-3, k).numerics["grid_nodes"] for k in knobs}
     assert expected[knobs[0]] < expected[knobs[1]]
     interval = sys.getswitchinterval()
@@ -312,6 +313,30 @@ def test_concurrent_tc_bulk_keeps_each_callers_knobs():
         sys.setswitchinterval(interval)
     for k, result in got:
         assert result.numerics["grid_nodes"] == expected[k]
+
+
+def test_points_per_panel_reaches_every_solvers_grid():
+    # each solver builds its grids with the points per panel it is given:
+    # its grid size or its value is the 8-point grid's at the same T, and
+    # differs from the default grid's
+    v, mu, tol, T = 0.5, 1.0, 1e-3, 1e-2
+    gtol = _grid_tol(tol)
+
+    def nodes(T, points_per_panel):
+        return build_grid(ModelParams(T=T, mu=mu), gtol, points_per_panel).n
+
+    bulk = tc_bulk(v, mu, tol, 8)
+    assert bulk.numerics["grid_nodes"] == nodes(bulk.tc, 8) != nodes(bulk.tc, 16)
+    assert tc_boundary(v, mu, D, tol, 8).numerics["grid_nodes"] == nodes(bulk.tc, 8)
+    (row,) = ratio_curve([v], mu, D, tol, 8).rows
+    assert row.grid_nodes == nodes(row.tc_bulk, 8)
+    params = ModelParams(T=T, mu=mu)
+    op = assemble(params, build_grid(params, gtol, 8), D)
+    at_8 = 1.0 / max(_top_value(op.matrix), op.a_edge)
+    assert v_of_T(T, mu, D, tol, 8) == at_8 != v_of_T(T, mu, D, tol)
+    b00, i0, denom = _pieces(params, mu, 1e-9, 8)
+    at_8 = -0.25 * b00 - i0 * i0 / (16.0 * np.pi * denom)
+    assert trial_gap(params, points_per_panel=8) == at_8 != trial_gap(params)
 
 
 def test_tc_bulk_rejects_bad_inputs():
@@ -480,7 +505,7 @@ def test_ratio_curve_rows_and_invariants():
         assert row.tc_boundary - row.tc_bulk > 10.0 * row.t_noise
         # the gap comes from the boundary solver's own solve at tc_bulk
         params = ModelParams(T=row.tc_bulk, mu=1.0)
-        grid = build_grid(params, _grid_tol(curve.tol), GridKnobs())
+        grid = build_grid(params, _grid_tol(curve.tol))
         assert grid.n == row.grid_nodes
         op = assemble(params, grid, D)
         assert row.gap_at_tc_bulk == spectral_gap(op)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from bcs_edge import (
     BoundaryCondition,
     CutoffTooSmall,
-    GridKnobs,
     ModelParams,
     QuadratureUnderresolved,
     RefusedRegime,
@@ -109,11 +108,12 @@ def test_infinite_tolerance_rejected():
 
 
 def test_knobs_refuse_a_non_integer_panel_order():
-    # leggauss would raise TypeError at the first build_grid instead
+    # leggauss would raise TypeError inside build_grid instead
+    params = ModelParams(T=1.0, mu=1.0)
     for ppp in (16.0, 16.5, 1, np.float64(16.0)):
         with pytest.raises(ValueError, match="points_per_panel must be an integer"):
-            GridKnobs(points_per_panel=ppp)
-    assert GridKnobs(points_per_panel=np.int64(8)).points_per_panel == 8
+            build_grid(params, 1e-5, points_per_panel=ppp)
+    assert build_grid(params, 1e-5, np.int64(8)).policy.points_per_panel == 8
 
 
 def test_tail_bound_oracle():
@@ -278,7 +278,7 @@ TAIL_LATTICE = [
 @pytest.mark.parametrize("T, mu, tol", TAIL_LATTICE)
 def test_tail_panels_keep_the_octave_cutoff_and_integrals(T, mu, tol, ppp, ratio):
     params = ModelParams(T=T, mu=mu)
-    grid = build_grid(params, tol, GridKnobs(points_per_panel=ppp))
+    grid = build_grid(params, tol, points_per_panel=ppp)
     cutoff, twin = octave_twin(params, grid)
     assert grid.cutoff == cutoff
     tail = grid.panel_edges[grid.panel_edges >= grid.core_cutoff]
@@ -301,7 +301,7 @@ def test_tail_panels_keep_the_octave_cutoff_and_integrals(T, mu, tol, ppp, ratio
 def test_eight_point_tails_stay_octaves(T, mu, tol):
     # no panel wider than an octave resolves the tail at 8 points
     params = ModelParams(T=T, mu=mu)
-    grid = build_grid(params, tol, GridKnobs(points_per_panel=8))
+    grid = build_grid(params, tol, points_per_panel=8)
     _, twin = octave_twin(params, grid)
     assert np.array_equal(grid.panel_edges, twin.panel_edges)
     assert np.array_equal(grid.nodes, twin.nodes)

@@ -4,8 +4,6 @@ Reference constants come from tools/oracle_constants.py (mpmath at 30
 digits, independent of the package code).
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from bcs_edge.errors import DenominatorNonnegative
 from bcs_edge.kernels import ModelParams, eval_F
 from bcs_edge.quadrature import _panels_to_grid, build_grid
 from bcs_edge.variational import (
-    TrialConfig,
     _pieces,
     int_F_residual,
     scaled_sup,
@@ -36,24 +33,22 @@ R_ORACLE = {
 
 @pytest.fixture(scope="module")
 def pieces_small_T():
-    return _pieces(ModelParams(T=1e-4, mu=1.0), TrialConfig(b=1.0, tol=1e-9))
+    return _pieces(ModelParams(T=1e-4, mu=1.0), 1.0, 1e-9, 16)
 
 
 def test_trial_config_validation():
-    with pytest.raises(ValueError):
-        TrialConfig(b=0.0)
-    with pytest.raises(ValueError):
-        TrialConfig(b=-1.0)
-    with pytest.raises(ValueError):
-        TrialConfig(b=1.0, tol=0.0)
-    cfg = TrialConfig(b=1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.b = 2.0
+    params = ModelParams(T=1e-2, mu=1.0)
+    with pytest.raises(ValueError, match="b must be positive"):
+        trial_gap(params, b=0.0)
+    with pytest.raises(ValueError, match="b must be positive"):
+        trial_gap(params, b=-1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        trial_gap(params, b=1.0, tol=0.0)
 
 
 def test_trial_config_refuses_an_infinite_tol():
     with pytest.raises(ValueError, match="positive and finite"):
-        TrialConfig(b=1.0, tol=np.inf)
+        trial_gap(ModelParams(T=1e-2, mu=1.0), b=1.0, tol=np.inf)
 
 
 def test_trial_pieces_match_oracle(pieces_small_T):
@@ -68,9 +63,7 @@ def test_sandwich_bounds(pieces_small_T):
     ratio = i0 / np.log(1.0 / 1e-4)
     assert SANDWICH_LO < ratio < SANDWICH_HI
     # the bounds hold down to the smallest supported temperatures
-    _, i0_cold, _ = _pieces(
-        ModelParams(T=1e-6, mu=1.0), TrialConfig(b=1.0, tol=1e-8)
-    )
+    _, i0_cold, _ = _pieces(ModelParams(T=1e-6, mu=1.0), 1.0, 1e-8, 16)
     assert SANDWICH_LO < i0_cold / np.log(1e6) < SANDWICH_HI
 
 
@@ -78,17 +71,14 @@ def test_denominator_negative_and_log_bounded():
     # <g|A-a|g> stays negative with |denom|/ln(mu/T) bounded as T drops
     for T in (1e-3, 1e-5):
         for b in (0.5, 2.0):
-            _, _, denom = _pieces(
-                ModelParams(T=T, mu=1.0), TrialConfig(b=b, tol=1e-7)
-            )
+            _, _, denom = _pieces(ModelParams(T=T, mu=1.0), b, 1e-7, 16)
             assert denom < 0.0
             assert abs(denom) / np.log(1.0 / T) < 1.0
 
 
 def test_trial_gap_sign_change_in_T():
-    cfg = TrialConfig(b=1.0, tol=1e-8)
-    assert trial_gap(ModelParams(T=1e-4, mu=1.0), cfg) > 0.0
-    assert trial_gap(ModelParams(T=0.5, mu=1.0), cfg) < 0.0
+    assert trial_gap(ModelParams(T=1e-4, mu=1.0), b=1.0, tol=1e-8) > 0.0
+    assert trial_gap(ModelParams(T=0.5, mu=1.0), b=1.0, tol=1e-8) < 0.0
 
 
 def test_trial_gap_default_config_and_bad_mu():
@@ -102,7 +92,7 @@ def test_positive_trial_gap_implies_eigensolver_gap():
     # the trial value is not itself the gap, but its positivity certifies one
     for T in (1e-4, 1e-2):
         params = ModelParams(T=T, mu=1.0)
-        assert trial_gap(params, TrialConfig(b=1.0, tol=1e-8)) > 0.0
+        assert trial_gap(params, b=1.0, tol=1e-8) > 0.0
         op = assemble(params, build_grid(params, 1e-8), BoundaryCondition.DIRICHLET)
         assert spectral_gap(op) > 0.0
 
@@ -110,7 +100,7 @@ def test_positive_trial_gap_implies_eigensolver_gap():
 def test_denominator_guard():
     # a trial state narrower than any node spacing sees A - a as exactly 0
     with pytest.raises(DenominatorNonnegative):
-        trial_gap(ModelParams(T=1.0, mu=1.0), TrialConfig(b=1e-12))
+        trial_gap(ModelParams(T=1.0, mu=1.0), b=1e-12)
 
 
 def test_int_F_residual_matches_oracle():

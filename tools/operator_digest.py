@@ -3,9 +3,9 @@
 kernel values, the inequality checks, A(p) and E(p) off the nodes, the
 edge-row RatioRows, then the solvers' numerics records.
 
-First line: for every (T, mu, tol, knobs) point of a fixed battery, the
-raw bytes of assemble(...).matrix for both boundary conditions.  Second
-line: for the same points, the grid size, the essential edge a_edge =
+First line: for every (T, mu, tol, points per panel) point of a fixed
+battery, the raw bytes of assemble(...).matrix for both boundary
+conditions.  Second line: for the same points, the grid size, the essential edge a_edge =
 eval_a, the diagonal eval_A(grid.nodes) and trial_gap.  Third line: the
 results of tc_bulk, tc_boundary (both boundary conditions), v_of_T
 (both) and one ratio_curve row (both), all at tol 1e-4: each TcResult's
@@ -57,7 +57,6 @@ import sys
 import numpy as np
 
 from bcs_edge import (
-    GridKnobs,
     ModelParams,
     TcResult,
     build_grid,
@@ -80,7 +79,7 @@ from bcs_edge.quadrature import _A_meshes
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
 MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
 TOLS = (1e-8, 1e-5)
-KNOBS = (GridKnobs(16), GridKnobs(8))
+KNOBS = (16, 8)  # points per panel
 
 SOLVER_TOL = 1e-4
 SOLVER_MU = 1.0
@@ -112,7 +111,7 @@ def _attempt(call) -> bytes:
         return type(exc).__name__.encode()
 
 
-def _pieces(params, tol, knobs):
+def _pieces(params, tol, points_per_panel):
     """(matrix pieces, integral pieces, off-node pieces, sizes) of one
     point; sizes reads the grid's order n, the matrix order m of each
     boundary condition and the fresh kernel evaluations of A(p)'s
@@ -120,7 +119,7 @@ def _pieces(params, tol, knobs):
     pieces its error type's name, and so does a failed assemble its
     matrix piece and its m."""
     try:
-        grid = build_grid(params, tol, knobs)
+        grid = build_grid(params, tol, points_per_panel)
     except Exception as exc:
         failed = [type(exc).__name__.encode()]
         return failed, failed, failed, failed[0].decode()
@@ -140,7 +139,8 @@ def _pieces(params, tol, knobs):
         struct.pack("<q", grid.n),
         _attempt(lambda: struct.pack("<d", eval_a(params, grid))),
         _attempt(lambda: eval_A(grid.nodes, params, grid).tobytes()),
-        _attempt(lambda: struct.pack("<d", trial_gap(params, knobs=knobs))),
+        _attempt(lambda: struct.pack(
+            "<d", trial_gap(params, points_per_panel=points_per_panel))),
     ]
     off_node = []
     for f in (eval_A, eval_E):
@@ -269,12 +269,12 @@ def main(argv) -> int:
     verbose = "-v" in argv
     matrix_total, integral_total = hashlib.sha256(), hashlib.sha256()
     off_node_total = hashlib.sha256()
-    for knobs in KNOBS:
+    for ppp in KNOBS:
         for tol in TOLS:
             for mu in MUS:
                 for T in TS:
                     params = ModelParams(T=T, mu=mu)
-                    matrices, integrals, off_node, sizes = _pieces(params, tol, knobs)
+                    matrices, integrals, off_node, sizes = _pieces(params, tol, ppp)
                     m, i = _digest(matrices), _digest(integrals)
                     matrix_total.update(m.digest())
                     integral_total.update(i.digest())
@@ -283,7 +283,7 @@ def main(argv) -> int:
                     if verbose:
                         print(
                             f"T={T:g} mu={mu:g} tol={tol:g} "
-                            f"ppp={knobs.points_per_panel} "
+                            f"ppp={ppp} "
                             f"{m.hexdigest()[:16]} {i.hexdigest()[:16]} {sizes}"
                         )
     print(matrix_total.hexdigest())
