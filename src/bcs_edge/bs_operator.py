@@ -158,8 +158,7 @@ def _matrix_cut(full: np.ndarray, grid: MomentumGrid, sign: float) -> tuple[int,
     ppp = grid.policy.points_per_panel
     budget = grid.policy.tol / 2.0
     d = np.diagonal(full)
-    n_core = int(np.count_nonzero(grid.nodes <= grid.core_cutoff))
-    for m in range(n_core, grid.n, ppp):
+    for m in range(ppp * grid.core_panels, grid.n, ppp):
         top_D = np.max(_gershgorin_reach(full[m:, m:], sign))
         eta = np.max(d[:m]) - top_D
         x2 = float(np.square(full[:m, m:]).sum())

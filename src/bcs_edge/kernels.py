@@ -66,11 +66,10 @@ _CLOSED_CUT = -_ONE_PLUS_EXP_CUT / 2.0
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters: temperature T and chemical potential mu.
-
-    T and mu share energy units and must be finite.  Kernel evaluation
-    accepts any real mu, while the solvers additionally require mu > 0
-    (except the scaling limits, which run at mu = 0).
+    """Temperature T and chemical potential mu, in one energy unit, on the
+    model's one domain, T > 0 and mu >= 0, both finite; ValueError ("T must
+    be positive and finite, got ..." or "mu must be nonnegative and finite,
+    got ...") refuses the rest, and no layer below checks it again.
     """
 
     T: float
@@ -79,8 +78,8 @@ class ModelParams:
     def __post_init__(self):
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T}")
-        if not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not (self.mu >= 0 and np.isfinite(self.mu)):
+            raise ValueError(f"mu must be nonnegative and finite, got {self.mu}")
 
 
 def _wrap(x):
@@ -362,7 +361,7 @@ def _B_matrix(nodes: np.ndarray, params: ModelParams) -> np.ndarray:
     the block has u at most the last row's at every column, and past the
     block v at least the last row's, so the ranges that _closed_columns
     finds exactly on the last row hold for every row of the block.
-    Where (max p^2 + |mu|)/T overflows, some u or v may be infinite
+    Where (max p^2 + mu)/T overflows, some u or v may be infinite
     (_saturated_L), and every pair goes to eval_B.
     """
     p = nodes
@@ -370,7 +369,7 @@ def _B_matrix(nodes: np.ndarray, params: ModelParams) -> np.ndarray:
     mu, twoT = params.mu, 2.0 * params.T
     K = np.empty((n, n))
     top = float(p[-1])  # top * top is inf where float ** 2 raises OverflowError
-    closed = np.isfinite((top * top + abs(mu)) / params.T)
+    closed = np.isfinite((top * top + mu) / params.T)
     i0 = 0
     while i0 < n:
         i1 = min(i0 + max(1, _BLOCK // (n - i0)), n)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .bs_operator import eval_E
 from .kernels import (
+    _BLOCK,
     ModelParams,
     _B_matrix,
     _tanh_over_x,
@@ -273,8 +274,10 @@ def check_B_uniform_norm(mu: float, T_list) -> CheckReport:
     for T in T_list:
         params = ModelParams(T=float(T), mu=mu)
         g = build_grid(params, _B_GRID_TOL)
-        sw = np.sqrt(g.weights)
-        mat = _B_matrix(g.nodes, params) * (sw[:, None] * sw[None, :])
+        sw, rows = np.sqrt(g.weights), max(1, _BLOCK // g.n)
+        mat = _B_matrix(g.nodes, params)
+        for i0 in range(0, g.n, rows):  # in place by row blocks, as in _nystroem
+            mat[i0:i0 + rows] *= sw[i0:i0 + rows, None] * sw
         norms.append(2.0 * float(np.max(np.abs(np.linalg.eigvalsh(mat)))))
     logger.info("B_uniform_norm(mu=%g): norms %s vs cap %.3f", mu, norms, cap)
     return _tally("B_uniform_norm", cap - np.asarray(norms), cap, 0)
@@ -291,15 +294,12 @@ def check_L_sandwich(
     L*(T+p^2+q^2) <= (5 T0 + 2 mu)/(2 T0) with T0 = T/2, which the
     proof supplies for every temperature above T0.
     """
-    if not (mu >= 0 and T > 0):
-        raise ValueError(f"need mu >= 0 and T > 0, got mu={mu}, T={T}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     p = rng.uniform(-_BOX, _BOX, n_samples)
     q = rng.uniform(-_BOX, _BOX, n_samples)
-    params = ModelParams(T=T, mu=mu)
-    L = eval_L(p, q, params)
+    L = eval_L(p, q, ModelParams(T=T, mu=mu))  # ModelParams refuses T, mu off the domain
     s = 1.0 + p * p + q * q
     c1 = 2.0 * T / (1.0 + 4.0 * T + 2.0 * mu)
     t0 = T / 2.0

@@ -98,8 +98,8 @@ class GridPolicy:
 class MomentumGrid:
     """Quadrature nodes/weights on (0, Lambda] plus refinement metadata.
 
-    Panels beyond core_cutoff, the end of the graded core, are the tail
-    panels that extend the cutoff to Lambda, each
+    The first core_panels panels form the graded core [0, core_cutoff];
+    the tail panels past it extend the cutoff to Lambda, each
     _tail_octaves(points_per_panel) octaves wide but the last, which ends
     at Lambda.  self_convergence is the B(0, .) probe at policy.T, the
     build's; certify re-takes it at any other T.  Grids compare and hash
@@ -118,6 +118,10 @@ class MomentumGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    @property
+    def core_panels(self) -> int:
+        return int(np.searchsorted(self.panel_edges, self.core_cutoff))
 
     def certify(self, params: ModelParams) -> None:
         """Refuse params at which this grid's integrals are not certified:
@@ -139,8 +143,8 @@ class MomentumGrid:
                 f"at T={params.T:.6g}"
             )
         if moved:
-            core = np.searchsorted(self.panel_edges, self.core_cutoff) + 1
-            conv = _probe(params, self.panel_edges[:core], pol.points_per_panel)
+            core = self.panel_edges[: self.core_panels + 1]
+            conv = _probe(params, core, pol.points_per_panel)
         if conv > pol.tol:
             raise QuadratureUnderresolved(
                 f"grid self-convergence estimate {conv:.3e} "
@@ -176,8 +180,8 @@ def _crossover_width(T: float, mu: float, ppp: int) -> float:
 
     tanh(x/2T) has a pole at x = i pi T, where s = (p+q)/2 (or d =
     (p-q)/2) is sqrt(mu + i pi T), so in q the pole lies z = 2 (sqrt(mu
-    + i pi T) - sqrt(mu)) from the crossover, sqrt(mu) read as 0 for
-    mu <= 0: about i pi T / sqrt(mu) for T << mu, and |z| rises with T.
+    + i pi T) - sqrt(mu)) from the crossover, 2 sqrt(i pi T) at mu = 0:
+    about i pi T / sqrt(mu) for T << mu, and |z| rises with T.
     The widest panel is the one whose Bernstein ellipse through z is that
     of a tail panel [c, r c] through its pole at 0, r =
     2^_tail_octaves(ppp), so it meets TAIL_RESOLUTION too.
@@ -318,7 +322,7 @@ def _A_meshes(grid: MomentumGrid, p: np.ndarray) -> _Meshes:
     """
     pol = grid.policy
     mu, ppp = pol.mu, pol.points_per_panel
-    two_smu = grid.refinement_centers[-1]  # 2 sqrt(mu), or 0 for mu <= 0
+    two_smu = grid.refinement_centers[-1]  # 2 sqrt(mu), or 0 at mu = 0
     edges = grid.panel_edges
     last = edges.size - 2
     cross = np.column_stack([np.abs(two_smu - p), two_smu + p])
@@ -405,9 +409,6 @@ def tail_bound(params: ModelParams, cutoff: float) -> float:
         flat = (lam - cutoff) / (2.0 * T)
         log_part = (2.0 / a) * np.log((lam + a) / (lam - a))
         return 2.0 * (flat + log_part)
-    if mu < 0:
-        s = 2.0 * np.sqrt(-mu)
-        return (8.0 / s) * (np.pi / 2.0 - np.arctan(cutoff / s))
     return 8.0 / cutoff
 
 
@@ -418,7 +419,7 @@ def build_grid(
 ) -> MomentumGrid:
     """Build a composite Gauss-Legendre grid on [0, Lambda] for params.
 
-    Lambda starts at CUTOFF_FACTOR*(2*sqrt(max(mu,0)) + TAIL_K*
+    Lambda starts at CUTOFF_FACTOR*(2*sqrt(mu) + TAIL_K*
     sqrt(max(T,mu,1))), the core cutoff, and doubles until the analytic
     tail_bound certifies a truncation error below tol/2 in the units
     of a = (1/4pi) integral B(0,q) dq.  Core panels refine

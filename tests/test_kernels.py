@@ -84,7 +84,13 @@ def test_params_validation():
         ModelParams(T=0.0, mu=1.0)
     with pytest.raises(ValueError):
         ModelParams(T=-1.0, mu=1.0)
-    p = ModelParams(T=1.0, mu=-2.0)
+    # mu >= 0 is the model's one domain, down to the smallest negative float
+    for mu in (-1.0, -1e-300, -5e-324):
+        with pytest.raises(ValueError, match="mu must be nonnegative and finite"):
+            ModelParams(T=1.0, mu=mu)
+    for mu in (0.0, -0.0, 5e-324, 2.0):
+        assert ModelParams(T=1.0, mu=mu).mu == mu
+    p = ModelParams(T=1.0, mu=2.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.T = 2.0
 
@@ -124,7 +130,7 @@ def test_F_branch_continuity():
 @given(
     p=st.floats(-30, 30),
     T=st.floats(1e-3, 1e3),
-    mu=st.floats(-5, 5),
+    mu=st.floats(0, 5),
 )
 def test_F_range_and_parity(p, T, mu):
     params = ModelParams(T=T, mu=mu)
@@ -155,7 +161,7 @@ def test_L_removable_singularities():
     p=st.floats(0, 10),
     q=st.floats(0, 10),
     T=st.floats(1e-2, 1e2),
-    mu=st.floats(-3, 3),
+    mu=st.floats(0, 3),
 )
 def test_L_naive_formula_agreement(p, q, T, mu):
     # away from the removable set the textbook formula is safe to compare
@@ -173,7 +179,7 @@ def test_L_naive_formula_agreement(p, q, T, mu):
     p=st.floats(-8, 8),
     q=st.floats(-8, 8),
     T=st.floats(1e-3, 1e2),
-    mu=st.floats(-3, 3),
+    mu=st.floats(0, 3),
 )
 def test_L_symmetry_positivity_bound(p, q, T, mu):
     params = ModelParams(T=T, mu=mu)
@@ -247,7 +253,7 @@ def test_L_series_tail_is_second_order():
     p=st.floats(-6, 6),
     q=st.floats(-6, 6),
     T=st.floats(1e-2, 10),
-    mu=st.floats(-2, 2),
+    mu=st.floats(0, 2),
 )
 def test_B_symmetries(p, q, T, mu):
     params = ModelParams(T=T, mu=mu)

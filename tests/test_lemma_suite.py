@@ -193,8 +193,10 @@ def test_L_sandwich_no_violations():
         r = check_L_sandwich(mu, T, n_samples=N, seed=SEED)
         assert r.violations == 0, (mu, T)
         assert r.worst_margin > 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="T must be positive"):
         check_L_sandwich(1.0, 0.0)
+    with pytest.raises(ValueError, match="mu must be nonnegative"):
+        check_L_sandwich(-1.0, 1.0)
     with pytest.raises(ValueError):
         check_L_sandwich(1.0, 1.0, n_samples=0)
 

@@ -67,6 +67,11 @@ def check_invariants(grid):
     assert grid.panel_edges[-1] == grid.cutoff
     assert grid.n == grid.policy.points_per_panel * (grid.panel_edges.size - 1)
     assert grid.self_convergence <= grid.policy.tol
+    # the graded core ends on the edge after core_panels panels
+    core = grid.core_panels
+    assert grid.panel_edges[core] == grid.core_cutoff
+    in_core = np.count_nonzero(grid.nodes <= grid.core_cutoff)
+    assert in_core == grid.policy.points_per_panel * core
 
 
 def test_grid_invariants_mu_zero():
@@ -127,10 +132,6 @@ def test_tail_bound_branches():
     assert tail_bound(ModelParams(T=2.0, mu=0.0), 40.0) == pytest.approx(
         0.2, rel=1e-15
     )
-    # mu < 0: arctan form, positive and decreasing
-    params = ModelParams(T=1.0, mu=-1.0)
-    vals = [tail_bound(params, c) for c in (10.0, 20.0, 40.0)]
-    assert vals[0] > vals[1] > vals[2] > 0
     # near-cutoff cap: finite even below the q^2 = 4 mu resonance
     capped = tail_bound(ModelParams(T=0.1, mu=1.0), 1.5)
     assert np.isfinite(capped) and capped > 0
@@ -171,7 +172,7 @@ def _march_battery():
     rng = np.random.default_rng(20260418)
     for floor in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1):
         for hi in (0.7, 6.0, 66.0):
-            # mu <= 0: the only center is the origin
+            # mu = 0: the only center is the origin
             yield hi, floor, np.zeros((1, 1))
             rows = rng.uniform(-0.2 * hi, 1.2 * hi, size=(24, 5))
             rows[::2, 0] = 0.0  # build_grid's meshes all have this center

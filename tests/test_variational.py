@@ -116,7 +116,7 @@ def test_int_F_residual_decays():
     ]
     assert vals[0] > vals[1] > vals[2]
     with pytest.raises(ValueError):
-        int_F_residual(ModelParams(T=1.0, mu=-1.0))
+        int_F_residual(ModelParams(T=1.0, mu=0.0))
 
 
 def test_int_F_window_bounded():

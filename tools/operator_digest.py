@@ -77,7 +77,7 @@ from bcs_edge.cli import cmd_verify
 from bcs_edge.quadrature import _A_meshes
 
 TS = (1e-5, 7.8e-3, 1.0, 20.0)
-MUS = (-0.5, 0.0, 0.3, 1.0, 4.0)
+MUS = (0.0, 0.3, 1.0, 4.0)
 TOLS = (1e-8, 1e-5)
 KNOBS = (16, 8)  # points per panel
 
@@ -92,7 +92,6 @@ EDGE_TOL = 1e-6
 KERNEL_MU = 1.0
 KERNEL_TS = tuple(10.0**k for k in range(-8, 4))  # T/mu from 1e-8 to 1e3
 KERNEL_PARAMS = tuple(ModelParams(T=T, mu=KERNEL_MU) for T in KERNEL_TS) + (
-    ModelParams(T=1e-3, mu=-0.5),
     ModelParams(T=1e-3, mu=0.0),
 )
 KERNEL_LENGTHS = (2**14 - 1, 2**14, 2**14 + 1)  # around the kernel block
@@ -230,7 +229,7 @@ def _kernel_pieces():
         edge = np.sqrt(mu + 2.0 * T * np.linspace(340.0, 390.0, 101))
         band = np.concatenate([edge, -edge, [np.nan]])
         arrays = [(band[:, None], band[None, :])]
-        box = 4.0 * (np.sqrt(abs(mu)) + np.sqrt(T))
+        box = 4.0 * (np.sqrt(mu) + np.sqrt(T))
         for n in KERNEL_LENGTHS:
             arrays.append(tuple(rng.uniform(-box, box, (2, n))))
         for p, q in arrays:
