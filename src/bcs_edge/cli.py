@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -146,15 +145,6 @@ def _resolve(parser, ns) -> dict:
     return cfg
 
 
-def _pmap(fn, items, threads: int) -> list:
-    """Map preserving input order; bounded worker pool above one row."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- output ------------------------------------------------------------
 
 
@@ -258,7 +248,7 @@ def cmd_tc(cfg):
     else:
         fixed = {"mu": mu}
         solve = lambda v: tc_bulk(v, mu, tol, ppp)
-    results = _pmap(solve, cfg["v"], cfg["threads"])
+    results = [solve(v) for v in cfg["v"]]
     header = ["v", *fixed, "tc", "residual", "evaluations"]
     rows = [
         {
@@ -294,8 +284,10 @@ def cmd_ratio_curve(cfg):
         raise ValueError("--v-max must be >= --v-min")
     bc, ppp = BoundaryCondition(cfg["bc"]), cfg["grid_points"]
     vs = np.geomspace(cfg["v_min"], cfg["v_max"], cfg["v_count"])
-    single = lambda v: ratio_curve([v], cfg["mu"], bc, cfg["tol"], ppp).rows[0]
-    rows = _pmap(single, vs, cfg["threads"])
+    # where the ends (nearly) meet, geomspace can step an ulp outside them
+    # or back; ratio_curve takes only an ascending sequence
+    vs = np.maximum.accumulate(np.clip(vs, cfg["v_min"], cfg["v_max"]))
+    rows = ratio_curve(vs, cfg["mu"], bc, cfg["tol"], ppp).rows
     table = [
         {column: getattr(row, column) for column in _CURVE_COLUMNS}
         for row in rows
@@ -424,7 +416,8 @@ _THREADS = _Opt(
     int,
     os.cpu_count() or 1,
     bound=_POS,
-    help="worker pool size, at least 1 (default: logical cores)",
+    help="accepted and recorded, selects nothing: rows run in order "
+    "(default: logical cores)",
 )
 _OUT = _Opt("--out", str, help="output path; files get a .manifest.json sidecar")
 _FORMAT = _Opt("--format", str, "csv", choices=("csv", "json"), help="output format")

@@ -32,6 +32,7 @@ from bcs_edge import (
     eval_F,
     eval_L,
     eval_a,
+    tc_boundary,
 )
 from bcs_edge.bs_operator import (
     BoundaryCondition,
@@ -787,3 +788,17 @@ def test_refinement_reference_ppp16_entries_recompute(T, bc):
     assert (op.grid.n, op.n) == (ref["n"], ref["m"])
     assert _top_value(op.matrix) == pytest.approx(ref["lam"], rel=1e-12, abs=0.0)
     assert op.a_edge == pytest.approx(ref["a_edge"], rel=1e-12, abs=0.0)
+
+
+def test_refinement_reference_ppp16_tc_boundary_row_recomputes():
+    # one ppp-16 tc_boundary row of the same file, at (0.61, N), where tc
+    # moves 3.0e-7 relative from ppp 16 to ppp 32.  The last bits of each
+    # solve can flip the side a secant step lands on, so tc is held to
+    # twice the tol and the solve count is not held at all
+    doc = json.loads(REFERENCE.read_text())
+    (row,) = [r for r in doc["tc_boundary"] if r["v"] == 0.61 and r["bc"] == "neumann"]
+    ref = row["levels"][0]
+    assert ref["points_per_panel"] == 16
+    result = tc_boundary(0.61, doc["mu"], N, doc["tc_tol"], 16)
+    assert result.numerics["grid_nodes"] == ref["n"]
+    assert result.tc == pytest.approx(ref["tc"], rel=2 * doc["tc_tol"], abs=0.0)

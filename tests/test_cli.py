@@ -5,9 +5,11 @@ Solver-heavy paths run at loosened tolerances to keep the suite quick.
 """
 
 import json
+import logging
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +562,33 @@ def test_thread_pool_preserves_row_order(capsys):
     assert [float(r["v"]) for r in rows] == [0.4, 0.6, 0.8]
     tcs = [float(r["tc"]) for r in rows]
     assert tcs == sorted(tcs)
+
+
+def test_sweep_rows_run_in_the_calling_thread(tmp_path, capsys, caplog):
+    # --threads is accepted and recorded but selects nothing: every row
+    # logs from the thread that called main, and the data file does not
+    # depend on it
+    argv = ["ratio-curve", "--mu", "1", "--v-min", "0.5", "--v-max", "0.8",
+            "--v-count", "2", "--tol", "1e-3"]
+    with caplog.at_level(logging.DEBUG, logger="bcs_edge"):
+        assert cli.main(argv + ["--threads", "3", "--out", str(tmp_path / "3.csv")]) == 0
+    assert caplog.records
+    assert {r.threadName for r in caplog.records} == {threading.current_thread().name}
+    assert cli.main(argv + ["--threads", "1", "--out", str(tmp_path / "1.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "3.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+def test_sweep_with_meeting_ends_stays_in_range(capsys):
+    # geomspace(1.9, 1.9, 3) reads 1.8999999999999997 in the middle; the
+    # sweep's couplings stay inside [--v-min, --v-max] and ascending
+    code, out = run_cli(
+        capsys,
+        ["ratio-curve", "--mu", "1", "--v-min", "1.9", "--v-max", "1.9",
+         "--v-count", "3", "--tol", "1e-3"],
+    )
+    assert code == 0
+    assert [r["v"] for r in parse_csv(out)[1]] == ["1.9"] * 3
 
 
 @pytest.mark.parametrize("env", ["3", "soup"])

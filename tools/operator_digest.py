@@ -53,6 +53,7 @@ import dataclasses
 import hashlib
 import struct
 import sys
+import zlib
 
 import numpy as np
 
@@ -216,12 +217,14 @@ def _kernel_pieces():
     with u = (p^2 - mu)/2T in [340, 390], so that exp(-2u) crosses
     [-760, -700], where exp underflows through the subnormals, plus a
     NaN; arrays of KERNEL_LENGTHS drawn from a momentum box; and eval_a
-    on the grid at each of TOLS.
+    on the grid at each of TOLS.  Each point draws its momenta from a
+    generator seeded by its own (T, mu), so adding or dropping a point
+    leaves the other points' draws alone.
     """
-    rng = np.random.default_rng(20260501)
     pieces = []
     for params in KERNEL_PARAMS:
         T, mu = params.T, params.mu
+        rng = np.random.default_rng(zlib.crc32(repr((T, mu)).encode()))
         for p, q in KERNEL_SCALARS:
             for f in (eval_L, eval_B):
                 pieces.append(_attempt(lambda f=f: struct.pack("<d", f(p, q, params))))
